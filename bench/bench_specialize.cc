@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "common/random.h"
 
 namespace datacell {
 namespace {
@@ -129,6 +130,45 @@ void BM_SpecializeConjunction(benchmark::State& state) {
   state.counters["results"] = static_cast<double>(sink->rows());
 }
 BENCHMARK(BM_SpecializeConjunction)
+    ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// Keyed aggregation (the end-to-end benchmark's `vol` shape): the reused
+/// int64 group table with typed per-group accumulators vs the interpreter's
+/// per-firing string-keyed GroupBy and Value-boxed results. Keys are
+/// Zipf(0.8) over 1,000 values, so a batch holds a few hundred groups.
+void BM_SpecializeGroupBy(benchmark::State& state) {
+  size_t batch = static_cast<size_t>(state.range(0));
+  Engine engine(BackendOptions(state.range(1) != 0));
+  if (!engine.ExecuteSql("create basket r (k int, v int, s int)").ok()) return;
+  auto q = engine.SubmitContinuousQuery(
+      "vol",
+      "select t.k, sum(t.v) as q, max(t.s) as m "
+      "from [select * from r] as t group by t.k");
+  if (!q.ok()) return;
+  auto sink = std::make_shared<CountingSink>();
+  if (!engine.Subscribe(*q, sink).ok()) return;
+  auto batch_table = std::make_shared<Table>(
+      "batch", Schema({{"k", DataType::kInt64},
+                       {"v", DataType::kInt64},
+                       {"s", DataType::kInt64}}));
+  Rng rng(42);
+  for (size_t i = 0; i < batch; ++i) {
+    Row row = {Value::Int64(rng.Zipf(1000, 0.8)),
+               Value::Int64(rng.Uniform(1, 1000)),
+               Value::Int64(static_cast<int64_t>(i / 4096))};
+    if (!batch_table->AppendRow(row).ok()) return;
+  }
+  int64_t tuples = 0;
+  for (auto _ : state) {
+    if (!engine.IngestTable("r", *batch_table).ok()) return;
+    engine.Drain();
+    tuples += static_cast<int64_t>(batch);
+  }
+  bench::ReportTuplesPerSecond(state, tuples);
+  state.counters["results"] = static_cast<double>(sink->rows());
+}
+BENCHMARK(BM_SpecializeGroupBy)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 

@@ -631,5 +631,68 @@ void Int64HashIndex::Probe(const int64_t* keys, const uint8_t* valid,
   }
 }
 
+// --- Int64GroupTable -----------------------------------------------------
+
+size_t Int64GroupTable::SlotFor(int64_t key) const {
+  size_t s = static_cast<size_t>(HashInt64Key(key)) & mask_;
+  while (slots_[s].gen == gen_ && slots_[s].key != key) {
+    s = (s + 1) & mask_;
+  }
+  return s;
+}
+
+void Int64GroupTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);  // exact capacity, all gen 0
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  for (const Slot& o : old) {
+    if (o.gen == gen_) slots_[SlotFor(o.key)] = o;
+  }
+}
+
+size_t Int64GroupTable::Group(const int64_t* keys, const uint8_t* valid,
+                              const size_t* rows, size_t n,
+                              uint32_t* group_ids,
+                              std::vector<size_t>* representatives) {
+  if (slots_.empty()) {
+    std::vector<Slot>(kMinCapacity).swap(slots_);
+    mask_ = kMinCapacity - 1;
+  }
+  // A new generation empties the table; on wrap-around, stale stamps could
+  // alias the new one, so clear them once.
+  if (++gen_ == 0) {
+    for (Slot& s : slots_) s.gen = 0;
+    gen_ = 1;
+  }
+  size_t live = 0;  // non-null keys placed in this call
+  uint32_t groups = 0;
+  constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
+  uint32_t null_group = kNoGroup;
+  for (size_t k = 0; k < n; ++k) {
+    size_t pos = rows != nullptr ? rows[k] : k;
+    if (valid != nullptr && valid[pos] == 0) {
+      if (null_group == kNoGroup) {
+        null_group = groups++;
+        representatives->push_back(pos);
+      }
+      group_ids[k] = null_group;
+      continue;
+    }
+    int64_t key = keys[pos];
+    size_t s = SlotFor(key);
+    if (slots_[s].gen != gen_) {
+      if (2 * (live + 1) > slots_.size()) {
+        Grow();
+        s = SlotFor(key);
+      }
+      slots_[s] = Slot{key, gen_, groups++};
+      ++live;
+      representatives->push_back(pos);
+    }
+    group_ids[k] = slots_[s].group;
+  }
+  return groups;
+}
+
 }  // namespace kernel
 }  // namespace datacell

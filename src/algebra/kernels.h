@@ -185,6 +185,57 @@ class Int64HashIndex {
   std::vector<uint32_t> positions_;
 };
 
+// --- Specialized hash grouping -----------------------------------------
+
+/// Open-addressing group table over one int64 key column: the specialized
+/// GROUP BY's replacement for the interpreter's per-firing string-keyed map.
+/// The pipeline owns one and reuses it across firings:
+///   - slots carry a generation stamp, so each Group() call starts from an
+///     empty table in O(1), without clearing the slot array;
+///   - capacity is a power of two with linear probing, doubled only when the
+///     distinct keys of a call pass half of it. It follows the number of
+///     groups, never the batch length.
+/// Group ids are dense in first-appearance order, and all null keys share
+/// one group placed at the first null: exactly GroupBy()'s numbering
+/// (operators.h), whose key encoding gives every null the same key.
+class Int64GroupTable {
+ public:
+  /// Groups n rows and returns the number of groups. Row k reads
+  /// keys[rows[k]] (keys[k] when `rows` is null); `valid` (1 = valid, may be
+  /// null) marks null keys. Writes each row's group id to group_ids[k] and
+  /// appends each group's first row position to `representatives`.
+  size_t Group(const int64_t* keys, const uint8_t* valid, const size_t* rows,
+               size_t n, uint32_t* group_ids,
+               std::vector<size_t>* representatives);
+
+  /// Bytes held by the slot array — the pass-4 state accounting hook.
+  size_t memory_bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+  /// memory_bytes() once `keys` distinct non-null keys have been grouped in
+  /// one call — what the pass-4 analyzer prices group-by state at. Mirrors
+  /// Group()'s sizing: the smallest power of two >= max(16, 2 * keys).
+  static size_t EstimatedBytes(size_t keys) {
+    size_t capacity = kMinCapacity;
+    while (capacity < keys * 2) capacity *= 2;
+    return capacity * sizeof(Slot);
+  }
+
+ private:
+  struct Slot {
+    int64_t key = 0;
+    uint32_t gen = 0;    // live in the current call iff == gen_
+    uint32_t group = 0;
+  };
+  static constexpr size_t kMinCapacity = 16;
+
+  size_t SlotFor(int64_t key) const;
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  uint32_t gen_ = 0;
+};
+
 }  // namespace kernel
 }  // namespace datacell
 

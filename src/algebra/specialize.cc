@@ -1,5 +1,6 @@
 #include "algebra/specialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -35,6 +36,8 @@ double DHi(const LoweredSelect& s) {
 bool NumericColumn(DataType t) {
   return IsIntegerBacked(t) || t == DataType::kDouble;
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -282,17 +285,25 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     n = n->child().get();
   }
   if (n->kind() == PlanKind::kAggregate) {
-    if (!n->group_columns().empty()) return Fail("GROUP BY aggregate");
+    if (n->group_columns().size() > 1) {
+      return Fail("GROUP BY on " + std::to_string(n->group_columns().size()) +
+                  " columns");
+    }
     aggnode = n;
     n = n->child().get();
     if (n->kind() == PlanKind::kProject) {
-      // Mirror the interpreter's fusion rule: aggregate inputs must be
-      // plain column refs through the pre-projection so they can be read
-      // straight from the projection's input.
+      // Mirror the interpreter's fusion rule: aggregate inputs (and the
+      // group key) must be plain column refs through the pre-projection so
+      // they can be read straight from the projection's input.
       for (const AggSpec& a : aggnode->aggregates()) {
         if (!a.count_star && n->projections()[a.input_column]->kind() !=
                                  ExprKind::kColumnRef) {
           return Fail("aggregate input is a computed projection");
+        }
+      }
+      for (size_t gc : aggnode->group_columns()) {
+        if (n->projections()[gc]->kind() != ExprKind::kColumnRef) {
+          return Fail("GROUP BY key is a computed expression");
         }
       }
       pre = n;
@@ -413,6 +424,22 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     pipe->project_.emplace(std::move(projs));
   }
 
+  // Aggregate inputs and the group key resolve through the (column-ref-only)
+  // pre-projection to source columns.
+  auto source_column = [&](size_t agg_input) {
+    return pre != nullptr ? pre->projections()[agg_input]->column_index()
+                          : agg_input;
+  };
+  if (aggnode != nullptr && !aggnode->group_columns().empty()) {
+    size_t key = source_column(aggnode->group_columns()[0]);
+    if (key >= source.num_fields()) return Fail("GROUP BY key out of range");
+    DataType kt = source.field(key).type;
+    if (!IsIntegerBacked(kt)) {
+      return Fail(std::string("GROUP BY key of type ") + DataTypeToString(kt));
+    }
+    pipe->group_.emplace();
+    pipe->group_->column = key;
+  }
   if (aggnode != nullptr) {
     std::vector<Agg> aggs;
     for (const AggSpec& a : aggnode->aggregates()) {
@@ -420,15 +447,16 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
       g.func = a.func;
       g.count_star = a.count_star;
       if (!a.count_star) {
-        size_t col = pre != nullptr
-                         ? pre->projections()[a.input_column]->column_index()
-                         : a.input_column;
+        size_t col = source_column(a.input_column);
         if (col >= source.num_fields()) {
           return Fail("aggregate input column out of range");
         }
         g.column = col;
         g.col_type = source.field(col).type;
-        if (g.col_type == DataType::kString && a.func != AggFunc::kCount) {
+        // The grouped stage reads values as numbers for every function; the
+        // interpreter rejects string inputs there, so leave them to it.
+        if (g.col_type == DataType::kString &&
+            (a.func != AggFunc::kCount || pipe->group_)) {
           return Fail("aggregate over a string column");
         }
       }
@@ -492,7 +520,12 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
                             : source.field((*pipe->aggregates_)[i].column).name) +
               ")";
     }
-    d += "  " + std::to_string(step++) + ". aggregate: " + cols + "\n";
+    d += "  " + std::to_string(step++) + ". aggregate: " + cols;
+    if (pipe->group_) {
+      d += " group by " + source.field(pipe->group_->column).name +
+           " (int64 group table, reused across firings)";
+    }
+    d += "\n";
   }
   if (postnode != nullptr) {
     std::string cols;
@@ -518,12 +551,15 @@ SpecializeResult SpecializePlan(const PlanNode& plan,
 
 // --- Runtime ------------------------------------------------------------
 
-size_t SpecializedPipeline::JoinStateBytes(int64_t string_bytes) const {
-  if (!join_ || join_->build_table == nullptr) return 0;
-  const Table& build = *join_->build_table;
-  int64_t row_bytes = build.schema().EstimatedRowBytes(string_bytes);
-  return build.num_rows() * static_cast<size_t>(row_bytes) +
-         join_->index.memory_bytes();
+size_t SpecializedPipeline::StateBytes(int64_t string_bytes) const {
+  size_t bytes = group_ ? group_->table.memory_bytes() : 0;
+  if (join_ && join_->build_table != nullptr) {
+    const Table& build = *join_->build_table;
+    int64_t row_bytes = build.schema().EstimatedRowBytes(string_bytes);
+    bytes += build.num_rows() * static_cast<size_t>(row_bytes) +
+             join_->index.memory_bytes();
+  }
+  return bytes;
 }
 
 void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
@@ -854,12 +890,174 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
   int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
   Table mid("", agg_schema_);
   DC_RETURN_NOT_OK(mid.AppendRow(row));
-  for (size_t i = 0; i < post_project_->size(); ++i) {
-    DC_RETURN_NOT_OK(RunProjection((*post_project_)[i], mid, nullptr,
-                                   out->column(i).get()));
-  }
+  DC_RETURN_NOT_OK(RunPostProjection(mid, out.get()));
   if (prof != nullptr) {
     prof->RecordStep(post_step_, 1, 1, ProfileNowNs() - pt0);
+  }
+  return out;
+}
+
+Status SpecializedPipeline::RunPostProjection(const Table& agg_out,
+                                              Table* out) const {
+  for (size_t i = 0; i < post_project_->size(); ++i) {
+    DC_RETURN_NOT_OK(RunProjection((*post_project_)[i], agg_out, nullptr,
+                                   out->column(i).get()));
+  }
+  return Status::OK();
+}
+
+Status SpecializedPipeline::AccumulateGroups(const Agg& g, const Table& in,
+                                             const std::vector<size_t>* rows,
+                                             size_t groups,
+                                             const ExecContext& ctx, Bat* out) {
+  size_t n = group_ids_.size();
+  const uint32_t* gid = group_ids_.data();
+  const size_t* pos = rows != nullptr ? rows->data() : nullptr;
+  if (!g.count_star && ctx.ShouldParallelize(n)) {
+    // Parallel-sized batches keep the interpreter's morsel-parallel kernel:
+    // same partials, same merge order, so the same rounding.
+    Grouping grouping;
+    grouping.group_ids.assign(group_ids_.begin(), group_ids_.end());
+    grouping.num_groups = groups;
+    const Bat& col = *in.column(g.column);
+    Bat gathered(col.type());
+    if (rows != nullptr) gathered.AppendPositions(col, *rows);
+    DC_ASSIGN_OR_RETURN(
+        std::vector<AggPartial> partials,
+        AggregateByGroup(rows != nullptr ? gathered : col, grouping, ctx));
+    for (const AggPartial& p : partials) {
+      DC_RETURN_NOT_OK(out->AppendValue(p.Finalize(g.func)));
+    }
+    return Status::OK();
+  }
+  const Bat* col = g.count_star ? nullptr : in.column(g.column).get();
+  const uint8_t* valid = col != nullptr ? col->validity_data() : nullptr;
+  // Visits the aggregated rows in input order, skipping null values.
+  auto each = [&](auto update) {
+    for (size_t k = 0; k < n; ++k) {
+      size_t p = pos != nullptr ? pos[k] : k;
+      if (valid != nullptr && valid[p] == 0) continue;
+      update(gid[k], p);
+    }
+  };
+  group_count_.assign(groups, 0);
+  if (g.func == AggFunc::kCount) {
+    each([&](uint32_t grp, size_t) { ++group_count_[grp]; });
+    int64_t* dst = out->AppendUninitializedInt64(groups);
+    std::copy(group_count_.begin(), group_count_.end(), dst);
+    return Status::OK();
+  }
+  // One typed accumulator per group, updated exactly as AggPartial::AddValue
+  // does (same operations, same row order), so results are bit-identical.
+  double init = g.func == AggFunc::kMin   ? kInf
+                : g.func == AggFunc::kMax ? -kInf
+                                          : 0.0;
+  group_acc_.assign(groups, init);
+  auto fold = [&](auto value_at) {
+    switch (g.func) {
+      case AggFunc::kMin:
+        each([&](uint32_t grp, size_t p) {
+          double v = value_at(p);
+          ++group_count_[grp];
+          if (v < group_acc_[grp]) group_acc_[grp] = v;
+        });
+        break;
+      case AggFunc::kMax:
+        each([&](uint32_t grp, size_t p) {
+          double v = value_at(p);
+          ++group_count_[grp];
+          if (v > group_acc_[grp]) group_acc_[grp] = v;
+        });
+        break;
+      default:  // sum, avg
+        each([&](uint32_t grp, size_t p) {
+          ++group_count_[grp];
+          group_acc_[grp] += value_at(p);
+        });
+        break;
+    }
+  };
+  switch (col->type()) {
+    case DataType::kDouble: {
+      const double* d = col->double_data().data();
+      fold([d](size_t p) { return d[p]; });
+      break;
+    }
+    case DataType::kBool: {
+      const uint8_t* d = col->bool_data().data();
+      fold([d](size_t p) { return d[p] != 0 ? 1.0 : 0.0; });
+      break;
+    }
+    default: {
+      const int64_t* d = col->int64_data().data();
+      fold([d](size_t p) { return static_cast<double>(d[p]); });
+      break;
+    }
+  }
+  // Finalize exactly like AggPartial::Finalize: a group whose values were
+  // all null yields null.
+  bool avg = g.func == AggFunc::kAvg;
+  for (size_t i = 0; i < groups; ++i) {
+    if (group_count_[i] == 0) {
+      out->AppendNull();
+    } else {
+      out->AppendDouble(avg ? group_acc_[i] /
+                                  static_cast<double>(group_count_[i])
+                            : group_acc_[i]);
+    }
+  }
+  return Status::OK();
+}
+
+Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
+    const Table& in, const ExecContext& ctx) {
+  size_t n = in.num_rows();
+  PipelineProfile* prof = ctx.profile;
+  // The filter's selection vector, when there is one, drives the row order;
+  // a constant-false filter leaves nothing to group.
+  const std::vector<size_t>* rows = nullptr;
+  if (always_false_ || filter_) {
+    int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
+    sel_.clear();
+    if (filter_) EvalPred(*filter_, in, ctx, &sel_);
+    rows = &sel_;
+    if (prof != nullptr) {
+      prof->RecordStep(filter_step_, static_cast<int64_t>(n),
+                       static_cast<int64_t>(sel_.size()), ProfileNowNs() - ft0);
+    }
+  }
+  size_t nrows = rows != nullptr ? rows->size() : n;
+  int64_t at0 = prof != nullptr ? ProfileNowNs() : 0;
+  const Bat& key = *in.column(group_->column);
+  group_ids_.resize(nrows);
+  group_reps_.clear();
+  size_t groups = group_->table.Group(
+      key.int64_data().data(), key.validity_data(),
+      rows != nullptr ? rows->data() : nullptr, nrows, group_ids_.data(),
+      &group_reps_);
+  // A result holds one row per group, far fewer than the input batch whose
+  // capacity pooled buffers carry; taking them from the BatchPool pinned
+  // that capacity in the output basket and the pool and raised peak memory
+  // end to end, so results get exact-size buffers, as the interpreter's do.
+  // Without a post-projection the aggregate output is the result.
+  auto agg_out = std::make_shared<Table>("", agg_schema_);
+  agg_out->column(0)->AppendPositions(key, group_reps_);
+  const std::vector<Agg>& aggs = *aggregates_;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    DC_RETURN_NOT_OK(AccumulateGroups(aggs[i], in, rows, groups, ctx,
+                                      agg_out->column(i + 1).get()));
+  }
+  if (prof != nullptr) {
+    prof->RecordStep(agg_step_, static_cast<int64_t>(nrows),
+                     static_cast<int64_t>(groups), ProfileNowNs() - at0);
+  }
+  if (!post_project_) return agg_out;
+  int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
+  auto out = std::make_shared<Table>("", output_schema_);
+  DC_RETURN_NOT_OK(RunPostProjection(*agg_out, out.get()));
+  if (prof != nullptr) {
+    prof->RecordStep(post_step_, static_cast<int64_t>(groups),
+                     static_cast<int64_t>(groups), ProfileNowNs() - pt0);
   }
   return out;
 }
@@ -867,6 +1065,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
 Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
                                                 const ExecContext& ctx,
                                                 BatchPool* pool) {
+  if (group_) return RunGroupAggregate(in, ctx);
   if (aggregates_) return RunAggregate(in, ctx, pool);
   size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;

@@ -28,7 +28,7 @@ class BatchPool;
 /// The supported shape is the canonical continuous-query chain the SQL
 /// planner emits (each stage optional):
 ///
-///   [scalar Aggregate] -> [Project] -> [Filter...] ->
+///   [Aggregate [GROUP BY one int key]] -> [Project] -> [Filter...] ->
 ///       (Scan(stream) | HashJoin(Scan(stream), Scan(static table)))
 ///
 /// plus these per-stage forms:
@@ -37,14 +37,19 @@ class BatchPool;
 ///     constant predicates are folded away (always-true) or pinned to an
 ///     empty selection (always-false — the analyzer warns separately);
 ///   - projections: column references and column-op-literal arithmetic;
-///   - aggregates: count(*)/count/sum/min/max/avg without GROUP BY;
+///   - aggregates: count(*)/count/sum/min/max/avg over column references,
+///     either scalar or grouped by exactly one integer-backed (int or
+///     timestamp) column; a grouped stage assigns group ids through a
+///     kernel::Int64GroupTable the pipeline keeps across firings and
+///     accumulates typed per-group arrays in input row order;
 ///   - join: stream on the probe side, integer-backed keys; the hash index
 ///     over the static side is built once and probed per firing.
 ///
-/// Anything else (windows, group-by, sort/distinct/limit/union, computed
-/// predicates the rules above can't express, ...) falls back to the
-/// interpreter with a human-readable reason, surfaced per query via the
-/// shell's \explain and counted by the engine's metrics. Results are
+/// Anything else (windows, multi-column or string/double/bool group keys,
+/// HAVING, sort/distinct/limit/union, computed predicates the rules above
+/// can't express, ...) falls back to the interpreter with a human-readable
+/// reason, surfaced per query via the shell's \explain and counted by the
+/// engine's metrics. Results are
 /// identical to the interpreter's, with one documented exception: fused
 /// filter+aggregate sums associate in four lanes, so floating-point sums
 /// over values not exactly representable in double can differ in the last
@@ -61,11 +66,11 @@ class SpecializedPipeline {
   /// Human-readable step list for \explain.
   std::string Describe() const { return description_; }
 
-  /// Pass-4 state accounting: bytes held by the registration-built join
-  /// state (build-side table estimated at `string_bytes` per string value,
-  /// plus the hash index arrays). The only cross-firing state the pipeline
-  /// owns; 0 for join-free pipelines.
-  size_t JoinStateBytes(int64_t string_bytes) const;
+  /// Pass-4 state accounting: bytes of the cross-firing state the pipeline
+  /// owns — the registration-built join state (build-side table estimated at
+  /// `string_bytes` per string value, plus the hash index arrays) and the
+  /// GROUP BY table's slot array. 0 for pipelines with neither.
+  size_t StateBytes(int64_t string_bytes) const;
 
   /// Registers this pipeline's stages as profile steps (one per present
   /// stage, in execution order) and remembers their indices; Run() then
@@ -132,12 +137,25 @@ class SpecializedPipeline {
     size_t built_rows = static_cast<size_t>(-1);
   };
 
+  /// GROUP BY over one integer-backed source column. The table persists
+  /// across firings (Group() restarts it in O(1)), so steady-state firings
+  /// allocate nothing for grouping.
+  struct GroupKey {
+    size_t column = 0;
+    kernel::Int64GroupTable table;
+  };
+
   void EvalPred(const Pred& p, const Table& in, const ExecContext& ctx,
                 std::vector<size_t>* out) const;
   Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx,
                              BatchPool* pool);
   Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx,
                                 BatchPool* pool);
+  Result<TablePtr> RunGroupAggregate(const Table& in, const ExecContext& ctx);
+  Status AccumulateGroups(const Agg& g, const Table& in,
+                          const std::vector<size_t>* rows, size_t groups,
+                          const ExecContext& ctx, Bat* out);
+  Status RunPostProjection(const Table& agg_out, Table* out) const;
   Status RunProjection(const Proj& p, const Table& in,
                        const std::vector<size_t>* positions, Bat* out) const;
   TablePtr AcquireOutput(BatchPool* pool) const;
@@ -148,8 +166,9 @@ class SpecializedPipeline {
   bool always_false_ = false;  // filter folded to constant false
   std::optional<std::vector<Proj>> project_;
   std::optional<std::vector<Agg>> aggregates_;
-  // Projection applied to the one-row aggregate output (the planner places
-  // a Project above every Aggregate to reorder/derive the final columns).
+  std::optional<GroupKey> group_;  // set for a grouped aggregate
+  // Projection applied to the aggregate output (the planner places a
+  // Project above every Aggregate to reorder/derive the final columns).
   std::optional<std::vector<Proj>> post_project_;
   Schema agg_schema_;  // aggregate output schema, the post-projection input
   Schema output_schema_;
@@ -165,6 +184,10 @@ class SpecializedPipeline {
   size_t post_step_ = PipelineProfile::kNoStep;
   // Reused per-firing scratch (exclusive to the owning factory's Fire()).
   std::vector<size_t> sel_, probe_pos_, build_pos_;
+  std::vector<size_t> group_reps_;    // first row of each group
+  std::vector<uint32_t> group_ids_;   // group of each aggregated row
+  std::vector<int64_t> group_count_;  // per-group non-null input count
+  std::vector<double> group_acc_;     // per-group sum / min / max
 };
 
 /// Outcome of a specialization attempt: exactly one of `pipeline` (success)

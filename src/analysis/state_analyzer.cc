@@ -141,11 +141,16 @@ struct Walker {
 
   /// Key-space bound shared by group-by and distinct: every key column must
   /// carry a cardinality hint; the bound is the product of the hints times
-  /// the per-key bytes. Falls back to window-bounded inside windowed
-  /// queries, else unbounded (S003).
+  /// the per-key bytes, plus the per-key hash-table entry. A group-by prices
+  /// that table exactly as the specialized stage sizes its
+  /// kernel::Int64GroupTable (pow2 slot arrays dominate small key spaces, so
+  /// a flat per-entry constant would undershoot there), so the live
+  /// accounting stays comparable. Falls back to window-bounded inside
+  /// windowed queries, else unbounded (S003).
   StateBound KeyedBound(const PlanNode& node, const PlanNode& below,
                         const std::vector<size_t>& key_columns,
-                        int64_t per_key_bytes, const char* what) {
+                        int64_t per_key_bytes, bool group_table,
+                        const char* what) {
     std::optional<int64_t> keys = 1;
     std::string unhinted;
     for (size_t col : key_columns) {
@@ -161,9 +166,27 @@ struct Walker {
     }
     SourceLoc loc = FindPlanLoc(node);
     if (keys.has_value()) {
-      std::optional<int64_t> bytes = CheckedMul(*keys, per_key_bytes);
-      std::string detail = std::to_string(*keys) + " keys x " +
-                           std::to_string(per_key_bytes) + " B/key (hinted)";
+      std::optional<int64_t> bytes;
+      std::string detail;
+      if (!group_table) {
+        bytes = CheckedMul(*keys, per_key_bytes + kPerEntryOverhead);
+        detail = std::to_string(*keys) + " keys x " +
+                 std::to_string(per_key_bytes + kPerEntryOverhead) +
+                 " B/key (hinted)";
+      } else if (CheckedMul(*keys, 64).has_value()) {
+        // The table estimate is at most 64 B/key; this guard keeps its pow2
+        // sizing loop clear of overflow.
+        int64_t table =
+            static_cast<int64_t>(kernel::Int64GroupTable::EstimatedBytes(
+                static_cast<size_t>(*keys)));
+        bytes = CheckedMul(*keys, per_key_bytes);
+        if (bytes.has_value()) *bytes += table;
+        detail = std::to_string(*keys) + " keys x " +
+                 std::to_string(per_key_bytes) + " B/key + " +
+                 std::to_string(table) + " B group table (hinted)";
+      } else {
+        detail = std::to_string(*keys) + " keys (hinted)";
+      }
       report->Add(DiagCode::kCardinalityHintUsed, Severity::kNote,
                   std::string(what) + " key space bounded by hint: " + detail,
                   loc);
@@ -175,7 +198,7 @@ struct Walker {
     if (query.window.kind != sql::WindowSpec::Kind::kNone) {
       // Bounded by the window buffer regardless of the key space: the
       // operator only ever sees one window's rows.
-      return WindowScaledBound(per_key_bytes,
+      return WindowScaledBound(per_key_bytes + kPerEntryOverhead,
                                std::string(what) + " keys within one window");
     }
     report->Add(
@@ -242,9 +265,9 @@ struct Walker {
               key_bytes += one.EstimatedRowBytes(options.string_bytes);
             }
           }
-          op.bound =
-              KeyedBound(node, below, node.group_columns(),
-                         key_bytes + accum + kPerEntryOverhead, "group-by");
+          op.bound = KeyedBound(node, below, node.group_columns(),
+                                key_bytes + accum, /*group_table=*/true,
+                                "group-by");
         }
         ops->push_back(std::move(op));
         break;
@@ -258,9 +281,8 @@ struct Walker {
         op.loc = FindPlanLoc(node);
         op.bound = KeyedBound(
             node, below, all,
-            below.output_schema().EstimatedRowBytes(options.string_bytes) +
-                kPerEntryOverhead,
-            "distinct");
+            below.output_schema().EstimatedRowBytes(options.string_bytes),
+            /*group_table=*/false, "distinct");
         ops->push_back(std::move(op));
         break;
       }

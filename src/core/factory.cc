@@ -154,7 +154,7 @@ void Factory::UpdateStateAccounting() {
     bytes += window_->buffered() * static_cast<size_t>(row_bytes);
   }
   if (specialized_ != nullptr) {
-    bytes += specialized_->JoinStateBytes(options_.state_string_bytes);
+    bytes += specialized_->StateBytes(options_.state_string_bytes);
   }
   state_bytes_.store(bytes, std::memory_order_relaxed);
   size_t hw = state_high_water_.load(std::memory_order_relaxed);

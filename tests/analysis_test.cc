@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/kernels.h"
 #include "analysis/diagnostic.h"
 #include "analysis/interval.h"
 #include "analysis/key_set.h"
@@ -1637,6 +1638,49 @@ TEST(StateOracleTest, HintedGroupByRespectsHintDomain) {
   auto res = CheckStateBound(engine, *q);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->sound) << res->detail;
+}
+
+// An integer-keyed group-by runs on the specialized stage, whose group table
+// is metered: the oracle compares a real, non-zero measurement with the
+// bound priced by the same Int64GroupTable::EstimatedBytes sizing.
+TEST(StateOracleTest, HintedIntGroupByTableMeteredUnderBound) {
+  Engine engine(Deterministic());
+  ASSERT_TRUE(engine
+                  .ExecuteSql("create basket s (sym int, qty int) "
+                              "with (cardinality(sym) = 300)")
+                  .ok());
+  auto q = engine.SubmitContinuousQuery(
+      "g", "select sym, sum(qty) as total, max(qty) as hi "
+           "from [select * from s] as t group by sym");
+  ASSERT_TRUE(q.ok());
+  StateOracleOptions oopts;
+  oopts.rows = 1200;
+  oopts.batch = 600;  // every firing sees all 300 hinted keys
+  auto res = CheckStateBound(engine, *q, oopts);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_TRUE(res->sound) << res->detail;
+  EXPECT_EQ(res->measured_bytes, kernel::Int64GroupTable::EstimatedBytes(300))
+      << res->detail;
+  EXPECT_GE(res->bound_bytes,
+            static_cast<int64_t>(kernel::Int64GroupTable::EstimatedBytes(300)))
+      << res->detail;
+
+  // The same measurement against a bound below the table's size fails.
+  Engine engine2(Deterministic());
+  ASSERT_TRUE(engine2
+                  .ExecuteSql("create basket s (sym int, qty int) "
+                              "with (cardinality(sym) = 300)")
+                  .ok());
+  auto q2 = engine2.SubmitContinuousQuery(
+      "g", "select sym, sum(qty) as total, max(qty) as hi "
+           "from [select * from s] as t group by sym");
+  ASSERT_TRUE(q2.ok());
+  oopts.override_bound_bytes =
+      static_cast<int64_t>(kernel::Int64GroupTable::EstimatedBytes(300)) - 1;
+  auto low = CheckStateBound(engine2, *q2, oopts);
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  EXPECT_FALSE(low->sound) << low->detail;
+  EXPECT_NE(low->detail.find("EXCEEDS"), std::string::npos) << low->detail;
 }
 
 TEST(StateOracleTest, StaticJoinIndexUnderBound) {

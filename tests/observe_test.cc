@@ -320,17 +320,19 @@ TEST(Profiler, SpecializedPipelineSteps) {
 
 TEST(Profiler, InterpreterFallbackSteps) {
   Engine engine(Profiled());
-  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
-  // GROUP BY falls back to the tuple interpreter; the profiler must still
-  // attribute per-plan-node rows and time.
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (name varchar)").ok());
+  // GROUP BY on a string key falls back to the tuple interpreter; the
+  // profiler must still attribute per-plan-node rows and time.
   auto q = engine.SubmitContinuousQuery(
-      "grp", "select x, count(*) from [select * from r] as s group by x");
+      "grp",
+      "select name, count(*) from [select * from r] as s group by name");
   ASSERT_TRUE(q.ok());
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
   ASSERT_FALSE((*info)->factory->is_specialized());
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(engine.Ingest("r", {Value::Int64(i % 2)}).ok());
+    ASSERT_TRUE(
+        engine.Ingest("r", {Value::String(i % 2 == 0 ? "a" : "b")}).ok());
   }
   engine.Drain();
 

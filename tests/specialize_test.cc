@@ -9,36 +9,44 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapters/sink.h"
 #include "algebra/kernels.h"
+#include "algebra/operators.h"
 #include "core/engine.h"
 
 namespace datacell {
 namespace {
 
-EngineOptions TwinOptions(bool specialize) {
+EngineOptions TwinOptions(bool specialize, size_t kernel_threads = 0) {
   EngineOptions opts;
   opts.use_wall_clock = false;  // lockstep clocks => identical ts columns
   opts.specialize_plans = specialize;
+  opts.kernel_threads = kernel_threads;
   return opts;
 }
 
 /// Structural value equality: null only equals null, NaN equals NaN (the
 /// SQL-comparison operator== would reject NaN against itself), everything
-/// else by exact value. Doubles compare bitwise-exact on purpose: the
-/// specialized kernels are required to be bit-identical to the interpreter
-/// for the shapes this suite feeds them.
+/// else by exact value. Doubles compare bitwise (so -0.0 != 0.0) on purpose:
+/// the specialized kernels are required to be bit-identical to the
+/// interpreter for the shapes this suite feeds them.
 bool SameValue(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
   if (a.is_double() && b.is_double()) {
     double x = a.double_value();
     double y = b.double_value();
     if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
-    return x == y;
+    uint64_t xb, yb;
+    std::memcpy(&xb, &x, sizeof(x));
+    std::memcpy(&yb, &y, sizeof(y));
+    return xb == yb;
   }
   return a == b;
 }
@@ -57,7 +65,9 @@ std::string RowToString(const Row& r) {
 /// advances — then asserts the sinks saw identical rows.
 class TwinHarness {
  public:
-  TwinHarness() : spec_(TwinOptions(true)), interp_(TwinOptions(false)) {}
+  explicit TwinHarness(size_t kernel_threads = 0)
+      : spec_(TwinOptions(true, kernel_threads)),
+        interp_(TwinOptions(false, kernel_threads)) {}
 
   void Sql(const std::string& sql) {
     auto r1 = spec_.ExecuteSql(sql);
@@ -82,6 +92,13 @@ class TwinHarness {
   void Ingest(const std::string& stream, const Row& row) {
     ASSERT_TRUE(spec_.Ingest(stream, row).ok());
     ASSERT_TRUE(interp_.Ingest(stream, row).ok());
+    spec_.simulated_clock()->Advance(1000);
+    interp_.simulated_clock()->Advance(1000);
+  }
+
+  void IngestBatch(const std::string& stream, const std::vector<Row>& rows) {
+    ASSERT_TRUE(spec_.IngestBatch(stream, rows).ok());
+    ASSERT_TRUE(interp_.IngestBatch(stream, rows).ok());
     spec_.simulated_clock()->Advance(1000);
     interp_.simulated_clock()->Advance(1000);
   }
@@ -459,6 +476,30 @@ TEST_F(SpecializeEquivalenceTest, JoinThenFilterThenAggregate) {
   twin_.ExpectSameResults(1);
 }
 
+TEST(SpecializeParallelTest, GroupByMorselParallelBatch) {
+  // Batches past the morsel size take the morsel-parallel aggregation on
+  // both paths; the specialized stage must feed it the same group ids.
+  TwinHarness twin(/*kernel_threads=*/2);
+  twin.Sql("create basket r (k int, x int, y double)");
+  twin.Submit(
+      "select k, count(*), sum(y), max(y), avg(x) from [select * from r] as s "
+      "where s.x >= 1 group by k");
+  twin.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 150000; ++i) {
+    rows.push_back({Value::Int64(i % 97), Value::Int64(i % 9),
+                    Value::Double(i * 0.1)});
+  }
+  twin.IngestBatch("r", rows);
+  twin.Drain();
+  twin.ExpectSameResults(97);
+  MetricsSnapshotData snap = twin.spec_.MetricsSnapshot();
+  const CounterSnapshot* morsels =
+      snap.FindCounter("datacell_kernel_morsels_total");
+  ASSERT_NE(morsels, nullptr);
+  EXPECT_GT(morsels->value, 0);
+}
+
 // --- fallback reasons ----------------------------------------------------
 
 TEST_F(SpecializeEquivalenceTest, WindowedQueryFallsBack) {
@@ -471,14 +512,217 @@ TEST_F(SpecializeEquivalenceTest, WindowedQueryFallsBack) {
   twin_.ExpectSameResults(1);  // both on the interpreter: still equivalent
 }
 
-TEST_F(SpecializeEquivalenceTest, GroupByFallsBack) {
-  twin_.Sql("create basket r (x int)");
+TEST_F(SpecializeEquivalenceTest, GroupByMultiColumnKeyFallsBack) {
+  twin_.Sql("create basket r (x int, y int)");
   twin_.Submit(
-      "select x, count(*) from [select * from r] as s group by x");
-  twin_.ExpectFallback("GROUP BY");
-  for (int i = 0; i < 6; ++i) twin_.Ingest("r", {Value::Int64(i % 2)});
+      "select x, y, count(*) from [select * from r] as s group by x, y");
+  twin_.ExpectFallback("GROUP BY on 2 columns");
+  for (int i = 0; i < 6; ++i) {
+    twin_.Ingest("r", {Value::Int64(i % 2), Value::Int64(i % 3)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(6);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByStringKeyFallsBack) {
+  twin_.Sql("create basket r (name varchar, x int)");
+  twin_.Submit(
+      "select name, sum(x) from [select * from r] as s group by name");
+  twin_.ExpectFallback("GROUP BY key of type string");
+  for (int i = 0; i < 6; ++i) {
+    twin_.Ingest("r",
+                 {Value::String(i % 2 == 0 ? "a" : "b"), Value::Int64(i)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(2);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByBoolKeyFallsBack) {
+  twin_.Sql("create basket r (flag bool, x int)");
+  twin_.Submit(
+      "select flag, count(*) from [select * from r] as s group by flag");
+  twin_.ExpectFallback("GROUP BY key of type bool");
+  for (int i = 0; i < 6; ++i) {
+    twin_.Ingest("r", {Value::Bool(i % 3 == 0), Value::Int64(i)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(2);
+}
+
+// --- group-by --------------------------------------------------------------
+
+TEST_F(SpecializeEquivalenceTest, GroupByEveryAggregateFunction) {
+  twin_.Sql("create basket r (k int, v int, y double, b bool)");
+  twin_.Submit(
+      "select k, count(*), count(v), sum(v), min(v), max(v), avg(v), "
+      "count(y), sum(y), min(y), max(y), avg(y), sum(b) "
+      "from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    // 0.1 multiples are not exactly representable: any reassociation of the
+    // per-group sums would show in the last bits.
+    rows.push_back({Value::Int64(i % 7), Value::Int64(i * 3 - 50),
+                    Value::Double(i * 0.1 - 1.7), Value::Bool(i % 3 == 0)});
+  }
+  rows.push_back({Value::Int64(2), Value::Null(), Value::Double(kNaN),
+                  Value::Null()});
+  rows.push_back({Value::Int64(3), Value::Int64(-1), Value::Double(-0.0),
+                  Value::Bool(false)});
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.ExpectSameResults(7);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByNullKeysAndNullValues) {
+  twin_.Sql("create basket r (k int, v double)");
+  twin_.Submit(
+      "select k, count(*), count(v), sum(v), min(v), max(v), avg(v) "
+      "from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  // All null keys form one group placed at the first null; group 5 sees
+  // only null values (count 0, null sum/min/max/avg).
+  twin_.IngestBatch("r", {{Value::Int64(1), Value::Double(0.5)},
+                          {Value::Null(), Value::Double(1.25)},
+                          {Value::Int64(5), Value::Null()},
+                          {Value::Int64(1), Value::Null()},
+                          {Value::Null(), Value::Null()},
+                          {Value::Int64(5), Value::Null()},
+                          {Value::Null(), Value::Double(-2.0)},
+                          {Value::Int64(1), Value::Double(3.0)}});
+  twin_.Drain();
+  twin_.ExpectSameResults(3);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByEmptyBatchAndSingleGroup) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select k, sum(v), count(*) from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  twin_.Drain();  // nothing ingested: no groups, no rows
+  twin_.ExpectSameResults();
+  std::vector<Row> rows;
+  for (int i = 0; i < 9; ++i) {
+    rows.push_back({Value::Int64(42), Value::Int64(i)});
+  }
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.Drain();  // second drain sees an empty basket
+  twin_.ExpectSameResults(1);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByKeysOutgrowPreviousFiring) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select k, count(*), max(v) from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  twin_.IngestBatch("r", {{Value::Int64(1), Value::Int64(1)},
+                          {Value::Int64(2), Value::Int64(2)},
+                          {Value::Int64(1), Value::Int64(3)}});
+  twin_.Drain();
+  auto q = twin_.spec_.GetQuery(twin_.spec_q_);
+  ASSERT_TRUE(q.ok());
+  size_t small = (*q)->factory->state_bytes_high_water();
+  EXPECT_GT(small, 0u);  // the group table is metered
+  // 600 distinct keys: the reused table must grow mid-firing and keep the
+  // first-appearance order of the groups already placed.
+  std::vector<Row> rows;
+  for (int i = 0; i < 1200; ++i) {
+    rows.push_back({Value::Int64((i * 7919) % 600), Value::Int64(i)});
+  }
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  EXPECT_GT((*q)->factory->state_bytes_high_water(), small);
+  // A later small firing reuses the grown table with stale slots.
+  twin_.IngestBatch("r", {{Value::Int64(599), Value::Int64(7)},
+                          {Value::Int64(3), Value::Int64(8)}});
+  twin_.Drain();
+  twin_.ExpectSameResults(2 + 600 + 2);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByExtremeAndNegativeKeys) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select k, sum(v), min(v) from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  std::vector<Row> rows;
+  for (int64_t k : {hi, lo, int64_t{-1}, int64_t{0}, lo, int64_t{-7}, hi,
+                    int64_t{-1}, lo + 1, hi - 1}) {
+    rows.push_back({Value::Int64(k), Value::Int64(k % 1000)});
+  }
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.ExpectSameResults(7);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByTimestampKey) {
+  twin_.Sql("create basket r (at timestamp, v double)");
+  twin_.Submit(
+      "select at, count(*), avg(v) from [select * from r] as s group by at");
+  twin_.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back({Value::TimestampVal(1000000 * (i % 4)),
+                    Value::Double(i * 0.3)});
+  }
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.ExpectSameResults(4);
+}
+
+TEST_F(SpecializeEquivalenceTest, FilterThenGroupBy) {
+  twin_.Sql("create basket r (k int, x int, y double)");
+  twin_.Submit(
+      "select k, count(*), sum(y) from [select * from r] as s "
+      "where s.x > 3 and s.y < 4.0 group by k");
+  twin_.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 30; ++i) {
+    Row row = {Value::Int64(i % 4), Value::Int64(i % 9),
+               Value::Double(i * 0.2)};
+    if (i % 5 == 4) row[0] = Value::Null();
+    rows.push_back(std::move(row));
+  }
+  twin_.IngestBatch("r", rows);
   twin_.Drain();
   twin_.ExpectSameResults(1);
+}
+
+TEST_F(SpecializeEquivalenceTest, JoinThenGroupBy) {
+  twin_.Sql("create table t (k int, sector int, w double)");
+  twin_.Sql(
+      "insert into t values (0, 10, 0.5), (1, 11, 1.5), (2, 10, 2.5), "
+      "(2, 12, 0.25)");
+  twin_.Sql("create basket r (x int, q int)");
+  twin_.Submit(
+      "select t.sector, count(*), sum(s.q), max(t.w) from "
+      "[select * from r] as s join t on s.x = t.k group by t.sector");
+  twin_.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back({Value::Int64(i % 4), Value::Int64(i)});
+  }
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.ExpectSameResults(3);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupByPostProjectionReordersAndComputes) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select sum(v) * 2, k, count(*) + 1, max(v) - 0.5 "
+      "from [select * from r] as s group by k");
+  twin_.ExpectSpecialized();
+  std::vector<Row> rows;
+  for (int i = 0; i < 15; ++i) {
+    rows.push_back({Value::Int64(i % 3), Value::Int64(i * i)});
+  }
+  rows[4][1] = Value::Null();
+  twin_.IngestBatch("r", rows);
+  twin_.Drain();
+  twin_.ExpectSameResults(3);
 }
 
 TEST(SpecializeFallbackTest, DisabledByOption) {
@@ -513,17 +757,40 @@ TEST(SpecializeFallbackTest, PipelineDescriptionListsSteps) {
 
 TEST(SpecializeMetricsTest, SpecializedQueriesCounter) {
   Engine engine(TwinOptions(true));
-  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int, name varchar)").ok());
   auto q1 = engine.SubmitContinuousQuery(
       "a", "select x from [select * from r] as s where s.x < 5");
   ASSERT_TRUE(q1.ok());
   auto q2 = engine.SubmitContinuousQuery(
-      "b", "select x, count(*) from [select * from r] as s group by x");
-  ASSERT_TRUE(q2.ok());  // falls back -> not counted
+      "b", "select name, count(*) from [select * from r] as s group by name");
+  ASSERT_TRUE(q2.ok());  // string key falls back -> not counted
   MetricsSnapshotData snap = engine.MetricsSnapshot();
   const CounterSnapshot* c = snap.FindCounter("datacell_specialized_queries");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value, 1);
+  auto q3 = engine.SubmitContinuousQuery(
+      "c", "select x, count(*) from [select * from r] as s group by x");
+  ASSERT_TRUE(q3.ok());  // int key specializes -> counted
+  snap = engine.MetricsSnapshot();
+  c = snap.FindCounter("datacell_specialized_queries");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value, 2);
+}
+
+TEST(SpecializeFallbackTest, GroupByDescriptionNamesKey) {
+  Engine engine(TwinOptions(true));
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (sym int, qty int)").ok());
+  auto q = engine.SubmitContinuousQuery(
+      "vol",
+      "select t.sym, sum(t.qty) as q from [select * from r] as t "
+      "group by t.sym");
+  ASSERT_TRUE(q.ok());
+  auto info = engine.GetQuery(*q);
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE((*info)->factory->is_specialized());
+  std::string desc = (*info)->factory->PipelineDescription();
+  EXPECT_NE(desc.find("aggregate: sum(qty) group by sym"), std::string::npos)
+      << desc;
 }
 
 // --- kernel scalar vs AVX2 bit-equality ---------------------------------
@@ -639,6 +906,44 @@ TEST(HashIndexTest, MatchesNaiveNestedLoop) {
   }
   EXPECT_EQ(pp, want_pp);
   EXPECT_EQ(bp, want_bp);
+}
+
+TEST(GroupTableTest, MatchesGroupByNumberingAcrossReuse) {
+  kernel::Int64GroupTable table;
+  // Three calls on one table: small, one that grows it mid-call, and a
+  // selection-driven one over the grown table with stale slots.
+  for (size_t distinct : {5u, 700u, 40u}) {
+    Table t("", Schema({{"k", DataType::kInt64}}));
+    for (size_t i = 0; i < 3 * distinct + 11; ++i) {
+      if (i % 13 == 5) {
+        ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
+      } else {
+        int64_t k = static_cast<int64_t>((i * 2654435761u) % distinct) - 3;
+        ASSERT_TRUE(t.AppendRow({Value::Int64(k)}).ok());
+      }
+    }
+    std::vector<size_t> sel;
+    for (size_t i = 0; i < t.num_rows(); i += (distinct == 40u ? 2 : 1)) {
+      sel.push_back(i);
+    }
+    auto want = GroupBy(*t.Take(sel), {0});
+    ASSERT_TRUE(want.ok());
+    const Bat& key = *t.column(0);
+    std::vector<uint32_t> ids(sel.size());
+    std::vector<size_t> reps;
+    size_t groups = table.Group(key.int64_data().data(), key.validity_data(),
+                                sel.data(), sel.size(), ids.data(), &reps);
+    ASSERT_EQ(groups, want->num_groups);
+    for (size_t k = 0; k < sel.size(); ++k) {
+      EXPECT_EQ(ids[k], want->group_ids[k]) << k;
+    }
+    ASSERT_EQ(reps.size(), groups);
+    for (size_t g = 0; g < groups; ++g) {
+      EXPECT_EQ(reps[g], sel[want->representatives[g]]) << g;
+    }
+  }
+  // Sized by the largest call's distinct keys, never by batch length.
+  EXPECT_EQ(table.memory_bytes(), kernel::Int64GroupTable::EstimatedBytes(700));
 }
 
 }  // namespace
