@@ -1,4 +1,4 @@
-// Experiment E13: the zero-copy columnar data path. Four comparisons, each
+// Experiment E13: the zero-copy columnar data path. Four measurements, each
 // isolating one mechanism of the batch-ingest redesign:
 //
 //   1. pipeline ingest:  Value-boxed row batches (IngestBatch) vs typed
@@ -6,7 +6,7 @@
 //      receptor->basket->factory->basket->emitter round.
 //   2. basket drain:     copying reads (ReadNewFor + TrimConsumed) vs
 //      buffer-stealing drains (DrainNewFor) on a single-reader basket.
-//   3. result buffers:   malloc-per-result vs BatchPool recycling.
+//   3. result buffers:   the allocator's cost for a fresh result table.
 //   4. selection kernel: scalar compress-store loop vs the AVX2 variant
 //      behind the runtime dispatch.
 //
@@ -20,7 +20,6 @@
 
 #include "algebra/kernels.h"
 #include "bench/bench_util.h"
-#include "storage/batch_pool.h"
 #include "storage/column_batch.h"
 
 namespace datacell {
@@ -82,16 +81,6 @@ void BM_PipelineZeroCopyIngest(benchmark::State& state) {
   }
   bench::ReportTuplesPerSecond(state, tuples);
   state.counters["results"] = static_cast<double>(sink->rows());
-  MetricsSnapshotData snap = engine.MetricsSnapshot();
-  const CounterSnapshot* hits = snap.FindCounter("datacell_pool_hits_total");
-  const CounterSnapshot* misses =
-      snap.FindCounter("datacell_pool_misses_total");
-  if (hits != nullptr && misses != nullptr &&
-      hits->value + misses->value > 0) {
-    state.counters["pool_hit_rate"] =
-        static_cast<double>(hits->value) /
-        static_cast<double>(hits->value + misses->value);
-  }
 }
 BENCHMARK(BM_PipelineZeroCopyIngest)
     ->RangeMultiplier(4)
@@ -121,8 +110,6 @@ BENCHMARK(BM_DrainCopying)->Arg(1 << 12)->Unit(benchmark::kMicrosecond);
 void BM_DrainStealing(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Basket basket(Basket::MakeBasketTable("r", Schema({{"x", DataType::kInt64}})));
-  BatchPool pool;
-  basket.SetBatchPool(&pool);
   size_t reader = basket.RegisterReader();
   auto src = bench::IntBatchTable(n);
   int64_t tuples = 0;
@@ -131,15 +118,13 @@ void BM_DrainStealing(benchmark::State& state) {
     if (!basket.AppendStamped(*src, ++ts).ok()) return;
     TablePtr got = basket.DrainNewFor(reader);  // single reader: steals
     benchmark::DoNotOptimize(got->num_rows());
-    if (got.use_count() == 1) pool.Recycle(*got);  // emitter's return path
     tuples += static_cast<int64_t>(n);
   }
   bench::ReportTuplesPerSecond(state, tuples);
-  state.counters["pool_hits"] = static_cast<double>(pool.hits());
 }
 BENCHMARK(BM_DrainStealing)->Arg(1 << 12)->Unit(benchmark::kMicrosecond);
 
-// --- 3. result buffers: malloc vs pool ------------------------------------
+// --- 3. result buffers: malloc per result ---------------------------------
 
 void BM_ResultBufferMalloc(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -155,24 +140,6 @@ void BM_ResultBufferMalloc(benchmark::State& state) {
   bench::ReportTuplesPerSecond(state, tuples);
 }
 BENCHMARK(BM_ResultBufferMalloc)->Arg(1 << 12)->Unit(benchmark::kMicrosecond);
-
-void BM_ResultBufferPooled(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  Schema schema({{"x", DataType::kInt64}});
-  BatchPool pool;
-  int64_t tuples = 0;
-  for (auto _ : state) {
-    TablePtr t = pool.AcquireTable("res", schema);
-    const BatPtr& col = t->column(0);
-    for (size_t i = 0; i < n; ++i) col->AppendInt64(static_cast<int64_t>(i));
-    benchmark::DoNotOptimize(t->num_rows());
-    pool.Recycle(*t);
-    tuples += static_cast<int64_t>(n);
-  }
-  bench::ReportTuplesPerSecond(state, tuples);
-  state.counters["pool_hits"] = static_cast<double>(pool.hits());
-}
-BENCHMARK(BM_ResultBufferPooled)->Arg(1 << 12)->Unit(benchmark::kMicrosecond);
 
 // --- 4. selection kernel: scalar vs AVX2 ----------------------------------
 

@@ -2,6 +2,7 @@
 #define DATACELL_BENCH_BENCH_UTIL_H_
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <cstring>
 #include <memory>
@@ -102,10 +103,20 @@ inline void ReportLatencyPercentiles(benchmark::State& state,
   state.counters[prefix + "_max_us"] = static_cast<double>(hist.max);
 }
 
+/// CPUs this process may run on, as `nproc` counts them.
+inline int UsableCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
+
 /// Benchmark entry point with a `--json <file>` convenience flag: it expands
 /// to google-benchmark's `--benchmark_out=<file> --benchmark_out_format=json`
 /// so CI can collect machine-readable results with one short flag, e.g.
 ///   bench_parallel --json BENCH_parallel.json
+/// Every result's context also records where it came from: the engine build
+/// type, git commit and compiler (DATACELL_BENCH_* definitions set per target
+/// by bench/CMakeLists.txt) and `nproc`.
 inline int BenchMain(int argc, char** argv) {
   std::vector<std::string> expanded;
   expanded.reserve(static_cast<size_t>(argc) + 1);
@@ -127,6 +138,10 @@ inline int BenchMain(int argc, char** argv) {
   int cargc = static_cast<int>(cargv.size());
   benchmark::Initialize(&cargc, cargv.data());
   if (benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
+  benchmark::AddCustomContext("datacell_build_type", DATACELL_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("datacell_commit", DATACELL_BENCH_COMMIT);
+  benchmark::AddCustomContext("datacell_compiler", DATACELL_BENCH_COMPILER);
+  benchmark::AddCustomContext("nproc", std::to_string(UsableCpus()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

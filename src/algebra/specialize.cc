@@ -11,7 +11,6 @@
 #include "algebra/expression.h"
 #include "algebra/operators.h"
 #include "common/check.h"
-#include "storage/batch_pool.h"
 
 namespace datacell {
 
@@ -781,8 +780,7 @@ Status SpecializedPipeline::RunProjection(const Proj& p, const Table& in,
 }
 
 Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
-                                                   const ExecContext& ctx,
-                                                   BatchPool* pool) {
+                                                   const ExecContext& ctx) {
   size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;
   int64_t t_start = prof != nullptr ? ProfileNowNs() : 0;
@@ -817,7 +815,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
     const Bat& vcol = *in.column(g.column);
     return !vcol.has_nulls() && NumericColumn(vcol.type());
   };
-  TablePtr out = AcquireOutput(pool);
+  auto out = std::make_shared<Table>("", output_schema_);
   Row row;
   row.reserve(aggs.size());
   for (const Agg& g : aggs) {
@@ -1035,10 +1033,6 @@ Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
       key.int64_data().data(), key.validity_data(),
       rows != nullptr ? rows->data() : nullptr, nrows, group_ids_.data(),
       &group_reps_);
-  // A result holds one row per group, far fewer than the input batch whose
-  // capacity pooled buffers carry; taking them from the BatchPool pinned
-  // that capacity in the output basket and the pool and raised peak memory
-  // end to end, so results get exact-size buffers, as the interpreter's do.
   // Without a post-projection the aggregate output is the result.
   auto agg_out = std::make_shared<Table>("", agg_schema_);
   agg_out->column(0)->AppendPositions(key, group_reps_);
@@ -1063,13 +1057,12 @@ Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
 }
 
 Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
-                                                const ExecContext& ctx,
-                                                BatchPool* pool) {
+                                                const ExecContext& ctx) {
   if (group_) return RunGroupAggregate(in, ctx);
-  if (aggregates_) return RunAggregate(in, ctx, pool);
+  if (aggregates_) return RunAggregate(in, ctx);
   size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;
-  TablePtr out = AcquireOutput(pool);
+  auto out = std::make_shared<Table>("", output_schema_);
   if (always_false_) {
     if (prof != nullptr) {
       prof->RecordStep(filter_step_, static_cast<int64_t>(n), 0, 0);
@@ -1177,8 +1170,7 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
 }
 
 Result<TablePtr> SpecializedPipeline::Run(const Table& input,
-                                          const ExecContext& ctx,
-                                          BatchPool* pool) {
+                                          const ExecContext& ctx) {
   if (input.num_columns() != input_arity_) {
     return Status::Internal(
         "specialized pipeline arity mismatch: expected " +
@@ -1200,17 +1192,15 @@ Result<TablePtr> SpecializedPipeline::Run(const Table& input,
     const Bat& pk = *input.column(j.probe_key);
     j.index.Probe(pk.int64_data().data(), pk.validity_data(), pk.size(),
                   &probe_pos_, &build_pos_);
-    TablePtr m = pool != nullptr ? pool->AcquireTable("", j.mid_schema)
-                                 : std::make_shared<Table>("", j.mid_schema);
+    mid = std::make_shared<Table>("", j.mid_schema);
     for (size_t c = 0; c < input.num_columns(); ++c) {
-      m->column(c)->AppendPositions(*input.column(c), probe_pos_);
+      mid->column(c)->AppendPositions(*input.column(c), probe_pos_);
     }
     size_t base = input.num_columns();
     for (size_t c = 0; c < j.build_table->num_columns(); ++c) {
-      m->column(base + c)->AppendPositions(*j.build_table->column(c),
-                                           build_pos_);
+      mid->column(base + c)->AppendPositions(*j.build_table->column(c),
+                                             build_pos_);
     }
-    mid = std::move(m);
     cur = mid.get();
     if (ctx.profile != nullptr) {
       ctx.profile->RecordStep(join_step_,
@@ -1219,18 +1209,7 @@ Result<TablePtr> SpecializedPipeline::Run(const Table& input,
                               ProfileNowNs() - jt0);
     }
   }
-  Result<TablePtr> result = RunStages(*cur, ctx, pool);
-  // The join intermediate never escapes (every later stage copies), so its
-  // buffers can cycle back to the pool immediately.
-  if (mid != nullptr && pool != nullptr && mid.use_count() == 1) {
-    pool->Recycle(*mid);
-  }
-  return result;
-}
-
-TablePtr SpecializedPipeline::AcquireOutput(BatchPool* pool) const {
-  return pool != nullptr ? pool->AcquireTable("", output_schema_)
-                         : std::make_shared<Table>("", output_schema_);
+  return RunStages(*cur, ctx);
 }
 
 }  // namespace datacell

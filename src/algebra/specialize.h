@@ -13,8 +13,6 @@
 
 namespace datacell {
 
-class BatchPool;
-
 /// Registration-time plan specialization.
 ///
 /// A continuous query's plan is fixed for the query's whole lifetime, so the
@@ -56,12 +54,10 @@ class BatchPool;
 /// ulp (the same caveat morsel-parallel aggregation carries, operators.h).
 class SpecializedPipeline {
  public:
-  /// Executes the compiled chain over one drained input batch. `pool`, when
-  /// non-null, supplies recycled buffers for the result (and is given back
-  /// intermediate join tables). Not thread-safe: the factory's exactly-once
-  /// Fire() discipline serialises calls.
-  Result<TablePtr> Run(const Table& input, const ExecContext& ctx,
-                       BatchPool* pool);
+  /// Executes the compiled chain over one drained input batch. Not
+  /// thread-safe: the factory's exactly-once Fire() discipline serialises
+  /// calls.
+  Result<TablePtr> Run(const Table& input, const ExecContext& ctx);
 
   /// Human-readable step list for \explain.
   std::string Describe() const { return description_; }
@@ -147,10 +143,8 @@ class SpecializedPipeline {
 
   void EvalPred(const Pred& p, const Table& in, const ExecContext& ctx,
                 std::vector<size_t>* out) const;
-  Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx,
-                             BatchPool* pool);
-  Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx,
-                                BatchPool* pool);
+  Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx);
+  Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx);
   Result<TablePtr> RunGroupAggregate(const Table& in, const ExecContext& ctx);
   Status AccumulateGroups(const Agg& g, const Table& in,
                           const std::vector<size_t>* rows, size_t groups,
@@ -158,7 +152,6 @@ class SpecializedPipeline {
   Status RunPostProjection(const Table& agg_out, Table* out) const;
   Status RunProjection(const Proj& p, const Table& in,
                        const std::vector<size_t>* positions, Bat* out) const;
-  TablePtr AcquireOutput(BatchPool* pool) const;
 
   size_t input_arity_ = 0;
   std::optional<Join> join_;

@@ -23,11 +23,9 @@
 /// The canonical acquisition order (documented in docs/ARCHITECTURE.md):
 ///
 ///   scheduler_transitions < channel < basket < { trace_ring,
-///     metrics_registry, batch_pool }
+///     metrics_registry }
 ///     (Scheduler::Step holds the transition table while polling
-///     Backlog()/Ready(), which lock channels and baskets. batch_pool is a
-///     leaf: baskets acquire buffers from the recycling pool under their
-///     monitor, and the pool never calls back out.)
+///     Backlog()/Ready(), which lock channels and baskets.)
 ///   wake_hub < scheduler_wake (Engine::WakeHub::Notify forwards to
 ///     Scheduler::NotifyWork under the hub lock)
 ///   scheduler_wake, scheduler_error: leaf locks

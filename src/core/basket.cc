@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "storage/batch_pool.h"
 
 namespace datacell {
 
@@ -13,12 +12,6 @@ Basket::Basket(TablePtr table) : table_(std::move(table)) {
   std::vector<Field> user_fields(full.fields().begin(),
                                  full.fields().end() - 1);
   user_schema_ = Schema(std::move(user_fields));
-}
-
-void Basket::SetBatchPool(BatchPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "basket", name());
-  pool_ = pool;
 }
 
 bool Basket::HasTsColumn(const Schema& schema) {
@@ -349,20 +342,13 @@ void Basket::ShedLocked(size_t appended) {
   total_shed_ += static_cast<int64_t>(excess);
 }
 
-TablePtr Basket::AcquireDrainTableLocked() const {
-  // The pool is a leaf lock under the basket monitor (class "batch_pool");
-  // it never calls back into baskets, so nesting it here is safe.
-  if (pool_ != nullptr) return pool_->AcquireTable(name(), table_->schema());
-  return std::make_shared<Table>(name(), table_->schema());
-}
-
 TablePtr Basket::DrainAll() {
   std::unique_lock<std::mutex> lock = LockTraced();
   DC_LOCK_ORDER(&mu_, "basket", name());
   // Steal, don't copy: a drain removes everything regardless of readers, so
   // swapping the buffers out is observably identical to clone-and-clear
   // (hseqbase advances the same way; watermarks stay <= end).
-  TablePtr out = AcquireDrainTableLocked();
+  auto out = std::make_shared<Table>(name(), table_->schema());
   table_->MoveContentInto(*out);
   total_consumed_ += static_cast<int64_t>(out->num_rows());
   CheckInvariantsLocked();
@@ -490,7 +476,7 @@ TablePtr Basket::DrainNewFor(size_t reader_id) {
     // Single-reader fast path: this reader has seen nothing still buffered
     // and nobody else is registered, so everything present is both unseen
     // and immediately trimmable — steal the buffers whole.
-    TablePtr out = AcquireDrainTableLocked();
+    auto out = std::make_shared<Table>(name(), table_->schema());
     table_->MoveContentInto(*out);
     it->second = end;
     total_consumed_ += static_cast<int64_t>(out->num_rows());

@@ -21,8 +21,6 @@
 
 namespace datacell {
 
-class BatchPool;
-
 /// The key data structure of the DataCell (§2.2): a portion of a stream held
 /// as a temporary main-memory table. Receptors append incoming tuples;
 /// factories consume them; a tuple is removed once every relevant reader has
@@ -62,11 +60,6 @@ class Basket {
   /// the schema a ColumnBatch for this basket is built from.
   const Schema& user_schema() const { return user_schema_; }
 
-  /// Wires the buffer recycler: drains acquire their result tables from
-  /// `pool` (pre-capacitied buffers) instead of the allocator. Pass nullptr
-  /// to detach. The pool is a leaf lock acquired under the basket monitor.
-  void SetBatchPool(BatchPool* pool);
-
   // --- producer side ----------------------------------------------------
   /// Appends one stream tuple (without ts); `ts` is stamped on.
   Status Append(const Row& values, Timestamp ts);
@@ -99,7 +92,7 @@ class Basket {
   /// Removes and returns the full content. Zero-copy: the buffers are moved
   /// out by swap (Table::MoveContentInto) — a drain removes everything
   /// regardless of readers, so stealing is observably identical to the old
-  /// clone-and-clear. The result table comes from the BatchPool when wired.
+  /// clone-and-clear.
   TablePtr DrainAll();
   /// DrainAll into caller-owned scratch (`out` must be empty with this
   /// basket's full schema): the no-allocation drain — the basket inherits
@@ -211,8 +204,6 @@ class Basket {
   Status AppendColumnsLocked(ColumnBatch* batch, Timestamp ts, bool steal);
   /// Arity/type validation shared by the stamped-append paths.
   Status CheckStampedLocked(const Table& rows) const;
-  /// Fresh drain-result table: pooled buffers when a pool is wired.
-  TablePtr AcquireDrainTableLocked() const;
   TablePtr DrainPositionsLocked(const std::vector<size_t>& positions);
   /// Acquires mu_, recording the wait into the trace ring when the lock was
   /// contended (tracing wired and compiled in; otherwise a plain lock).
@@ -255,7 +246,6 @@ class Basket {
   std::function<void()> wake_cb_;  // guarded by mu_; invoked outside it
   TablePtr table_;
   Schema user_schema_;            // schema() minus the trailing ts column
-  BatchPool* pool_ = nullptr;     // guarded by mu_; leaf lock under basket
   std::map<size_t, Oid> watermarks_;  // reader id -> first unseen oid
   size_t next_reader_ = 0;
   size_t capacity_ = 0;  // 0 = unbounded

@@ -1,7 +1,6 @@
 #include "core/emitter.h"
 
 #include "common/check.h"
-#include "storage/batch_pool.h"
 
 namespace datacell {
 
@@ -39,12 +38,6 @@ Result<int64_t> Emitter::Fire() {
     }
   }
   int64_t n = static_cast<int64_t>(batch->num_rows());
-  // Sinks receive the batch by const ref and must not retain it; if nothing
-  // else holds the table, hand its buffers back to the pool so the basket's
-  // next drain reuses them.
-  if (pool_ != nullptr && batch.use_count() == 1) {
-    pool_->Recycle(*batch);
-  }
   RecordRun(n, clock_->Now() - start);
   return n;
 }

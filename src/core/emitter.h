@@ -13,8 +13,6 @@
 
 namespace datacell {
 
-class BatchPool;
-
 /// Delivery adapter (§2.1): picks up result tuples prepared by factories in
 /// an output basket and delivers them to every subscribed client sink.
 ///
@@ -47,11 +45,6 @@ class Emitter : public Transition {
   /// the emitter enters the scheduler.
   void SetLatencyHistogram(Histogram* hist) { latency_hist_ = hist; }
 
-  /// Drained tables this emitter holds exclusively are recycled here after
-  /// delivery, closing the buffer loop with the basket's next drain. Bind
-  /// before the emitter enters the scheduler.
-  void SetBatchPool(BatchPool* pool) { pool_ = pool; }
-
   /// Retires this emitter's watermark (see Factory::DetachReaders).
   void DetachReader() {
     input_->UnregisterReader(reader_id_);
@@ -65,7 +58,6 @@ class Emitter : public Transition {
   const Clock* clock_;
   size_t reader_id_;
   Histogram* latency_hist_ = nullptr;  // bound at wiring time; may stay null
-  BatchPool* pool_ = nullptr;          // bound at wiring time; may stay null
   mutable std::mutex sinks_mu_;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
 };

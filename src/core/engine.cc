@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "sql/parser.h"
-#include "storage/batch_pool.h"
 
 namespace datacell {
 
@@ -55,7 +54,6 @@ Engine::Engine(EngineOptions options)
   scheduler_.SetIdleFallbackUs(options_.idle_tick_us);
   wake_hub_ = std::make_shared<WakeHub>();
   wake_hub_->scheduler = &scheduler_;
-  batch_pool_ = std::make_unique<BatchPool>();
   // Last: the system streams route through the fully initialized engine.
   if (options_.monitor_tick_us > 0) SetUpMonitor();
 }
@@ -82,14 +80,12 @@ Engine::~Engine() {
   for (const BasketPtr& basket : wired_baskets_) {
     basket->SetWakeCallback(nullptr);  // drop the dead-weight hub reference
     basket->SetTrace(nullptr, nullptr);  // ring and clock die with the engine
-    basket->SetBatchPool(nullptr);  // the pool is an engine member
   }
 }
 
 void Engine::WireBasketWake(const BasketPtr& basket) {
   basket->SetWakeCallback([hub = wake_hub_] { hub->Notify(); });
   basket->SetTrace(trace_.get(), clock_);
-  basket->SetBatchPool(batch_pool_.get());
   wired_baskets_.push_back(basket);
 }
 
@@ -709,10 +705,6 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
         metrics_.GetHistogram("datacell_query_e2e_latency_us",
                               {{"query", ToLower(name)}}));
   }
-  // Emitters recycle the tables they drain back into the engine pool so the
-  // basket's next drain reuses the buffers instead of allocating.
-  emitter->SetBatchPool(batch_pool_.get());
-  factory->SetBatchPool(batch_pool_.get());
   BindTransitionMetrics(*factory);
   BindTransitionMetrics(*emitter);
 
@@ -1064,18 +1056,6 @@ void Engine::RefreshPulledMetrics() const {
         .GetGauge("datacell_query_state_high_water_bytes", {{"query", qname}})
         ->Set(static_cast<int64_t>(q.factory->state_bytes_high_water()));
   }
-  metrics_.GetCounter("datacell_pool_hits_total")
-      ->Set(static_cast<int64_t>(batch_pool_->hits()));
-  metrics_.GetCounter("datacell_pool_misses_total")
-      ->Set(static_cast<int64_t>(batch_pool_->misses()));
-  metrics_.GetCounter("datacell_pool_recycled_total")
-      ->Set(static_cast<int64_t>(batch_pool_->recycled()));
-  metrics_.GetCounter("datacell_pool_dropped_total")
-      ->Set(static_cast<int64_t>(batch_pool_->dropped()));
-  metrics_.GetGauge("datacell_pool_free_buffers")
-      ->Set(static_cast<int64_t>(batch_pool_->free_buffers()));
-  metrics_.GetGauge("datacell_pool_free_bytes")
-      ->Set(static_cast<int64_t>(batch_pool_->free_bytes()));
 }
 
 MetricsSnapshotData Engine::MetricsSnapshot() const {

@@ -256,10 +256,6 @@ class Engine {
   /// receptor still reads from it when fired.
   Result<Receptor*> AttachReceptor(const std::string& name, Channel* channel);
 
-  /// The engine-wide buffer recycler (introspection: pool hit/miss counters
-  /// are also exported via MetricsSnapshot).
-  BatchPool* batch_pool() const { return batch_pool_.get(); }
-
   // --- execution control ----------------------------------------------------
   /// One deterministic scheduler sweep; returns #transitions fired.
   int Step() { return scheduler_.Step(); }
@@ -470,10 +466,6 @@ class Engine {
   /// Engine-created baskets (stream bases, private replicas, outputs): kept
   /// for per-basket metrics and for trace detachment in the destructor.
   std::vector<BasketPtr> wired_baskets_;
-  /// Buffer recycler shared by every engine-created basket, factory and
-  /// emitter: drained/emitted BAT buffers return here instead of the
-  /// allocator. Declared before the transition owners so it outlives them.
-  std::unique_ptr<BatchPool> batch_pool_;
   std::map<std::string, StreamInfo> streams_;  // key: lower-cased name
   std::vector<QueryInfo> queries_;
   std::vector<std::unique_ptr<Channel>> owned_channels_;

@@ -6,7 +6,6 @@
 #include "analysis/state_analyzer.h"
 #include "common/check.h"
 #include "common/logging.h"
-#include "storage/batch_pool.h"
 
 namespace datacell {
 
@@ -305,7 +304,7 @@ Result<int64_t> Factory::Fire() {
   } else if (specialized_ != nullptr) {
     // Specialized fast path: no binding-map copy, no plan-tree walk — the
     // pre-compiled chain runs straight over the drained slice.
-    Result<TablePtr> r = specialized_->Run(*slices[0], exec, pool_);
+    Result<TablePtr> r = specialized_->Run(*slices[0], exec);
     if (!r.ok()) {
       plan_errors_.fetch_add(1, std::memory_order_relaxed);
       return r.status();
@@ -345,16 +344,6 @@ Result<int64_t> Factory::Fire() {
       DC_RETURN_NOT_OK(output_->AppendStamped(*result, clock_->Now()));
     }
     results_emitted_.fetch_add(out_tuples, std::memory_order_relaxed);
-  }
-  if (pool_ != nullptr) {
-    // Hand exclusively-held buffers back so the next drain reuses them.
-    // Release `result` before the slices: a pass-through result aliases its
-    // slice, and only once the alias is gone does the slice become unique.
-    if (result.use_count() == 1) pool_->Recycle(*result);
-    result.reset();
-    for (TablePtr& slice : slices) {
-      if (slice.use_count() == 1) pool_->Recycle(*slice);
-    }
   }
   if (profiling) profile_->RecordFire(ProfileNowNs() - fire_t0);
   UpdateStateAccounting();

@@ -15,8 +15,6 @@
 
 namespace datacell {
 
-class BatchPool;
-
 namespace analysis {
 struct PartitionReport;
 struct StateReport;
@@ -100,11 +98,6 @@ class Factory final : public Transition {
   /// Chained strategy: tuples of input `input_index` that do NOT match the
   /// basket predicate are forwarded here instead of being dropped.
   void SetPassthrough(size_t input_index, BasketPtr basket);
-
-  /// Input slices and result tables this factory holds exclusively after a
-  /// fire are recycled here, so subsequent drains and plan runs reuse their
-  /// buffers. Bind before the factory enters the scheduler.
-  void SetBatchPool(BatchPool* pool) { pool_ = pool; }
 
   /// Retires this factory's shared-basket watermarks so remaining readers'
   /// trims are no longer held back. Call only when the factory will not
@@ -231,7 +224,6 @@ class Factory final : public Transition {
   PlanBindings static_bindings_;
   const Clock* clock_;
   FactoryOptions options_;
-  BatchPool* pool_ = nullptr;  // bound at wiring time; may stay null
   size_t min_tuples_ = 1;
   std::unique_ptr<WindowExecutor> window_;  // null for unwindowed queries
   // Registration-time compiled pipeline; null means the interpreter runs

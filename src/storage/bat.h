@@ -12,8 +12,6 @@
 
 namespace datacell {
 
-class BatchPool;
-
 /// Binary Association Table: MonetDB's column representation.
 ///
 /// A BAT is logically a set of (head, tail) pairs. The head is a *virtual*
@@ -153,10 +151,6 @@ class Bat {
   std::string ToString() const;
 
  private:
-  // The pool swaps recycled buffer capacity directly into/out of the typed
-  // vectors; a member API for that would leak vector internals anyway.
-  friend class BatchPool;
-
   template <typename Vec>
   void RemovePrefixImpl(Vec& v, size_t n) {
     v.erase(v.begin(), v.begin() + static_cast<ptrdiff_t>(n));

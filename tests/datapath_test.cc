@@ -1,8 +1,9 @@
 // Zero-copy data path tests: allocation-regression proof for the
-// steady-state pipeline, buffer-pool behaviour, and equivalence of the
-// columnar fast paths against the legacy row-at-a-time paths.
+// steady-state pipeline, heap retention of an idle engine, and equivalence of
+// the columnar fast paths against the legacy row-at-a-time paths.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -13,12 +14,13 @@
 
 #include "adapters/csv.h"
 #include "adapters/generator.h"
+#include "adapters/sink.h"
 #include "algebra/kernels.h"
 #include "common/check.h"
 #include "core/basket.h"
+#include "core/engine.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
-#include "storage/batch_pool.h"
 #include "storage/column_batch.h"
 
 // The global allocation counter is only meaningful when neither a sanitizer
@@ -35,6 +37,25 @@
 
 namespace {
 std::atomic<int64_t> g_alloc_count{0};
+// Bytes currently held through operator new (malloc_usable_size, so an
+// allocation and its release net out exactly).
+std::atomic<int64_t> g_live_bytes{0};
+
+void* CountedAlloc(std::size_t n) {
+  void* p = std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // The counting operators pair malloc with free deliberately; gcc flags the
@@ -42,24 +63,12 @@ std::atomic<int64_t> g_alloc_count{0};
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 #pragma GCC diagnostic pop
 
@@ -147,41 +156,81 @@ TEST(DatapathAllocTest, SteadyStatePipelineRoundIsAllocationFree) {
 #endif
 }
 
-// --- batch pool ------------------------------------------------------------
+// Buffers a drain or a delivery lets go of return to the allocator; nothing
+// between rounds keeps them. Four queries share one basket on the Engine
+// facade (filter, keyed group-by, sliding window, stream-table join), so
+// every drain, result and emitted batch shape takes part. Once warm, the
+// live heap of the idle engine must not depend on how many rounds it has
+// run.
+TEST(DatapathAllocTest, IdleEngineRetainedHeapDoesNotGrowWithRounds) {
+#if !DATACELL_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under sanitizers or "
+                  "debug-check builds";
+#else
+  constexpr size_t kRows = 4096;
+  constexpr int64_t kSyms = 64;
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ExecuteSql("create basket ticks (sym int, px double, "
+                              "qty int, seq int)")
+                  .ok());
+  ASSERT_TRUE(engine.ExecuteSql("create table ref (sym int, sector int)").ok());
+  std::string ref = "insert into ref values ";
+  for (int64_t s = 0; s < kSyms; ++s) {
+    if (s > 0) ref += ", ";
+    ref += "(" + std::to_string(s) + ", " + std::to_string(s % 8) + ")";
+  }
+  ASSERT_TRUE(engine.ExecuteSql(ref).ok());
+  const std::vector<std::string> queries = {
+      "select t.sym, t.px, t.qty, t.seq from [select * from ticks] as t "
+      "where t.px > 150.0",
+      "select t.sym, sum(t.qty) as q, max(t.seq) as s from "
+      "[select * from ticks] as t group by t.sym",
+      "select avg(t.px) as a, max(t.seq) as s from [select * from ticks] "
+      "as t window size 8192 slide 1024",
+      "select t.sym, t.qty, t.seq, r.sector from [select * from ticks] as t "
+      "join ref as r on t.sym = r.sym"};
+  std::vector<std::shared_ptr<CountingSink>> sinks;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto id = engine.SubmitContinuousQuery("q" + std::to_string(i),
+                                           queries[i]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    sinks.push_back(std::make_shared<CountingSink>());
+    ASSERT_TRUE(engine.Subscribe(*id, sinks.back()).ok());
+  }
 
-TEST(BatchPoolTest, DrainAcquiresMissThenRecycledBuffersHit) {
-  BatchPool pool;
-  Basket b(Basket::MakeBasketTable("r", TwoIntSchema()));
-  b.SetBatchPool(&pool);
-  ASSERT_TRUE(b.Append({Value::Int64(1), Value::Int64(2)}, 10).ok());
+  auto ticks = engine.GetBasket("ticks");
+  ASSERT_TRUE(ticks.ok());
+  ColumnBatch batch((*ticks)->user_schema());
+  int64_t seq = 0;
+  auto round = [&] {
+    batch.Clear();
+    for (size_t i = 0; i < kRows; ++i, ++seq) {
+      batch.column(0).AppendInt64(seq % kSyms);
+      batch.column(1).AppendDouble(static_cast<double>(seq % 200));
+      batch.column(2).AppendInt64(seq % 10);
+      batch.column(3).AppendInt64(seq);
+    }
+    ASSERT_TRUE(engine.IngestColumns("ticks", std::move(batch)).ok());
+    engine.Drain();
+  };
+  auto live = [] { return g_live_bytes.load(std::memory_order_relaxed); };
 
-  // First drain: the pool has nothing to hand out — every column misses.
-  TablePtr first = b.DrainAll();
-  EXPECT_EQ(first->num_rows(), 1u);
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), first->num_columns());
+  // Rounds 1-16 warm every buffer and the window state up; the next 240
+  // rounds repeat the same work.
+  for (int r = 0; r < 16; ++r) round();
+  int64_t after_16 = live();
+  for (int r = 16; r < 256; ++r) round();
+  int64_t after_256 = live();
+  // One batch: the basket's five 8-byte columns (four user columns + ts).
+  constexpr int64_t kBatchBytes = kRows * 5 * sizeof(int64_t);
+  EXPECT_LE(std::llabs(after_256 - after_16), kBatchBytes)
+      << "idle live heap after 16 rounds: " << after_16
+      << " B, after 256 rounds: " << after_256 << " B";
 
-  // An emitter done with the table recycles its buffers...
-  pool.Recycle(*first);
-  EXPECT_EQ(pool.recycled(), first->num_columns());
-  EXPECT_GT(pool.free_buffers(), 0u);
-
-  // ...and the next drain reuses them.
-  ASSERT_TRUE(b.Append({Value::Int64(3), Value::Int64(4)}, 11).ok());
-  TablePtr second = b.DrainAll();
-  EXPECT_EQ(second->num_rows(), 1u);
-  EXPECT_EQ(pool.hits(), second->num_columns());
-  EXPECT_EQ(second->column(0)->Int64At(0), 3);
-}
-
-TEST(BatchPoolTest, DropsBuffersBeyondCapacity) {
-  BatchPool pool(/*max_buffers_per_class=*/1);
-  BatPtr a = MakeInt64Bat({1, 2, 3});
-  BatPtr b = MakeInt64Bat({4, 5, 6});
-  pool.Recycle(*a);
-  pool.Recycle(*b);  // free list for int64 is full — dropped
-  EXPECT_EQ(pool.recycled(), 1u);
-  EXPECT_EQ(pool.dropped(), 1u);
+  EXPECT_EQ((*ticks)->size(), 0u);
+  for (const auto& sink : sinks) EXPECT_GT(sink->rows(), 0);
+#endif
 }
 
 // --- equivalence: columnar vs row paths ------------------------------------
