@@ -97,7 +97,7 @@ void BM_DrainCopying(benchmark::State& state) {
   int64_t tuples = 0;
   Timestamp ts = 0;
   for (auto _ : state) {
-    if (!basket.AppendStamped(*src, ++ts).ok()) return;
+    if (!basket.AppendTable(*src, ++ts).ok()) return;
     TablePtr got = basket.ReadNewFor(reader);  // copies every column
     basket.TrimConsumed();
     benchmark::DoNotOptimize(got->num_rows());
@@ -115,7 +115,7 @@ void BM_DrainStealing(benchmark::State& state) {
   int64_t tuples = 0;
   Timestamp ts = 0;
   for (auto _ : state) {
-    if (!basket.AppendStamped(*src, ++ts).ok()) return;
+    if (!basket.AppendTable(*src, ++ts).ok()) return;
     TablePtr got = basket.DrainNewFor(reader);  // single reader: steals
     benchmark::DoNotOptimize(got->num_rows());
     tuples += static_cast<int64_t>(n);

@@ -14,8 +14,8 @@
 #                         committed goldens, no bounded→unbounded drift)
 #   stage 6  debug-checks full suite with DATACELL_DEBUG_CHECKS=ON
 #                         (lock-order checker + DC_DCHECK invariants live)
-#   stage 7  tsan         concurrency-, metrics-, observe- and shard-labelled tests
-#                         under TSan
+#   stage 7  tsan         concurrency-, metrics-, specialize-, observe- and
+#                         shard-labelled tests under TSan
 #   stage 8  asan+ubsan   full suite under address,undefined
 #
 # Tool-dependent stages (format, tidy, cppcheck) are SKIPPED with a notice
@@ -126,12 +126,12 @@ if [ "${SKIP_SANITIZERS:-0}" = "1" ]; then
 fi
 
 # --- stage 7: TSan on the concurrent paths ----------------------------------
-note "TSan: concurrency + metrics + observe + shard tests"
+note "TSan: concurrency + metrics + specialize + observe + shard tests"
 cmake -B "$BUILD_ROOT/tsan" -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDATACELL_SANITIZE=thread >/dev/null
 cmake --build "$BUILD_ROOT/tsan" -j "$JOBS"
 ctest --test-dir "$BUILD_ROOT/tsan" -j "$JOBS" \
-      -L 'concurrency|metrics|observe|shard' --output-on-failure
+      -L 'concurrency|metrics|specialize|observe|shard' --output-on-failure
 
 # --- stage 8: ASan + UBSan on everything ------------------------------------
 note "ASan+UBSan: full suite"

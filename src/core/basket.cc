@@ -31,7 +31,8 @@ TablePtr Basket::MakeBasketTable(const std::string& name,
 void Basket::SetWakeCallback(std::function<void()> cb) {
   std::lock_guard<std::mutex> lock(mu_);
   DC_LOCK_ORDER(&mu_, "basket", name());
-  wake_cb_ = std::move(cb);
+  wake_cb_ = cb ? std::make_shared<const std::function<void()>>(std::move(cb))
+               : nullptr;
 }
 
 std::unique_lock<std::mutex> Basket::LockTracked() const {
@@ -48,13 +49,13 @@ std::unique_lock<std::mutex> Basket::LockTracked() const {
 }
 
 void Basket::NotifyAppend() {
-  std::function<void()> cb;
+  std::shared_ptr<const std::function<void()>> cb;
   {
     std::lock_guard<std::mutex> lock(mu_);
     DC_LOCK_ORDER(&mu_, "basket", name());
     cb = wake_cb_;
   }
-  if (cb) cb();
+  if (cb) (*cb)();
 }
 
 void Basket::ClampWatermarksLocked() {
@@ -106,15 +107,46 @@ void Basket::TestOnlyCorruptWatermark(size_t reader_id) {
 }
 #endif  // DATACELL_DEBUG_CHECKS_ENABLED
 
-Status Basket::Append(const Row& values, Timestamp ts) {
-  Row full = values;
-  full.push_back(Value::TimestampVal(ts));
+template <typename ColumnAt>
+Status Basket::AppendCore(size_t num_cols, size_t num_rows,
+                          ColumnAt column_at, std::optional<Timestamp> ts,
+                          bool steal) {
+  const Schema& full = table_->schema();
+  const size_t user_cols = full.num_fields() - 1;
+  const size_t expected = ts.has_value() ? user_cols : user_cols + 1;
+  if (num_cols != expected) {
+    return Status::InvalidArgument(
+        "append of " + std::to_string(num_cols) + " columns to basket '" +
+        name() + "', which takes " + std::to_string(expected) +
+        (ts.has_value() ? " (ts is stamped on)" : " (the last one ts)"));
+  }
+  for (size_t c = 0; c < num_cols; ++c) {
+    DataType type = column_at(c).type();
+    if (type != full.field(c).type) {
+      return Status::TypeError("append to basket '" + name() + "': column '" +
+                               full.field(c).name + "' is " +
+                               DataTypeToString(full.field(c).type) +
+                               ", source column is " + DataTypeToString(type));
+    }
+  }
+  if (num_rows == 0) return Status::OK();
   {
     std::unique_lock<std::mutex> lock = LockTraced();
     DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(table_->AppendRow(full));
-    ++total_appended_;
-    ShedLocked(1);
+    for (size_t c = 0; c < num_cols; ++c) {
+      Bat& src = column_at(c);
+      DC_DCHECK_EQ(src.size(), num_rows);
+      if (steal) {
+        table_->column(c)->TakeContentFrom(src);
+      } else {
+        table_->column(c)->AppendBat(src);
+      }
+    }
+    if (ts.has_value()) {
+      table_->column(user_cols)->AppendConstantInt64(*ts, num_rows);
+    }
+    total_appended_ += static_cast<int64_t>(num_rows);
+    ShedLocked(num_rows);
     NoteOccupancyLocked();
     CheckInvariantsLocked();
   }
@@ -122,177 +154,46 @@ Status Basket::Append(const Row& values, Timestamp ts) {
   return Status::OK();
 }
 
+Status Basket::Append(const Row& values, Timestamp ts) {
+  return AppendBatch({values}, ts);
+}
+
 Status Basket::AppendBatch(const std::vector<Row>& rows, Timestamp ts) {
-  if (rows.empty()) return Status::OK();
-  // Compatibility shim over the columnar path: validate once per batch (a
-  // cheap boolean test per value — the detailed Status is built only on the
-  // failure path) and transpose outside the basket lock.
-  size_t user_cols = user_schema_.num_fields();
-  for (const Row& r : rows) {
-    if (r.size() != user_cols) {
-      return Status::InvalidArgument(
-          "tuple arity " + std::to_string(r.size()) + " does not match stream '" +
-          name() + "' arity " + std::to_string(user_cols));
-    }
-    for (size_t c = 0; c < user_cols; ++c) {
-      if (!ValueMatchesType(r[c], user_schema_.field(c).type)) {
-        Status st = CheckValueType(r[c], user_schema_.field(c).type);
-        return Status::TypeError("column '" + user_schema_.field(c).name +
-                                 "': " + st.message());
-      }
-    }
-  }
   ColumnBatch batch(user_schema_);
-  for (const Row& r : rows) batch.AppendRowUnchecked(r);
+  DC_RETURN_NOT_OK(batch.AppendRows(rows));
   return AppendColumns(std::move(batch), ts);
 }
 
 Status Basket::AppendColumns(ColumnBatch&& batch, Timestamp ts) {
-  if (batch.num_rows() == 0) return Status::OK();
-  DC_RETURN_NOT_OK(AppendColumnsLocked(&batch, ts, /*steal=*/true));
-  NotifyAppend();
-  return Status::OK();
+  return AppendCore(
+      batch.num_columns(), batch.num_rows(),
+      [&batch](size_t c) -> Bat& { return batch.column(c); }, ts,
+      /*steal=*/true);
 }
 
 Status Basket::AppendColumnsCopy(const ColumnBatch& batch, Timestamp ts) {
-  if (batch.num_rows() == 0) return Status::OK();
-  // steal=false never mutates the batch; the const_cast only unifies the
-  // locked implementation.
-  DC_RETURN_NOT_OK(AppendColumnsLocked(const_cast<ColumnBatch*>(&batch), ts,
-                                       /*steal=*/false));
-  NotifyAppend();
-  return Status::OK();
+  // steal=false never mutates the source; the const_cast only lets the
+  // copying and stealing appends share one core.
+  return AppendCore(
+      batch.num_columns(), batch.num_rows(),
+      [&batch](size_t c) -> Bat& {
+        return const_cast<Bat&>(batch.column(c));
+      },
+      ts, /*steal=*/false);
 }
 
-Status Basket::AppendColumnsLocked(ColumnBatch* batch, Timestamp ts,
-                                   bool steal) {
-  std::unique_lock<std::mutex> lock = LockTraced();
-  DC_LOCK_ORDER(&mu_, "basket", name());
-  size_t user_cols = table_->num_columns() - 1;
-  if (batch->num_columns() != user_cols) {
-    return Status::InvalidArgument(
-        "column batch arity " + std::to_string(batch->num_columns()) +
-        " does not match stream '" + name() + "' arity " +
-        std::to_string(user_cols));
-  }
-  for (size_t c = 0; c < user_cols; ++c) {
-    if (batch->column(c).type() != table_->column(c)->type()) {
-      return Status::TypeError(
-          "column '" + table_->schema().field(c).name + "': batch column is " +
-          DataTypeToString(batch->column(c).type()) + ", stream column is " +
-          DataTypeToString(table_->column(c)->type()));
-    }
-  }
-  size_t n = batch->num_rows();
-  for (size_t c = 0; c < user_cols; ++c) {
-    DC_DCHECK_EQ(batch->column(c).size(), n);
-    if (steal) {
-      table_->column(c)->TakeContentFrom(batch->column(c));
-    } else {
-      table_->column(c)->AppendBat(batch->column(c));
-    }
-  }
-  table_->column(user_cols)->AppendConstantInt64(ts, n);
-  total_appended_ += static_cast<int64_t>(n);
-  ShedLocked(n);
-  NoteOccupancyLocked();
-  CheckInvariantsLocked();
-  return Status::OK();
+Status Basket::AppendTable(const Table& rows, std::optional<Timestamp> ts) {
+  return AppendCore(
+      rows.num_columns(), rows.num_rows(),
+      [&rows](size_t c) -> Bat& { return *rows.column(c); }, ts,
+      /*steal=*/false);
 }
 
-Status Basket::AppendWithTs(const Table& rows_with_ts) {
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(table_->AppendTable(rows_with_ts));
-    total_appended_ += static_cast<int64_t>(rows_with_ts.num_rows());
-    ShedLocked(rows_with_ts.num_rows());
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (rows_with_ts.num_rows() > 0) NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::CheckStampedLocked(const Table& rows) const {
-  size_t n_cols = table_->num_columns();
-  if (rows.num_columns() != n_cols - 1) {
-    return Status::InvalidArgument(
-        "stamped append arity mismatch: got " +
-        std::to_string(rows.num_columns()) + " columns, basket '" + name() +
-        "' holds " + std::to_string(n_cols - 1) + " (plus ts)");
-  }
-  for (size_t c = 0; c + 1 < n_cols; ++c) {
-    if (table_->column(c)->type() != rows.column(c)->type()) {
-      return Status::TypeError("stamped append type mismatch at column " +
-                               std::to_string(c));
-    }
-  }
-  return Status::OK();
-}
-
-Status Basket::AppendStamped(const Table& rows, Timestamp ts) {
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(CheckStampedLocked(rows));
-    size_t n_cols = table_->num_columns();
-    for (size_t c = 0; c + 1 < n_cols; ++c) {
-      table_->column(c)->AppendBat(*rows.column(c));
-    }
-    table_->column(n_cols - 1)->AppendConstantInt64(ts, rows.num_rows());
-    total_appended_ += static_cast<int64_t>(rows.num_rows());
-    ShedLocked(rows.num_rows());
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (rows.num_rows() > 0) NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::AppendStampedMove(Table&& rows, Timestamp ts) {
-  size_t n = rows.num_rows();
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(CheckStampedLocked(rows));
-    size_t n_cols = table_->num_columns();
-    for (size_t c = 0; c + 1 < n_cols; ++c) {
-      table_->column(c)->TakeContentFrom(*rows.column(c));
-    }
-    table_->column(n_cols - 1)->AppendConstantInt64(ts, n);
-    total_appended_ += static_cast<int64_t>(n);
-    ShedLocked(n);
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (n > 0) NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::AppendWithTsMove(Table&& rows_with_ts) {
-  size_t n = rows_with_ts.num_rows();
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    if (rows_with_ts.num_columns() != table_->num_columns()) {
-      return Status::InvalidArgument("appending table with different arity");
-    }
-    for (size_t c = 0; c < table_->num_columns(); ++c) {
-      if (table_->column(c)->type() != rows_with_ts.column(c)->type()) {
-        return Status::TypeError("column type mismatch in AppendTable");
-      }
-    }
-    for (size_t c = 0; c < table_->num_columns(); ++c) {
-      table_->column(c)->TakeContentFrom(*rows_with_ts.column(c));
-    }
-    total_appended_ += static_cast<int64_t>(n);
-    ShedLocked(n);
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (n > 0) NotifyAppend();
-  return Status::OK();
+Status Basket::AppendTableMove(Table&& rows, std::optional<Timestamp> ts) {
+  return AppendCore(
+      rows.num_columns(), rows.num_rows(),
+      [&rows](size_t c) -> Bat& { return *rows.column(c); }, ts,
+      /*steal=*/true);
 }
 
 void Basket::SetCapacity(size_t max_tuples, DropPolicy policy) {
@@ -402,7 +303,7 @@ Result<TablePtr> Basket::DrainSplit(const Expr& predicate, Basket* passthrough) 
   // Append outside our own lock: passthrough has its own mutex, and locking
   // two baskets at once invites deadlock (the lock-order checker enforces
   // that two "basket"-class locks are never held together).
-  DC_RETURN_NOT_OK(passthrough->AppendWithTs(*rest));
+  DC_RETURN_NOT_OK(passthrough->AppendTable(*rest, std::nullopt));
   return matching;
 }
 

@@ -61,11 +61,11 @@ class Basket {
   const Schema& user_schema() const { return user_schema_; }
 
   // --- producer side ----------------------------------------------------
+  // Every append forwards to AppendCore; a rejected append changes nothing.
   /// Appends one stream tuple (without ts); `ts` is stamped on.
   Status Append(const Row& values, Timestamp ts);
-  /// Appends many tuples with the same arrival timestamp. Compatibility shim
-  /// over AppendColumns: the rows are validated once per batch and
-  /// transposed into a ColumnBatch outside the basket lock.
+  /// Appends many tuples with the same arrival timestamp: a thin builder
+  /// that validates every row into a ColumnBatch, then AppendColumns.
   Status AppendBatch(const std::vector<Row>& rows, Timestamp ts);
   /// Moves a typed columnar batch in, stamping every tuple with `ts`. When
   /// the basket is empty the buffers are swapped in (zero-copy) and `batch`
@@ -75,18 +75,15 @@ class Basket {
   /// Copying variant used when one batch fans out to several baskets;
   /// `batch` is left untouched.
   Status AppendColumnsCopy(const ColumnBatch& batch, Timestamp ts);
-  /// Appends rows that already carry a ts column (inter-factory flow).
-  Status AppendWithTs(const Table& rows_with_ts);
-  /// Zero-copy variant: steals `rows_with_ts`'s column buffers (swap when
-  /// empty-destination, bulk append otherwise); the argument is left empty.
+  /// Bulk-appends a table, copying its columns. With `ts`, `rows` holds the
+  /// user columns and every tuple is stamped with `*ts` (query results
+  /// entering an output basket); without, its trailing column is the
+  /// tuples' own ts (inter-factory flow, partials carrying arrival times).
+  Status AppendTable(const Table& rows, std::optional<Timestamp> ts);
+  /// Zero-copy variant of AppendTable: steals `rows`'s column buffers (swap
+  /// into an empty basket, bulk append otherwise); `rows` is left empty.
   /// Only safe when the caller exclusively owns the table and its columns.
-  Status AppendWithTsMove(Table&& rows_with_ts);
-  /// Bulk-appends result rows lacking a ts column, stamping all with `ts`
-  /// (the factory's output path: query results enter the output basket).
-  Status AppendStamped(const Table& rows, Timestamp ts);
-  /// Zero-copy variant of AppendStamped; same ownership caveat as
-  /// AppendWithTsMove.
-  Status AppendStampedMove(Table&& rows, Timestamp ts);
+  Status AppendTableMove(Table&& rows, std::optional<Timestamp> ts);
 
   // --- exclusive-consumer side (separate-baskets strategy) ----------------
   /// Removes and returns the full content. Zero-copy: the buffers are moved
@@ -198,12 +195,17 @@ class Basket {
 #endif
 
  private:
-  /// Validates batch arity/types against the user schema (one check per
-  /// column, not per value) and appends under the lock. `steal` moves the
-  /// buffers; otherwise they are copied.
-  Status AppendColumnsLocked(ColumnBatch* batch, Timestamp ts, bool steal);
-  /// Arity/type validation shared by the stamped-append paths.
-  Status CheckStampedLocked(const Table& rows) const;
+  /// The one append core. The source has `num_cols` columns of `num_rows`
+  /// rows each; `column_at(c)` returns column c as a `Bat&`. With `ts` the
+  /// source holds the user columns and every tuple is stamped with `*ts`;
+  /// without, its trailing column is the ts column. `steal` moves the
+  /// source buffers in (TakeContentFrom) and leaves the source empty;
+  /// otherwise they are copied and the source is not modified. Arity and
+  /// types are checked once per column before the lock is taken (a
+  /// basket's column types never change); an empty source is then a no-op.
+  template <typename ColumnAt>
+  Status AppendCore(size_t num_cols, size_t num_rows, ColumnAt column_at,
+                    std::optional<Timestamp> ts, bool steal);
   TablePtr DrainPositionsLocked(const std::vector<size_t>& positions);
   /// Acquires mu_, recording the wait into the trace ring when the lock was
   /// contended (tracing wired and compiled in; otherwise a plain lock).
@@ -243,7 +245,10 @@ class Basket {
   void NotifyAppend();
 
   mutable std::mutex mu_;
-  std::function<void()> wake_cb_;  // guarded by mu_; invoked outside it
+  // Guarded by mu_, invoked outside it. Held by shared_ptr so NotifyAppend
+  // takes a reference-count copy, not a std::function copy (which would heap
+  // allocate for a callable that captures a shared_ptr).
+  std::shared_ptr<const std::function<void()>> wake_cb_;
   TablePtr table_;
   Schema user_schema_;            // schema() minus the trailing ts column
   std::map<size_t, Oid> watermarks_;  // reader id -> first unseen oid

@@ -296,6 +296,36 @@ analysis::PartitionVerdict Engine::EffectivePartitionVerdict(
   return q.partition->verdict;
 }
 
+template <typename AppendFn>
+Status Engine::ForEachIngestTarget(const StreamInfo& s, AppendFn&& append) {
+  if (s.chain_head != nullptr) return append(*s.chain_head, /*sole=*/true);
+  if (s.replicas.empty()) {
+    // Shared consumers, or no consumer yet (the basket buffers and remains
+    // inspectable by one-time queries, §2.6).
+    return append(*s.base, /*sole=*/true);
+  }
+  for (const BasketPtr& replica : s.replicas) {
+    DC_RETURN_NOT_OK(append(*replica, /*sole=*/false));
+  }
+  if (s.shared_used) DC_RETURN_NOT_OK(append(*s.base, /*sole=*/false));
+  return Status::OK();
+}
+
+template <typename AppendFn>
+Status Engine::Route(const std::string& name, size_t num_rows,
+                     AppendFn&& append) {
+  StreamInfo* stream = FindStream(name);
+  if (stream == nullptr) {
+    return Status::NotFound("unknown stream '" + name + "'");
+  }
+  Timestamp ts = clock_->Now();
+  DC_RETURN_NOT_OK(ForEachIngestTarget(
+      *stream, [&](Basket& b, bool sole) { return append(b, sole, ts); }));
+  tuples_ingested_.fetch_add(static_cast<int64_t>(num_rows),
+                             std::memory_order_relaxed);
+  return Status::OK();
+}
+
 Status Engine::Ingest(const std::string& name, const Row& values) {
   return IngestBatch(name, {values});
 }
@@ -306,75 +336,30 @@ Status Engine::IngestBatch(const std::string& name,
   if (stream == nullptr) {
     return Status::NotFound("unknown stream '" + name + "'");
   }
-  Timestamp ts = clock_->Now();
-  // Route to "the proper baskets" (§2.1) for the strategies in use.
-  if (stream->chain_head != nullptr) {
-    DC_RETURN_NOT_OK(stream->chain_head->AppendBatch(rows, ts));
-  } else if (!stream->replicas.empty()) {
-    for (const BasketPtr& replica : stream->replicas) {
-      DC_RETURN_NOT_OK(replica->AppendBatch(rows, ts));
-    }
-    if (stream->shared_used) {
-      DC_RETURN_NOT_OK(stream->base->AppendBatch(rows, ts));
-    }
-  } else {
-    // Shared consumers, or no consumer yet (the basket buffers and remains
-    // inspectable by one-time queries, §2.6).
-    DC_RETURN_NOT_OK(stream->base->AppendBatch(rows, ts));
-  }
-  tuples_ingested_.fetch_add(static_cast<int64_t>(rows.size()),
-                             std::memory_order_relaxed);
-  return Status::OK();
+  ColumnBatch batch(stream->user_schema);
+  DC_RETURN_NOT_OK(batch.AppendRows(rows));
+  return IngestColumns(name, std::move(batch));
 }
 
 Status Engine::IngestColumns(const std::string& name, ColumnBatch&& batch) {
-  StreamInfo* stream = FindStream(name);
-  if (stream == nullptr) {
-    return Status::NotFound("unknown stream '" + name + "'");
-  }
-  Timestamp ts = clock_->Now();
-  int64_t n = static_cast<int64_t>(batch.num_rows());
-  if (stream->chain_head != nullptr) {
-    DC_RETURN_NOT_OK(stream->chain_head->AppendColumns(std::move(batch), ts));
-  } else if (!stream->replicas.empty()) {
-    // Fan-out: each private replica needs its own copy of the columns.
-    for (const BasketPtr& replica : stream->replicas) {
-      DC_RETURN_NOT_OK(replica->AppendColumnsCopy(batch, ts));
-    }
-    if (stream->shared_used) {
-      DC_RETURN_NOT_OK(stream->base->AppendColumnsCopy(batch, ts));
-    }
-    // Mirror the move path's contract: the batch returns empty (capacity
-    // kept) so receptors can refill it unconditionally.
-    batch.Clear();
-  } else {
-    DC_RETURN_NOT_OK(stream->base->AppendColumns(std::move(batch), ts));
-  }
-  tuples_ingested_.fetch_add(n, std::memory_order_relaxed);
+  DC_RETURN_NOT_OK(Route(name, batch.num_rows(),
+                         [&batch](Basket& b, bool sole, Timestamp ts) {
+                           // Fan-out: each private replica needs its own
+                           // copy of the columns.
+                           return sole ? b.AppendColumns(std::move(batch), ts)
+                                       : b.AppendColumnsCopy(batch, ts);
+                         }));
+  // After a fan-out copy, mirror the move path's contract: the batch returns
+  // empty (capacity kept) so receptors can refill it unconditionally.
+  batch.Clear();
   return Status::OK();
 }
 
 Status Engine::IngestTable(const std::string& name, const Table& batch) {
-  StreamInfo* stream = FindStream(name);
-  if (stream == nullptr) {
-    return Status::NotFound("unknown stream '" + name + "'");
-  }
-  Timestamp ts = clock_->Now();
-  if (stream->chain_head != nullptr) {
-    DC_RETURN_NOT_OK(stream->chain_head->AppendStamped(batch, ts));
-  } else if (!stream->replicas.empty()) {
-    for (const BasketPtr& replica : stream->replicas) {
-      DC_RETURN_NOT_OK(replica->AppendStamped(batch, ts));
-    }
-    if (stream->shared_used) {
-      DC_RETURN_NOT_OK(stream->base->AppendStamped(batch, ts));
-    }
-  } else {
-    DC_RETURN_NOT_OK(stream->base->AppendStamped(batch, ts));
-  }
-  tuples_ingested_.fetch_add(static_cast<int64_t>(batch.num_rows()),
-                             std::memory_order_relaxed);
-  return Status::OK();
+  return Route(name, batch.num_rows(),
+               [&batch](Basket& b, bool, Timestamp ts) {
+                 return b.AppendTable(batch, ts);
+               });
 }
 
 Result<Receptor*> Engine::AttachReceptor(const std::string& name,
@@ -874,6 +859,10 @@ Status Engine::ExecuteInsert(const sql::InsertStmt& stmt) {
     }
   }
 
+  // The statement applies whole or not at all: every row is evaluated and
+  // validated before the first one lands.
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
   for (const auto& ast_row : stmt.rows) {
     size_t expected = stmt.columns.empty() ? user_cols : stmt.columns.size();
     if (ast_row.size() != expected) {
@@ -883,16 +872,15 @@ Status Engine::ExecuteInsert(const sql::InsertStmt& stmt) {
     for (size_t i = 0; i < ast_row.size(); ++i) {
       DC_ASSIGN_OR_RETURN(Value v, EvalConstAst(*ast_row[i]));
       size_t pos = stmt.columns.empty() ? i : positions[i];
-      // Integer literals inserted into double columns widen here so the
-      // type check downstream passes.
+      // Integer literals inserted into double columns widen on append.
       row[pos] = std::move(v);
     }
-    if (is_basket) {
-      DC_RETURN_NOT_OK(IngestBatch(stmt.table, {row}));
-    } else {
-      DC_RETURN_NOT_OK(table->AppendRow(row));
-    }
+    rows.push_back(std::move(row));
   }
+  // A basket takes the statement as one batch with one arrival ts.
+  if (is_basket) return IngestBatch(stmt.table, rows);
+  DC_RETURN_NOT_OK(ColumnBatch::CheckRows(table->schema(), rows));
+  for (const Row& row : rows) DC_RETURN_NOT_OK(table->AppendRow(row));
   return Status::OK();
 }
 
@@ -1345,27 +1333,21 @@ analysis::AnalysisReport Engine::Analyze() const {
     p.system = b->name().rfind("sys.", 0) == 0;
     net.places.push_back(std::move(p));
   };
-  // The baskets Ingest routes to for a stream (mirrors IngestBatch).
-  auto ingest_targets = [](const StreamInfo& s) {
-    std::vector<std::string> out;
-    if (s.chain_head != nullptr) {
-      out.push_back(s.chain_head->name());
-    } else if (!s.replicas.empty()) {
-      for (const BasketPtr& r : s.replicas) out.push_back(r->name());
-      if (s.shared_used) out.push_back(s.base->name());
-    } else {
-      out.push_back(s.base->name());
-    }
-    return out;
-  };
   for (const auto& [sname, s] : streams_) {
+    // The baskets ingest routes this stream to.
+    std::vector<std::string> ingest_targets;
+    bool base_is_ingest_target = false;
+    Status listed = ForEachIngestTarget(s, [&](Basket& b, bool) {
+      ingest_targets.push_back(b.name());
+      if (&b == s.base.get()) base_is_ingest_target = true;
+      return Status::OK();
+    });
+    DC_CHECK(listed.ok());
     // Query-output baskets are fed only by their factory; a user stream's
     // ingest targets are externally fed. A base basket ingest routes around
     // (chained/separate strategies) is fed by nothing — external=false keeps
     // it out of the orphan lint.
     bool is_output = output_bases.count(s.base.get()) != 0;
-    bool base_is_ingest_target =
-        s.chain_head == nullptr && (s.replicas.empty() || s.shared_used);
     add_place(s.base, !is_output && base_is_ingest_target);
     for (const BasketPtr& r : s.replicas) add_place(r, !is_output);
     for (size_t i = 0; i < s.chain.size(); ++i) {
@@ -1379,7 +1361,7 @@ analysis::AnalysisReport Engine::Analyze() const {
       analysis::NetTransition t;
       t.name = r->name();
       t.kind = analysis::NetNodeKind::kReceptor;
-      t.outputs = ingest_targets(s);
+      t.outputs = ingest_targets;
       net.transitions.push_back(std::move(t));
     }
     if (s.chain.size() >= 2) {

@@ -231,21 +231,22 @@ class Engine {
   /// max_engine_state_bytes gate and Analyze() report.
   int64_t TotalStateBoundBytes(bool* any_unbounded = nullptr) const;
 
-  /// Appends one tuple (without ts) to stream `name`, replicating to
-  /// private baskets as the active strategy requires. The fast in-process
-  /// ingest path used by tests and benchmarks.
+  /// Appends one tuple (without ts) to stream `name`: a thin builder over
+  /// IngestColumns, like IngestBatch.
   Status Ingest(const std::string& name, const Row& values);
+  /// Validates every row against the stream schema into a ColumnBatch, then
+  /// IngestColumns. A batch with one bad row is rejected whole.
   Status IngestBatch(const std::string& name, const std::vector<Row>& rows);
-  /// Zero-copy columnar ingest: `batch` holds the stream's user columns (no
-  /// ts) and its buffers are *swapped* into the target basket; the batch
-  /// comes back empty but keeps the basket's previous buffer capacity, ready
-  /// to refill. When the stream fans out to several baskets (private
-  /// replicas) the columns are copied instead. The receptor delivery path.
+  /// The routed ingest path: `batch` holds the stream's user columns (no
+  /// ts), every tuple is stamped with the current time, and the batch goes
+  /// to "the proper baskets" (§2.1) for the strategies in use. With one
+  /// target basket its buffers are *swapped* in; the batch comes back empty
+  /// but keeps the basket's previous buffer capacity, ready to refill. When
+  /// the stream fans out to several baskets (private replicas) the columns
+  /// are copied instead. The receptor delivery path.
   Status IngestColumns(const std::string& name, ColumnBatch&& batch);
-  /// Bulk columnar ingest: `batch` holds the stream's user columns (no ts);
-  /// all tuples are stamped with the current time. The fastest ingest path —
-  /// one column append per column, used by the benchmarks and high-rate
-  /// feeds.
+  /// IngestColumns for a caller-owned table: same routing and stamping,
+  /// with one column copy into each target basket (`batch` is not modified).
   Status IngestTable(const std::string& name, const Table& batch);
 
   /// Attaches a receptor thread-equivalent transition reading CSV tuples
@@ -405,6 +406,19 @@ class Engine {
     std::vector<Receptor*> receptors;
   };
 
+  /// The stream routing, written once: calls `append(basket, sole)` for
+  /// every basket an ingest into `s` feeds — the chain head under the
+  /// chained strategy; each private replica, plus the base when a shared
+  /// consumer also reads it, under separate baskets; the base otherwise.
+  /// `sole` is true when that basket is the only target, so a batch may be
+  /// moved in rather than copied.
+  template <typename AppendFn>
+  static Status ForEachIngestTarget(const StreamInfo& s, AppendFn&& append);
+  /// Stamps one arrival ts, routes `num_rows` tuples into stream `name`'s
+  /// baskets (`append(basket, sole, ts)` per target) and counts them in
+  /// tuples_ingested. Every ingest entry point ends here.
+  template <typename AppendFn>
+  Status Route(const std::string& name, size_t num_rows, AppendFn&& append);
   Result<TablePtr> ExecuteSelect(const sql::SelectStmt& stmt);
   /// Shared body of CreateStream: `system` bypasses the reserved-prefix
   /// check and applies the monitor_history retention bound.

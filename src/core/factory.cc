@@ -329,19 +329,15 @@ Result<int64_t> Factory::Fire() {
   // a window executor keeps alive) takes the copying path.
   int64_t out_tuples = static_cast<int64_t>(result->num_rows());
   if (out_tuples > 0) {
-    if (options_.output_carries_ts) {
-      // The result's own trailing ts column (original arrival times) is the
-      // output basket's timestamp.
-      if (result.use_count() == 1) {
-        DC_RETURN_NOT_OK(output_->AppendWithTsMove(std::move(*result)));
-      } else {
-        DC_RETURN_NOT_OK(output_->AppendWithTs(*result));
-      }
-    } else if (result.use_count() == 1) {
-      DC_RETURN_NOT_OK(output_->AppendStampedMove(std::move(*result),
-                                                  clock_->Now()));
+    // With output_carries_ts the result's own trailing ts column (original
+    // arrival times) is the output basket's timestamp; otherwise the rows
+    // are stamped with the delivery time.
+    std::optional<Timestamp> ts;
+    if (!options_.output_carries_ts) ts = clock_->Now();
+    if (result.use_count() == 1) {
+      DC_RETURN_NOT_OK(output_->AppendTableMove(std::move(*result), ts));
     } else {
-      DC_RETURN_NOT_OK(output_->AppendStamped(*result, clock_->Now()));
+      DC_RETURN_NOT_OK(output_->AppendTable(*result, ts));
     }
     results_emitted_.fetch_add(out_tuples, std::memory_order_relaxed);
   }

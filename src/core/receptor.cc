@@ -19,62 +19,24 @@ const char* TransitionKindToString(TransitionKind k) {
 }
 
 Receptor::Receptor(std::string name, Channel* channel, Schema user_schema,
-                   DeliverFn deliver, const Clock* clock, size_t max_batch)
-    : Transition(std::move(name), TransitionKind::kReceptor),
-      channel_(channel),
-      user_schema_(std::move(user_schema)),
-      deliver_(std::move(deliver)),
-      clock_(clock),
-      max_batch_(max_batch) {
-  DC_CHECK(channel_ != nullptr);
-  DC_CHECK(clock_ != nullptr);
-  DC_CHECK(deliver_ != nullptr);
-}
-
-Receptor::Receptor(std::string name, Channel* channel, Schema user_schema,
                    DeliverColumnsFn deliver, const Clock* clock,
                    size_t max_batch)
     : Transition(std::move(name), TransitionKind::kReceptor),
       channel_(channel),
       user_schema_(std::move(user_schema)),
-      deliver_columns_(std::move(deliver)),
+      deliver_(std::move(deliver)),
       clock_(clock),
       max_batch_(max_batch),
       batch_(user_schema_) {
   DC_CHECK(channel_ != nullptr);
   DC_CHECK(clock_ != nullptr);
-  DC_CHECK(deliver_columns_ != nullptr);
+  DC_CHECK(deliver_ != nullptr);
 }
 
 bool Receptor::Ready() const { return !channel_->empty(); }
 
 Result<int64_t> Receptor::Fire() {
   Timestamp start = clock_->Now();
-  return deliver_columns_ != nullptr ? FireColumns(start) : FireRows(start);
-}
-
-Result<int64_t> Receptor::FireRows(Timestamp start) {
-  std::vector<std::string> lines = channel_->DrainUpTo(max_batch_);
-  if (lines.empty()) return 0;
-  std::vector<Row> rows;
-  rows.reserve(lines.size());
-  for (const std::string& line : lines) {
-    Result<Row> parsed = ParseCsvRow(line, user_schema_);
-    if (!parsed.ok()) {
-      malformed_.fetch_add(1, std::memory_order_relaxed);
-      DC_LOG(Warning) << name() << ": dropping malformed tuple: "
-                      << parsed.status().ToString();
-      continue;
-    }
-    rows.push_back(std::move(*parsed));
-  }
-  DC_RETURN_NOT_OK(deliver_(rows, clock_->Now()));
-  int64_t n = static_cast<int64_t>(rows.size());
-  RecordRun(n, clock_->Now() - start);
-  return n;
-}
-
-Result<int64_t> Receptor::FireColumns(Timestamp start) {
   if (channel_->DrainInto(&lines_, max_batch_) == 0) return 0;
   // The batch normally comes back from delivery empty; after a delivery
   // failure it may not, so clear defensively (capacity is kept either way).
@@ -88,7 +50,7 @@ Result<int64_t> Receptor::FireColumns(Timestamp start) {
     }
   }
   int64_t n = static_cast<int64_t>(batch_.num_rows());
-  DC_RETURN_NOT_OK(deliver_columns_(std::move(batch_)));
+  DC_RETURN_NOT_OK(deliver_(std::move(batch_)));
   RecordRun(n, clock_->Now() - start);
   return n;
 }

@@ -15,15 +15,13 @@
 namespace datacell {
 
 /// Ingest adapter (§2.1): picks up textual tuples from a communication
-/// channel, validates their structure against the stream schema, stamps the
-/// arrival timestamp and hands the batch to the delivery function — which
-/// routes it into "the proper baskets" for the active processing strategy
-/// (private copies under separate-baskets, the shared basket otherwise).
+/// channel, validates their structure against the stream schema and hands
+/// the batch to the delivery function — which stamps the arrival timestamp
+/// and routes it into "the proper baskets" for the active processing
+/// strategy (private copies under separate-baskets, the shared basket
+/// otherwise).
 class Receptor : public Transition {
  public:
-  /// Routes validated tuples into baskets; supplied by the engine.
-  using DeliverFn =
-      std::function<Status(const std::vector<Row>& rows, Timestamp ts)>;
   /// Columnar delivery: the receptor parses lines straight into a typed
   /// ColumnBatch (no Row/Value boxing) and moves it downstream; the callee
   /// (Engine::IngestColumns) swaps the buffers into the target basket and
@@ -31,9 +29,6 @@ class Receptor : public Transition {
   using DeliverColumnsFn = std::function<Status(ColumnBatch&& batch)>;
 
   /// `user_schema` is the stream schema *without* the ts column.
-  Receptor(std::string name, Channel* channel, Schema user_schema,
-           DeliverFn deliver, const Clock* clock, size_t max_batch = 4096);
-  /// Columnar-delivery receptor (the engine's default wiring).
   Receptor(std::string name, Channel* channel, Schema user_schema,
            DeliverColumnsFn deliver, const Clock* clock,
            size_t max_batch = 4096);
@@ -54,13 +49,9 @@ class Receptor : public Transition {
   }
 
  private:
-  Result<int64_t> FireRows(Timestamp start);
-  Result<int64_t> FireColumns(Timestamp start);
-
   Channel* channel_;
   Schema user_schema_;
-  DeliverFn deliver_;                  // row path (exactly one is set)
-  DeliverColumnsFn deliver_columns_;   // columnar path
+  DeliverColumnsFn deliver_;
   const Clock* clock_;
   size_t max_batch_;
   // Reused across fires so the steady state allocates nothing: the line

@@ -82,8 +82,8 @@ class ForwardingSink final : public ResultSink {
   void OnBatch(const Table& batch, Timestamp) override {
     // Emitted batches carry the partial plan's full row (including its ts
     // column when it has one), which is exactly the union basket's row
-    // shape: AppendWithTs re-uses the trailing column as the basket ts.
-    Status st = target_->AppendWithTs(batch);
+    // shape: its trailing column is the basket ts.
+    Status st = target_->AppendTable(batch, std::nullopt);
     if (!st.ok()) {
       DC_LOG(Error) << "partials forward failed: " << st.message();
     }
@@ -165,7 +165,7 @@ Result<int64_t> MergeEmitter::Fire() {
   Timestamp now = clock_->Now();
   TablePtr out = std::move(merged);
   if (stamp_ != nullptr && !out->empty()) {
-    DC_RETURN_NOT_OK(stamp_->AppendStampedMove(std::move(*out), now));
+    DC_RETURN_NOT_OK(stamp_->AppendTableMove(std::move(*out), now));
     out = stamp_->DrainAll();
   }
   int64_t n = static_cast<int64_t>(out->num_rows());
@@ -432,63 +432,19 @@ Status ShardedEngine::Ingest(const std::string& name, const Row& values) {
 
 Status ShardedEngine::IngestBatch(const std::string& name,
                                   const std::vector<Row>& rows) {
-  std::lock_guard<std::mutex> lock(routes_mu_);
-  RouteState* r = FindRoute(name);
-  if (r == nullptr) {
-    return Status::NotFound("no ingest route for stream '" + name + "'");
-  }
-  if (rows.empty()) return Status::OK();
-  return RouteRows(*r, name, rows);
-}
-
-Status ShardedEngine::RouteRows(RouteState& r, const std::string& name,
-                                const std::vector<Row>& rows) {
-  const size_t n = shards_.size();
-  if (n == 1) {
-    RoutedCounter(0)->Inc(static_cast<int64_t>(rows.size()));
-    return shards_[0]->IngestBatch(name, rows);
-  }
-  switch (r.route.kind) {
-    case RouteKind::kSingle: {
-      const size_t home = static_cast<size_t>(r.route.home_shard);
-      RoutedCounter(home)->Inc(static_cast<int64_t>(rows.size()));
-      return shards_[home]->IngestBatch(name, rows);
+  ColumnBatch batch;
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    RouteState* r = FindRoute(name);
+    if (r == nullptr) {
+      return Status::NotFound("no ingest route for stream '" + name + "'");
     }
-    case RouteKind::kBroadcast: {
-      for (auto& shard : shards_) {
-        DC_RETURN_NOT_OK(shard->IngestBatch(name, rows));
-      }
-      broadcast_counter_->Inc(static_cast<int64_t>(n * rows.size()));
-      return Status::OK();
-    }
-    case RouteKind::kRoundRobin:
-    case RouteKind::kHash: {
-      std::vector<std::vector<Row>> per_shard(n);
-      for (const Row& row : rows) {
-        if (row.size() != r.user_schema.num_fields()) {
-          return Status::InvalidArgument(
-              "tuple arity " + std::to_string(row.size()) +
-              " does not match stream '" + name + "' arity " +
-              std::to_string(r.user_schema.num_fields()));
-        }
-        size_t dest;
-        if (r.route.kind == RouteKind::kRoundRobin) {
-          dest = static_cast<size_t>(r.rr_cursor++ % n);
-        } else {
-          // The oracle's placement function, byte for byte (common/hash.h).
-          dest = static_cast<size_t>(HashValue(row[r.route.key_column]) % n);
-        }
-        per_shard[dest].push_back(row);
-      }
-      for (size_t s = 0; s < n; ++s) {
-        if (per_shard[s].empty()) continue;
-        DC_RETURN_NOT_OK(shards_[s]->IngestBatch(name, per_shard[s]));
-        RoutedCounter(s)->Inc(static_cast<int64_t>(per_shard[s].size()));
-      }
-      return Status::OK();
-    }
+    batch.Reset(r->user_schema);
   }
-  return Status::Internal("unhandled route kind");
+  // Validate the whole batch before any shard sees a row: a rejected batch
+  // lands nowhere.
+  DC_RETURN_NOT_OK(batch.AppendRows(rows));
+  return IngestColumns(name, std::move(batch));
 }
 
 Status ShardedEngine::IngestColumns(const std::string& name,
@@ -506,8 +462,9 @@ Status ShardedEngine::IngestColumns(const std::string& name,
         (n == 1 || r->route.kind != RouteKind::kSingle)
             ? 0
             : static_cast<size_t>(r->route.home_shard);
+    DC_RETURN_NOT_OK(shards_[home]->IngestColumns(name, std::move(batch)));
     RoutedCounter(home)->Inc(static_cast<int64_t>(rows));
-    return shards_[home]->IngestColumns(name, std::move(batch));
+    return Status::OK();
   }
   if (!batch.MatchesSchema(r->user_schema)) {
     return Status::TypeError("columnar batch does not match stream '" + name +

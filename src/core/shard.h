@@ -135,9 +135,11 @@ class ShardedEngine {
   Status CreateStream(const std::string& name, const Schema& user_schema,
                       const std::string& partition_key = "");
 
-  /// Router ingest: splits/replicates per the stream's route. The columnar
-  /// path gathers with zero-copy AppendPositions into recycled scratch
-  /// batches; `batch` comes back empty with capacity retained.
+  /// Router ingest: splits/replicates per the stream's route. There is one
+  /// router, IngestColumns: it gathers with zero-copy AppendPositions into
+  /// recycled scratch batches, and `batch` comes back empty with capacity
+  /// retained. The row entry points validate the whole batch into a
+  /// ColumnBatch first, so a rejected batch reaches no shard.
   Status Ingest(const std::string& name, const Row& values);
   Status IngestBatch(const std::string& name, const std::vector<Row>& rows);
   Status IngestColumns(const std::string& name, ColumnBatch&& batch);
@@ -252,8 +254,6 @@ class ShardedEngine {
 
   Status RegisterRoute(const std::string& name, const Schema& user_schema,
                        const std::string& partition_key);
-  Status RouteRows(RouteState& r, const std::string& name,
-                   const std::vector<Row>& rows);
 
   Result<TablePtr> ExecuteGatherSelect(const sql::SelectStmt& stmt);
   Status ExecuteInsertRouted(const std::string& sql,

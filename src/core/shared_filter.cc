@@ -38,7 +38,7 @@ Result<int64_t> SharedFilterTransition::Fire() {
   if (slice->num_rows() == 0) return 0;
   // Original arrival timestamps travel with the tuples, so downstream
   // time windows and latency accounting stay correct.
-  DC_RETURN_NOT_OK(output_->AppendWithTs(*slice));
+  DC_RETURN_NOT_OK(output_->AppendTable(*slice, std::nullopt));
   int64_t n = static_cast<int64_t>(slice->num_rows());
   RecordRun(n, clock_->Now() - start);
   return n;

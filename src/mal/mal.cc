@@ -265,7 +265,7 @@ Result<bool> Vm::Execute(const Instruction& i) {
     if (f == "append") {
       DC_ASSIGN_OR_RETURN(BasketPtr b, BasketArg(i, 0));
       DC_ASSIGN_OR_RETURN(TablePtr t, TableArg(i, 1));
-      DC_RETURN_NOT_OK(b->AppendWithTs(*t));
+      DC_RETURN_NOT_OK(b->AppendTable(*t, std::nullopt));
       return false;
     }
     if (f == "lock" || f == "unlock") {

@@ -58,9 +58,15 @@ class ColumnBatch {
   /// mid-tuple. Capacity is kept.
   void TruncateTo(size_t num_rows);
 
-  /// Row-oriented compatibility append (used by the AppendBatch shim and the
-  /// default generator transposition). The row must already be validated
-  /// against the schema.
+  /// Validates `rows` against `schema`: arity, then every value's type (a
+  /// boolean test per value; the detailed Status is built only on failure).
+  static Status CheckRows(const Schema& schema, const std::vector<Row>& rows);
+  /// The row APIs' builder: checks every row (CheckRows), then appends them
+  /// all. On error nothing is appended, so a rejected batch leaves no
+  /// partial prefix behind.
+  Status AppendRows(const std::vector<Row>& rows);
+  /// Appends a row already validated against the schema (the default
+  /// generator transposition, the CSV fallback parser).
   void AppendRowUnchecked(const Row& row);
 
   /// True when every column of `other_schema` matches this batch's column

@@ -170,7 +170,7 @@ TEST(BasketTest, AppendWithTsPreservesStamps) {
   auto b = MakeBasket("b");
   ASSERT_TRUE(a->Append(R(1, "x"), 42).ok());
   auto t = a->DrainAll();
-  ASSERT_TRUE(b->AppendWithTs(*t).ok());
+  ASSERT_TRUE(b->AppendTable(*t, std::nullopt).ok());
   EXPECT_EQ(b->PeekSnapshot()->GetRow(0)[2], Value::TimestampVal(42));
 }
 
@@ -178,7 +178,7 @@ TEST(BasketTest, AppendStampedAddsTs) {
   auto b = MakeBasket();
   Table results("", UserSchema());
   ASSERT_TRUE(results.AppendRow(R(5, "r")).ok());
-  ASSERT_TRUE(b->AppendStamped(results, 99).ok());
+  ASSERT_TRUE(b->AppendTable(results, 99).ok());
   auto snap = b->PeekSnapshot();
   EXPECT_EQ(snap->GetRow(0)[0], Value::Int64(5));
   EXPECT_EQ(snap->GetRow(0)[2], Value::TimestampVal(99));
@@ -187,10 +187,10 @@ TEST(BasketTest, AppendStampedAddsTs) {
 TEST(BasketTest, AppendStampedValidates) {
   auto b = MakeBasket();
   Table wrong("", Schema({{"a", DataType::kInt64}}));
-  EXPECT_FALSE(b->AppendStamped(wrong, 1).ok());
+  EXPECT_FALSE(b->AppendTable(wrong, 1).ok());
   Table wrong_type(
       "", Schema({{"a", DataType::kDouble}, {"b", DataType::kString}}));
-  EXPECT_FALSE(b->AppendStamped(wrong_type, 1).ok());
+  EXPECT_FALSE(b->AppendTable(wrong_type, 1).ok());
 }
 
 TEST(BasketTest, OldestNewestTs) {

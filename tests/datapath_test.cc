@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/check.h"
 #include "core/basket.h"
 #include "core/engine.h"
+#include "core/shard.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "storage/column_batch.h"
@@ -135,7 +137,7 @@ TEST(DatapathAllocTest, SteadyStatePipelineRoundIsAllocationFree) {
     result.Clear();
     result.column(0)->AppendPositions(*scratch.column(0), positions);
     result.column(1)->AppendPositions(*scratch.column(1), positions);
-    ASSERT_TRUE(output.AppendStampedMove(std::move(result), r).ok());
+    ASSERT_TRUE(output.AppendTableMove(std::move(result), r).ok());
     delivered.Clear();
     output.DrainAllInto(&delivered);
     ASSERT_EQ(delivered.num_rows(), 800u);
@@ -230,6 +232,61 @@ TEST(DatapathAllocTest, IdleEngineRetainedHeapDoesNotGrowWithRounds) {
 
   EXPECT_EQ((*ticks)->size(), 0u);
   for (const auto& sink : sinks) EXPECT_GT(sink->rows(), 0);
+#endif
+}
+
+// The sharded router's claim: hash-split batches gather into per-shard
+// scratch batches whose buffers recycle through the shard baskets' swap, so
+// once warm a round through ShardedEngine::IngestColumns allocates nothing.
+// Each shard basket is drained into caller-owned scratch, closing the cycle
+// router scratch -> basket -> drain scratch -> basket.
+TEST(DatapathAllocTest, ShardedHashIngestRoundIsAllocationFree) {
+#if !DATACELL_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under sanitizers or "
+                  "debug-check builds";
+#else
+  constexpr size_t kRows = 1024;
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  ShardedEngine se(so);
+  ASSERT_TRUE(se.CreateStream("ticks", TwoIntSchema(), "x").ok());
+  auto route = se.GetRoute("ticks");
+  ASSERT_TRUE(route.ok());
+  ASSERT_EQ(route->kind, RouteKind::kHash);
+  std::vector<BasketPtr> baskets;
+  std::vector<std::unique_ptr<Table>> drained;
+  for (size_t s = 0; s < se.num_shards(); ++s) {
+    auto basket = se.shard(s).GetBasket("ticks");
+    ASSERT_TRUE(basket.ok());
+    baskets.push_back(*basket);
+    drained.push_back(std::make_unique<Table>("drained", (*basket)->schema()));
+  }
+  ColumnBatch batch(TwoIntSchema());
+
+  auto round = [&](int64_t r) {
+    batch.Clear();
+    for (size_t i = 0; i < kRows; ++i) {
+      batch.column(0).AppendInt64(static_cast<int64_t>(i));
+      batch.column(1).AppendInt64(r);
+    }
+    ASSERT_TRUE(se.IngestColumns("ticks", std::move(batch)).ok());
+    size_t total = 0;
+    for (size_t s = 0; s < baskets.size(); ++s) {
+      drained[s]->Clear();
+      baskets[s]->DrainAllInto(drained[s].get());
+      total += drained[s]->num_rows();
+    }
+    ASSERT_EQ(total, kRows);
+  };
+
+  for (int64_t r = 0; r < 4; ++r) round(r);
+
+  int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int64_t r = 4; r < 16; ++r) round(r);
+  int64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "steady-state sharded ingest rounds performed heap allocations";
+  EXPECT_EQ(se.routed_tuples(), static_cast<int64_t>(16 * kRows));
 #endif
 }
 
@@ -340,8 +397,8 @@ TEST(DatapathEquivalenceTest, MoveAppendsMatchCopyAppends) {
     result.column(0)->AppendInt64(i);
     result.column(1)->AppendInt64(100 - i);
   }
-  ASSERT_TRUE(copy_b.AppendStamped(result, 5).ok());
-  ASSERT_TRUE(move_b.AppendStampedMove(std::move(result), 5).ok());
+  ASSERT_TRUE(copy_b.AppendTable(result, 5).ok());
+  ASSERT_TRUE(move_b.AppendTableMove(std::move(result), 5).ok());
   EXPECT_EQ(result.num_rows(), 0u);  // buffers moved out
   EXPECT_EQ(RowStrings(*copy_b.PeekSnapshot()),
             RowStrings(*move_b.PeekSnapshot()));
@@ -355,8 +412,8 @@ TEST(DatapathEquivalenceTest, MoveAppendsMatchCopyAppends) {
     with_ts.column(1)->AppendInt64(i * 3);
     with_ts.column(2)->AppendInt64(1000 + i);  // ts column
   }
-  ASSERT_TRUE(copy_ts.AppendWithTs(with_ts).ok());
-  ASSERT_TRUE(move_ts.AppendWithTsMove(std::move(with_ts)).ok());
+  ASSERT_TRUE(copy_ts.AppendTable(with_ts, std::nullopt).ok());
+  ASSERT_TRUE(move_ts.AppendTableMove(std::move(with_ts), std::nullopt).ok());
   EXPECT_EQ(RowStrings(*copy_ts.PeekSnapshot()),
             RowStrings(*move_ts.PeekSnapshot()));
 }

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "adapters/csv.h"
 #include "core/engine.h"
+#include "storage/column_batch.h"
 
 namespace datacell {
 namespace {
@@ -104,6 +111,33 @@ TEST_F(EngineTest, DropStreamWithQueriesRejected) {
   Sql("create basket r (x int)");
   Submit("q", "select x from [select * from r] as s");
   EXPECT_FALSE(engine_.ExecuteSql("drop basket r").ok());
+}
+
+// A multi-row INSERT applies whole or not at all: the bad third row rejects
+// the statement before any row lands.
+TEST_F(EngineTest, MultiRowInsertIntoBasketIsAtomic) {
+  Sql("create basket s (a int, b int)");
+  auto r = engine_.ExecuteSql("insert into s values (1, 1), (2, 2), (3, 'x')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTypeError()) << r.status().ToString();
+  auto s = engine_.GetBasket("s");
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ((*s)->size(), 0u);
+  EXPECT_EQ((*s)->total_appended(), 0);
+  EXPECT_EQ(engine_.tuples_ingested(), 0);
+  Sql("insert into s values (1, 1), (2, 2), (3, 3)");
+  EXPECT_EQ((*s)->size(), 3u);
+  EXPECT_EQ(engine_.tuples_ingested(), 3);
+}
+
+TEST_F(EngineTest, MultiRowInsertIntoTableIsAtomic) {
+  Sql("create table t (a int, b int)");
+  auto r = engine_.ExecuteSql("insert into t values (1, 1), (2, 2), (3, 'x')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTypeError()) << r.status().ToString();
+  auto t = engine_.catalog().Get("t");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ((*t)->num_rows(), 0u);
 }
 
 TEST_F(EngineTest, InsertIntoBasketStampsTs) {
@@ -477,6 +511,126 @@ TEST_F(EngineTest, ThreadedModeEndToEnd) {
   }
   engine_.Stop();
   EXPECT_EQ(sink->row_count(), 100u);
+}
+
+// --- one routing, every entry point ------------------------------------------
+
+enum class IngestEntry {
+  kIngest,
+  kIngestBatch,
+  kIngestColumns,
+  kIngestTable,
+  kReceptor
+};
+
+const char* IngestEntryName(IngestEntry e) {
+  switch (e) {
+    case IngestEntry::kIngest:
+      return "Ingest";
+    case IngestEntry::kIngestBatch:
+      return "IngestBatch";
+    case IngestEntry::kIngestColumns:
+      return "IngestColumns";
+    case IngestEntry::kIngestTable:
+      return "IngestTable";
+    case IngestEntry::kReceptor:
+      return "receptor";
+  }
+  return "?";
+}
+
+// Every processing strategy x every ingest entry point: the same tuples give
+// the same output multiset and the same tuples_ingested. Two queries with
+// disjoint basket predicates split the stream, so the chained strategy
+// applies too; under separate baskets every entry point fans out to the
+// private replicas.
+TEST(EngineIngestRoutingTest, EveryEntryPointMatchesUnderEveryStrategy) {
+  Schema schema({{"x", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"tag", DataType::kString}});
+  std::vector<Row> rows;
+  std::vector<std::string> lines;
+  for (int i = 0; i < 40; ++i) {
+    double v = i + 0.25;
+    rows.push_back({Value::Int64(i % 10), Value::Double(v),
+                    Value::String("t" + std::to_string(i))});
+    lines.push_back(std::to_string(i % 10) + "," + std::to_string(v) + ",t" +
+                    std::to_string(i));
+  }
+
+  std::optional<std::multiset<std::string>> expected;
+  for (ProcessingStrategy strategy :
+       {ProcessingStrategy::kSharedBaskets,
+        ProcessingStrategy::kSeparateBaskets, ProcessingStrategy::kChained}) {
+    for (IngestEntry entry :
+         {IngestEntry::kIngest, IngestEntry::kIngestBatch,
+          IngestEntry::kIngestColumns, IngestEntry::kIngestTable,
+          IngestEntry::kReceptor}) {
+      SCOPED_TRACE(std::string(ProcessingStrategyToString(strategy)) + " / " +
+                   IngestEntryName(entry));
+      Channel wire;  // outlives the engine
+      Engine engine(DeterministicOptions());
+      ASSERT_TRUE(engine.CreateStream("r", schema).ok());
+      QueryOptions opts;
+      opts.strategy = strategy;
+      std::vector<std::pair<std::string, std::shared_ptr<CollectingSink>>>
+          sinks;
+      for (const auto& [name, pred] :
+           std::vector<std::pair<std::string, std::string>>{
+               {"lo", "r.x < 4"}, {"hi", "r.x >= 4"}}) {
+        auto q = engine.SubmitContinuousQuery(
+            name, "select x, v, tag from [select * from r where " + pred +
+                      "] as s",
+            opts);
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+        sinks.emplace_back(name, std::make_shared<CollectingSink>());
+        ASSERT_TRUE(engine.Subscribe(*q, sinks.back().second).ok());
+      }
+
+      switch (entry) {
+        case IngestEntry::kIngest:
+          for (const Row& row : rows) ASSERT_TRUE(engine.Ingest("r", row).ok());
+          break;
+        case IngestEntry::kIngestBatch:
+          ASSERT_TRUE(engine.IngestBatch("r", rows).ok());
+          break;
+        case IngestEntry::kIngestColumns: {
+          ColumnBatch batch(schema);
+          ASSERT_TRUE(batch.AppendRows(rows).ok());
+          ASSERT_TRUE(engine.IngestColumns("r", std::move(batch)).ok());
+          EXPECT_EQ(batch.num_rows(), 0u);
+          break;
+        }
+        case IngestEntry::kIngestTable: {
+          Table table("r", schema);
+          for (const Row& row : rows) ASSERT_TRUE(table.AppendRow(row).ok());
+          ASSERT_TRUE(engine.IngestTable("r", table).ok());
+          break;
+        }
+        case IngestEntry::kReceptor:
+          ASSERT_TRUE(engine.AttachReceptor("r", &wire).ok());
+          for (const std::string& line : lines) wire.Push(line);
+          break;
+      }
+      engine.Drain();
+
+      EXPECT_EQ(engine.tuples_ingested(), static_cast<int64_t>(rows.size()));
+      std::multiset<std::string> got;
+      for (const auto& [name, sink] : sinks) {
+        for (const Row& row : sink->TakeRows()) {
+          std::string s = name;
+          for (const Value& v : row) s += "|" + v.ToString();
+          got.insert(std::move(s));
+        }
+      }
+      EXPECT_EQ(got.size(), rows.size());
+      if (!expected.has_value()) {
+        expected = std::move(got);
+      } else {
+        EXPECT_EQ(got, *expected);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(BasketInvariantTest, StolenBufferTrafficSatisfiesInvariants) {
   Table result("res", b->schema());
   result.column(0)->AppendInt64(99);
   result.column(1)->AppendInt64(7);  // ts column
-  ASSERT_TRUE(b->AppendWithTsMove(std::move(result)).ok());
+  ASSERT_TRUE(b->AppendTableMove(std::move(result), std::nullopt).ok());
   Table scratch("scratch", b->schema());
   b->DrainAllInto(&scratch);
   EXPECT_EQ(scratch.num_rows(), 1u);

@@ -289,6 +289,58 @@ TEST(ShardRouterTest, InsertStatementsRouteAndTablesReplicate) {
   EXPECT_EQ((*all)->num_rows(), 3u);
 }
 
+// A batch with one bad row is rejected whole: no shard keeps any of its good
+// rows, and nothing is counted as routed (a single Engine behaves the same).
+TEST(ShardRouterTest, RejectedBatchLandsOnNoShard) {
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (k int, v int) partition by k").ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 64; ++i) {
+    rows.push_back({Value::Int64(i), Value::Int64(i)});
+  }
+  rows.push_back({Value::Int64(1000), Value::String("bad")});
+  const int64_t routed_before = se.routed_tuples();
+  Status st = se.IngestBatch("s", rows);
+  EXPECT_TRUE(st.IsTypeError()) << st.ToString();
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    auto basket = se.shard(i).GetBasket("s");
+    ASSERT_TRUE(basket.ok());
+    EXPECT_EQ((*basket)->size(), 0u) << "shard " << i;
+    EXPECT_EQ(se.shard(i).tuples_ingested(), 0) << "shard " << i;
+  }
+  EXPECT_EQ(se.routed_tuples(), routed_before);
+}
+
+TEST(ShardRouterTest, MultiRowInsertIsAtomic) {
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (k int, v int) partition by k").ok());
+  std::string insert = "insert into s values ";
+  for (int i = 0; i < 32; ++i) {
+    insert += "(" + std::to_string(i) + ", " + std::to_string(i) + "), ";
+  }
+  insert += "(1000, 'bad')";
+  auto r = se.ExecuteSql(insert);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTypeError()) << r.status().ToString();
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    auto basket = se.shard(i).GetBasket("s");
+    ASSERT_TRUE(basket.ok());
+    EXPECT_EQ((*basket)->size(), 0u) << "shard " << i;
+  }
+  EXPECT_EQ(se.routed_tuples(), 0);
+  auto all = se.ExecuteSql("select k from s");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ((*all)->num_rows(), 0u);
+}
+
 // --- routing lattice conflicts ----------------------------------------------
 
 TEST(ShardLatticeTest, ConflictingHashKeysRejectTheNewQuery) {
