@@ -68,13 +68,21 @@ BENCHMARK(BM_TraceRecordComplete);
 void BM_MetricsSnapshotAndText(benchmark::State& state) {
   MetricsRegistry registry;
   int instances = static_cast<int>(state.range(0));
+  // Histograms live in their owners and are read by the collector.
+  static constexpr MetricSeries kLatency{
+      "datacell_transition_fire_latency_us", MetricKind::kHistogram,
+      {"transition"}, nullptr};
+  std::vector<Histogram> owned(static_cast<size_t>(instances));
   for (int i = 0; i < instances; ++i) {
     MetricLabels labels{{"transition", "t" + std::to_string(i)}};
     registry.GetCounter("datacell_transition_fires_total", labels)->Inc(i);
-    Histogram* h =
-        registry.GetHistogram("datacell_transition_fire_latency_us", labels);
-    for (int v = 1; v < 1000; v *= 3) h->Observe(v);
+    for (int v = 1; v < 1000; v *= 3) owned[static_cast<size_t>(i)].Observe(v);
   }
+  registry.SetCollector([&owned](MetricsSnapshotData& out) {
+    for (size_t i = 0; i < owned.size(); ++i) {
+      out.Add(kLatency, {"t" + std::to_string(i)}, owned[i].Snapshot());
+    }
+  });
   for (auto _ : state) {
     MetricsSnapshotData snap = registry.Snapshot();
     std::string text = registry.PrometheusText();

@@ -3,27 +3,30 @@
 # push. Fails on the first broken stage.
 #
 #   stage 1  format       clang-format --dry-run on src/ tests/ fuzz/ tools/
-#   stage 2  werror       configure+build with -Wall -Wextra -Wconversion -Werror
-#   stage 3  tidy         clang-tidy over src/ (compile_commands from stage 2;
+#   stage 2  series       every "datacell_ series name is spelled once, in
+#                         src/core/engine_metrics.h (no literal elsewhere in
+#                         src/, no name declared twice)
+#   stage 3  werror       configure+build with -Wall -Wextra -Wconversion -Werror
+#   stage 4  tidy         clang-tidy over src/ (compile_commands from stage 3;
 #                         includes the clang-analyzer-* path-sensitive checks)
-#   stage 4  cppcheck     cppcheck over src/ tools/ (second analyzer, different
+#   stage 5  cppcheck     cppcheck over src/ tools/ (second analyzer, different
 #                         engine — catches what tidy's checks don't)
-#   stage 5  sql-lint     datacell-lint over examples/sql (good corpus must
+#   stage 6  sql-lint     datacell-lint over examples/sql (good corpus must
 #                         pass, seeded-bad corpus must fail, partition demo
 #                         shard plan and state-bound report must match their
 #                         committed goldens, no bounded→unbounded drift)
-#   stage 6  debug-checks full suite with DATACELL_DEBUG_CHECKS=ON
+#   stage 7  debug-checks full suite with DATACELL_DEBUG_CHECKS=ON
 #                         (lock-order checker + DC_DCHECK invariants live)
-#   stage 7  tsan         concurrency-, metrics-, specialize-, observe- and
+#   stage 8  tsan         concurrency-, metrics-, specialize-, observe- and
 #                         shard-labelled tests under TSan
-#   stage 8  asan+ubsan   full suite under address,undefined
+#   stage 9  asan+ubsan   full suite under address,undefined
 #
 # Tool-dependent stages (format, tidy, cppcheck) are SKIPPED with a notice
 # when the binary is not installed — a gcc-only box still runs every compiled
 # stage.
 # Environment knobs:
 #   JOBS=N          parallel build jobs (default: nproc)
-#   SKIP_SANITIZERS=1   stop after stage 4 (quick pre-commit loop)
+#   SKIP_SANITIZERS=1   stop before the sanitizer stages (quick pre-commit loop)
 #   BUILD_ROOT=dir  where the gate builds go (default: build-check)
 
 set -euo pipefail
@@ -47,14 +50,24 @@ else
   skip "clang-format not installed; formatting not checked"
 fi
 
-# --- stage 2: warnings-as-errors build -------------------------------------
+# --- stage 2: series names declared once ------------------------------------
+note "series names (\"datacell_ literals only in src/core/engine_metrics.h)"
+if grep -rn '"datacell_' src/ | grep -v '^src/core/engine_metrics.h:'; then
+  echo "series names: declare them in src/core/engine_metrics.h"; exit 1
+fi
+dups=$(grep -o '"datacell_[a-z0-9_]*"' src/core/engine_metrics.h | sort | uniq -d)
+if [ -n "$dups" ]; then
+  echo "series names declared twice: $dups"; exit 1
+fi
+
+# --- stage 3: warnings-as-errors build -------------------------------------
 note "Werror build (-Wall -Wextra -Wconversion -Werror on src/)"
 cmake -B "$BUILD_ROOT/werror" -S . \
       -DCMAKE_BUILD_TYPE=Release -DDATACELL_WERROR=ON \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build "$BUILD_ROOT/werror" -j "$JOBS"
 
-# --- stage 3: clang-tidy ----------------------------------------------------
+# --- stage 4: clang-tidy ----------------------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then
   note "clang-tidy (src/)"
   # shellcheck disable=SC2046
@@ -64,7 +77,7 @@ else
   skip "clang-tidy not installed; static analysis not run"
 fi
 
-# --- stage 4: cppcheck -------------------------------------------------------
+# --- stage 5: cppcheck -------------------------------------------------------
 if command -v cppcheck >/dev/null 2>&1; then
   note "cppcheck (src/ tools/)"
   # --error-exitcode makes findings fail the gate; the inline-suppression
@@ -77,7 +90,7 @@ else
   skip "cppcheck not installed; second static analyzer not run"
 fi
 
-# --- stage 5: datacell-lint over the SQL corpus ------------------------------
+# --- stage 6: datacell-lint over the SQL corpus ------------------------------
 note "datacell-lint (examples/sql)"
 cmake --build "$BUILD_ROOT/werror" -j "$JOBS" --target datacell-lint
 "$BUILD_ROOT/werror/tools/datacell-lint" examples/sql/*.sql
@@ -113,7 +126,7 @@ if drift:
     sys.exit(1)
 PYEOF
 
-# --- stage 6: full suite with debug checks live -----------------------------
+# --- stage 7: full suite with debug checks live -----------------------------
 note "full test suite with DATACELL_DEBUG_CHECKS=ON"
 cmake -B "$BUILD_ROOT/dbg" -S . \
       -DCMAKE_BUILD_TYPE=Debug -DDATACELL_DEBUG_CHECKS=ON >/dev/null
@@ -125,7 +138,7 @@ if [ "${SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-# --- stage 7: TSan on the concurrent paths ----------------------------------
+# --- stage 8: TSan on the concurrent paths ----------------------------------
 note "TSan: concurrency + metrics + specialize + observe + shard tests"
 cmake -B "$BUILD_ROOT/tsan" -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDATACELL_SANITIZE=thread >/dev/null
@@ -133,7 +146,7 @@ cmake --build "$BUILD_ROOT/tsan" -j "$JOBS"
 ctest --test-dir "$BUILD_ROOT/tsan" -j "$JOBS" \
       -L 'concurrency|metrics|specialize|observe|shard' --output-on-failure
 
-# --- stage 8: ASan + UBSan on everything ------------------------------------
+# --- stage 9: ASan + UBSan on everything ------------------------------------
 note "ASan+UBSan: full suite"
 cmake -B "$BUILD_ROOT/asan" -S . \
       -DCMAKE_BUILD_TYPE=Debug -DDATACELL_SANITIZE=address,undefined >/dev/null

@@ -3,21 +3,9 @@
 #include <string_view>
 #include <utility>
 
+#include "core/engine_metrics.h"
+
 namespace datacell {
-
-namespace {
-
-/// The value of label `key` in `labels`, or "" when absent.
-const std::string& LabelValue(const MetricLabels& labels,
-                              std::string_view key) {
-  static const std::string kEmpty;
-  for (const auto& [k, v] : labels) {
-    if (k == key) return v;
-  }
-  return kEmpty;
-}
-
-}  // namespace
 
 Schema MonitorReceptor::TransitionsSchema() {
   Schema s;
@@ -62,18 +50,13 @@ bool MonitorReceptor::Ready() const {
   return clock_->Now() >= next_tick_.load(std::memory_order_relaxed);
 }
 
-int64_t MonitorReceptor::PrevValue(const std::string& key) const {
-  auto it = prev_counters_.find(key);
-  return it == prev_counters_.end() ? 0 : it->second;
-}
-
 Result<int64_t> MonitorReceptor::Fire() {
   Timestamp start = clock_->Now();
   if (start < next_tick_.load(std::memory_order_relaxed)) return 0;
 
   MetricsSnapshotData snap = snapshot_();
-  // Index the snapshot once: counters by rendered name (also the delta
-  // baseline for the next tick), histograms by rendered name.
+  // Index the snapshot once by rendered name: counters (also the delta
+  // baseline for the next tick) and histograms.
   std::map<std::string, int64_t> counters;
   for (const CounterSnapshot& c : snap.counters) {
     counters[RenderMetricName(c.name, c.labels)] = c.value;
@@ -82,61 +65,64 @@ Result<int64_t> MonitorReceptor::Fire() {
   for (const HistogramSnapshot& h : snap.histograms) {
     histograms[RenderMetricName(h.name, h.labels)] = &h;
   }
-  auto delta = [&](const std::string& key) {
-    auto it = counters.find(key);
-    return it == counters.end() ? int64_t{0} : it->second - PrevValue(key);
+  // Since-last-tick change of counter series `s` for the instance `labels`.
+  auto delta = [&](const MetricSeries& s, const MetricLabels& labels) {
+    std::string key = RenderMetricName(s.name, labels);
+    auto now = counters.find(key);
+    if (now == counters.end()) return int64_t{0};
+    auto prev = prev_counters_.find(key);
+    return now->second - (prev == prev_counters_.end() ? 0 : prev->second);
   };
-  auto p99 = [&](const std::string& key) {
-    auto it = histograms.find(key);
+  auto p99 = [&](const MetricSeries& s, const MetricLabels& labels) {
+    auto it = histograms.find(RenderMetricName(s.name, labels));
     return it == histograms.end() || it->second->count == 0
                ? 0.0
                : it->second->Percentile(0.99);
   };
 
+  // Label values sit in the declared key order (core/engine_metrics.h):
+  // transition series are {transition, kind}, basket series {basket}.
   // sys.transitions: one row per transition (the per-fire series carries the
   // since-last-tick deltas; the p99 is lifetime, the histogram is additive).
   for (const CounterSnapshot& c : snap.counters) {
-    if (c.name != "datacell_transition_fires_total") continue;
-    const std::string& tname = LabelValue(c.labels, "transition");
-    transitions_batch_.column(0).AppendString(tname);
+    if (c.name != series::kTransitionFires.name) continue;
+    transitions_batch_.column(0).AppendString(c.labels[0].second);
     transitions_batch_.column(1).AppendInt64(
-        c.value - PrevValue(RenderMetricName(c.name, c.labels)));
+        delta(series::kTransitionFires, c.labels));
     transitions_batch_.column(2).AppendInt64(
-        delta(RenderMetricName("datacell_transition_tuples_total", c.labels)));
-    transitions_batch_.column(3).AppendDouble(p99(
-        RenderMetricName("datacell_transition_fire_latency_us", c.labels)));
+        delta(series::kTransitionTuples, c.labels));
+    transitions_batch_.column(3).AppendDouble(
+        p99(series::kTransitionFireLatency, c.labels));
     transitions_batch_.column(4).AppendInt64(shard_index_);
   }
 
   // sys.baskets: one row per wired basket (the occupancy gauge is the
   // instantaneous sample; appended/shed are since-last-tick deltas).
   for (const GaugeSnapshot& g : snap.gauges) {
-    if (g.name != "datacell_basket_tuples") continue;
-    baskets_batch_.column(0).AppendString(LabelValue(g.labels, "basket"));
+    if (g.name != series::kBasketTuples.name) continue;
+    baskets_batch_.column(0).AppendString(g.labels[0].second);
     baskets_batch_.column(1).AppendInt64(g.value);
     baskets_batch_.column(2).AppendInt64(
-        delta(RenderMetricName("datacell_basket_appended_total", g.labels)));
-    baskets_batch_.column(3).AppendInt64(
-        delta(RenderMetricName("datacell_basket_shed_total", g.labels)));
+        delta(series::kBasketAppended, g.labels));
+    baskets_batch_.column(3).AppendInt64(delta(series::kBasketShed, g.labels));
     baskets_batch_.column(4).AppendInt64(shard_index_);
   }
 
   // sys.queries: one row per registered query, identified by its emitter
   // (every query has exactly one; "emitted" counts tuples it delivered).
   for (const CounterSnapshot& c : snap.counters) {
-    if (c.name != "datacell_transition_fires_total") continue;
-    if (LabelValue(c.labels, "kind") != "emitter") continue;
-    const std::string& tname = LabelValue(c.labels, "transition");
+    if (c.name != series::kTransitionFires.name) continue;
+    if (c.labels[1].second != "emitter") continue;
+    const std::string& tname = c.labels[0].second;
     constexpr std::string_view kPrefix = "emitter_";
     std::string qname = tname.substr(0, kPrefix.size()) == kPrefix
                             ? tname.substr(kPrefix.size())
                             : tname;
     queries_batch_.column(0).AppendString(qname);
-    queries_batch_.column(1).AppendDouble(
-        p99(RenderMetricName("datacell_query_e2e_latency_us",
-                             {{"query", qname}})));
+    queries_batch_.column(1).AppendDouble(p99(
+        series::kQueryE2eLatency, series::kQueryE2eLatency.Labels({qname})));
     queries_batch_.column(2).AppendInt64(
-        delta(RenderMetricName("datacell_transition_tuples_total", c.labels)));
+        delta(series::kTransitionTuples, c.labels));
   }
 
   int64_t rows = static_cast<int64_t>(transitions_batch_.num_rows() +
@@ -159,7 +145,6 @@ Result<int64_t> MonitorReceptor::Fire() {
   Timestamp next = next_tick_.load(std::memory_order_relaxed) + tick_us_;
   if (next <= start) next = start + tick_us_;
   next_tick_.store(next, std::memory_order_relaxed);
-  ticks_.fetch_add(1, std::memory_order_relaxed);
   RecordRun(rows, clock_->Now() - start);
   return rows;
 }

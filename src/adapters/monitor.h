@@ -34,8 +34,9 @@ namespace datacell {
 /// testable against hand-built snapshots.
 class MonitorReceptor : public Transition {
  public:
-  /// Produces a fresh registry snapshot (the engine binds
-  /// Engine::MetricsSnapshot, which refreshes the pull-side gauges first).
+  /// Produces a fresh metrics snapshot (the engine binds
+  /// Engine::MetricsSnapshot); series are found by their declarations in
+  /// core/engine_metrics.h.
   using SnapshotFn = std::function<MetricsSnapshotData()>;
   /// Routes one telemetry batch into the named system stream.
   using DeliverFn =
@@ -61,12 +62,9 @@ class MonitorReceptor : public Transition {
   bool Ready() const override;
   Result<int64_t> Fire() override;
 
-  int64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
+  int64_t ticks() const { return runs(); }
 
  private:
-  /// Counter value at the previous tick, keyed by rendered metric name.
-  int64_t PrevValue(const std::string& key) const;
-
   SnapshotFn snapshot_;
   DeliverFn deliver_;
   const Clock* clock_;
@@ -75,8 +73,8 @@ class MonitorReceptor : public Transition {
   // Written only inside Fire() (exactly-once via the scheduler claim);
   // Ready() reads it from sweep threads, hence atomic.
   std::atomic<Timestamp> next_tick_{0};
+  // Counter values at the previous tick, keyed by rendered metric name.
   std::map<std::string, int64_t> prev_counters_;  // Fire()-private state
-  std::atomic<int64_t> ticks_{0};
   // Reused across ticks so the steady state allocates nothing.
   ColumnBatch transitions_batch_{TransitionsSchema()};
   ColumnBatch baskets_batch_{BasketsSchema()};

@@ -43,7 +43,7 @@ class SampleStats {
 
 // Live engine counters moved to common/metrics_registry.h: the old plain-
 // int64_t EngineCounters struct was racy under scheduler worker threads and
-// is replaced by the atomic Counter/Gauge/Histogram cells there.
+// is replaced by the atomic Counter/Histogram cells there.
 
 }  // namespace datacell
 

@@ -1,10 +1,12 @@
 #include "common/metrics_registry.h"
 
+#include "common/check.h"
 #include "common/lock_order.h"
 
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <tuple>
 
 namespace datacell {
 
@@ -127,6 +129,30 @@ void AppendTypeHeader(std::string& out, std::string& last_typed,
 
 }  // namespace
 
+MetricLabels MetricSeries::Labels(
+    std::initializer_list<std::string> values) const {
+  DC_DCHECK(values.size() <= label_keys.size());
+  MetricLabels labels;
+  size_t i = 0;
+  for (const std::string& v : values) labels.emplace_back(label_keys[i++], v);
+  return labels;
+}
+
+void MetricsSnapshotData::Add(const MetricSeries& s,
+                              std::initializer_list<std::string> values,
+                              int64_t value) {
+  auto& samples = s.kind == MetricKind::kCounter ? counters : gauges;
+  samples.push_back(ScalarSnapshot{s.name, s.Labels(values), value});
+}
+
+void MetricsSnapshotData::Add(const MetricSeries& s,
+                              std::initializer_list<std::string> values,
+                              HistogramSnapshot h) {
+  h.name = s.name;
+  h.labels = s.Labels(values);
+  histograms.push_back(std::move(h));
+}
+
 const CounterSnapshot* MetricsSnapshotData::FindCounter(
     const std::string& name, const std::string& label_value) const {
   return FindEntry(counters, name, label_value);
@@ -156,48 +182,24 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name, MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-  auto& slot = gauges_[Key{name, std::move(labels)}];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-  auto& slot = histograms_[Key{name, std::move(labels)}];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
-size_t MetricsRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 MetricsSnapshotData MetricsRegistry::Snapshot() const {
   MetricsSnapshotData out;
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-  out.counters.reserve(counters_.size());
-  for (const auto& [key, c] : counters_) {
-    out.counters.push_back(CounterSnapshot{key.first, key.second, c->value()});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
+    for (const auto& [key, c] : counters_) {
+      out.counters.push_back(
+          CounterSnapshot{key.first, key.second, c->value()});
+    }
   }
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [key, g] : gauges_) {
-    out.gauges.push_back(GaugeSnapshot{key.first, key.second, g->value()});
-  }
-  out.histograms.reserve(histograms_.size());
-  for (const auto& [key, h] : histograms_) {
-    HistogramSnapshot s = h->Snapshot();
-    s.name = key.first;
-    s.labels = key.second;
-    out.histograms.push_back(std::move(s));
-  }
+  if (collector_) collector_(out);
+  // Same-name series must be adjacent for PrometheusText's # TYPE headers.
+  auto by_key = [](const auto& a, const auto& b) {
+    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+  };
+  std::sort(out.counters.begin(), out.counters.end(), by_key);
+  std::sort(out.gauges.begin(), out.gauges.end(), by_key);
+  std::sort(out.histograms.begin(), out.histograms.end(), by_key);
   return out;
 }
 
@@ -211,22 +213,19 @@ std::string MetricsRegistry::PrometheusText(const std::string& prefix) const {
   };
   std::string out;
   std::string last_typed;
-  // Map iteration is (name, labels)-ordered, so same-name series are
-  // adjacent and get one # TYPE header.
-  for (const CounterSnapshot& c : snap.counters) {
-    if (!matches(c.name)) continue;
-    AppendTypeHeader(out, last_typed, c.name, "counter");
-    out += c.name + RenderLabels(c.labels, "", "") + " " +
-           std::to_string(c.value) + "\n";
-  }
-  last_typed.clear();
-  for (const GaugeSnapshot& g : snap.gauges) {
-    if (!matches(g.name)) continue;
-    AppendTypeHeader(out, last_typed, g.name, "gauge");
-    out += g.name + RenderLabels(g.labels, "", "") + " " +
-           std::to_string(g.value) + "\n";
-  }
-  last_typed.clear();
+  // Snapshot() orders by (name, labels), so same-name series are adjacent
+  // and get one # TYPE header.
+  auto scalars = [&](const auto& samples, const char* type) {
+    for (const auto& m : samples) {
+      if (!matches(m.name)) continue;
+      AppendTypeHeader(out, last_typed, m.name, type);
+      out += m.name + RenderLabels(m.labels, "", "") + " " +
+             std::to_string(m.value) + "\n";
+    }
+    last_typed.clear();
+  };
+  scalars(snap.counters, "counter");
+  scalars(snap.gauges, "gauge");
   for (const HistogramSnapshot& h : snap.histograms) {
     if (!matches(h.name)) continue;
     AppendTypeHeader(out, last_typed, h.name, "histogram");

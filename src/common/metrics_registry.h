@@ -4,6 +4,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,37 +25,31 @@ namespace datacell {
 /// Label set attached to a metric instance, e.g. {{"query", "hot"}}.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
+/// Static declaration of one series: its name, kind, label keys (unused
+/// slots null) and the short key the `\stats` report prints it under (null
+/// when \stats leaves it out). core/engine_metrics.h declares every series
+/// the engine exports; samples name their series through these.
+struct MetricSeries {
+  const char* name;
+  MetricKind kind;
+  std::array<const char*, 2> label_keys;
+  const char* stat_key;
+
+  /// Pairs `values` with the label keys, in order.
+  MetricLabels Labels(std::initializer_list<std::string> values) const;
+};
+
 /// Monotonically increasing atomic counter.
 class Counter {
  public:
   void Inc(int64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  /// Overwrites the value. Only for mirroring an external monotone source
-  /// (e.g. a transition's internal run count) into the registry at snapshot
-  /// time; instrumentation code must use Inc.
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   /// The underlying cell, for layers that must not depend on this header's
   /// types (e.g. the kernel ExecContext counts morsels through a raw
   /// atomic pointer).
   std::atomic<int64_t>& cell() { return value_; }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Point-in-time value that can move both ways (basket occupancy, bytes).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  /// Raises the gauge to `v` if larger (high-water marks).
-  void UpdateMax(int64_t v) {
-    int64_t prev = value_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !value_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -124,23 +120,28 @@ class Histogram {
   std::atomic<int64_t> max_{0};
 };
 
-struct CounterSnapshot {
+/// One counter or gauge sample.
+struct ScalarSnapshot {
   std::string name;
   MetricLabels labels;
   int64_t value = 0;
 };
-
-struct GaugeSnapshot {
-  std::string name;
-  MetricLabels labels;
-  int64_t value = 0;
-};
+using CounterSnapshot = ScalarSnapshot;
+using GaugeSnapshot = ScalarSnapshot;
 
 /// Typed point-in-time copy of a whole registry.
 struct MetricsSnapshotData {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
+
+  /// Appends one sample of counter or gauge series `s`; `values` pair up
+  /// with its label keys in order.
+  void Add(const MetricSeries& s, std::initializer_list<std::string> values,
+           int64_t value);
+  /// Appends one sample of histogram series `s`.
+  void Add(const MetricSeries& s, std::initializer_list<std::string> values,
+           HistogramSnapshot h);
 
   /// First entry matching `name` (and `label_value` as the value of any
   /// label, when non-empty). nullptr when absent.
@@ -152,20 +153,28 @@ struct MetricsSnapshotData {
       const std::string& name, const std::string& label_value = "") const;
 };
 
-/// Owns every metric instance. Get* registers on first use and returns a
-/// stable pointer: registration takes a mutex (cold — instances are created
-/// at wiring time), updates through the returned pointer are lock-free.
-/// One registry per engine; tests may create their own.
+/// Owns the counters no other object owns, and renders those together with
+/// the samples (counters, gauges, histograms) a collector reads from their
+/// owners. GetCounter registers a cell on first use and returns a stable
+/// pointer: registration takes a mutex (cold — cells are created at wiring
+/// time), updates through the returned pointer are lock-free. One registry
+/// per engine; tests may create their own.
 class MetricsRegistry {
  public:
+  /// Appends samples read from their owning objects; runs inside every
+  /// Snapshot(), outside the registry mutex.
+  using Collector = std::function<void(MetricsSnapshotData&)>;
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* GetCounter(const std::string& name, MetricLabels labels = {});
-  Gauge* GetGauge(const std::string& name, MetricLabels labels = {});
-  Histogram* GetHistogram(const std::string& name, MetricLabels labels = {});
+  /// Set once at wiring time, before any concurrent Snapshot().
+  void SetCollector(Collector collector) { collector_ = std::move(collector); }
 
+  /// The registry's cells plus the collector's samples, each kind ordered
+  /// by (name, labels).
   MetricsSnapshotData Snapshot() const;
   /// Prometheus text exposition (version 0.0.4): `# TYPE` comments, one
   /// sample line per metric, histograms as cumulative `_bucket{le=...}`
@@ -173,15 +182,12 @@ class MetricsRegistry {
   /// to metric names starting with it (the shell's `\metrics <prefix>`).
   std::string PrometheusText(const std::string& prefix = "") const;
 
-  size_t num_metrics() const;
-
  private:
   using Key = std::pair<std::string, MetricLabels>;
 
   mutable std::mutex mu_;  // guards map shape only, never cell updates
   std::map<Key, std::unique_ptr<Counter>> counters_;
-  std::map<Key, std::unique_ptr<Gauge>> gauges_;
-  std::map<Key, std::unique_ptr<Histogram>> histograms_;
+  Collector collector_;
 };
 
 /// Renders `name{k1="v1",k2="v2"}` (no braces when unlabelled), escaping

@@ -23,12 +23,12 @@ Result<int64_t> Emitter::Fire() {
   TablePtr batch = input_->DrainNewFor(reader_id_);
   if (batch->num_rows() == 0) return 0;
   Timestamp now = clock_->Now();
-  if (latency_hist_ != nullptr) {
+  if (latency_us_ != nullptr) {
     // Per-tuple response time: delivery minus the output basket's ts column
     // (the stream arrival time when the query carries ts through).
     const Bat& ts_col = *batch->column(batch->num_columns() - 1);
     for (size_t i = 0; i < ts_col.size(); ++i) {
-      latency_hist_->Observe(now - ts_col.Int64At(i));
+      latency_us_->Observe(now - ts_col.Int64At(i));
     }
   }
   {

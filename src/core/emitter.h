@@ -37,13 +37,15 @@ class Emitter : public Transition {
   void AddSink(std::shared_ptr<ResultSink> sink);
   size_t num_sinks() const;
 
-  /// Observes per-tuple delivery latency into `hist`: for every delivered
+  /// Starts observing per-tuple delivery latency: for every delivered
   /// tuple, `delivery time - output basket ts`. When the query projects the
   /// stream's arrival ts through (Engine's output_carries_ts), that is the
   /// paper's per-tuple response time — ingest to emitter, end to end; for
-  /// stamped outputs it measures result-production to delivery. Bind before
+  /// stamped outputs it measures result-production to delivery. Call before
   /// the emitter enters the scheduler.
-  void SetLatencyHistogram(Histogram* hist) { latency_hist_ = hist; }
+  void TrackLatency() { latency_us_ = std::make_unique<Histogram>(); }
+  /// The delivery-latency histogram; null unless TrackLatency() was called.
+  const Histogram* latency_us() const { return latency_us_.get(); }
 
   /// Retires this emitter's watermark (see Factory::DetachReaders).
   void DetachReader() {
@@ -57,7 +59,7 @@ class Emitter : public Transition {
   BasketPtr input_;
   const Clock* clock_;
   size_t reader_id_;
-  Histogram* latency_hist_ = nullptr;  // bound at wiring time; may stay null
+  std::unique_ptr<Histogram> latency_us_;  // set at wiring time; may stay null
   mutable std::mutex sinks_mu_;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
 };

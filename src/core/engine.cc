@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "analysis/plan_analyzer.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/engine_metrics.h"
 #include "sql/parser.h"
 
 namespace datacell {
@@ -26,6 +28,42 @@ Result<Value> EvalConstAst(const sql::AstExpr& e) {
   }
   return Status::InvalidArgument(
       "INSERT values must be literals: " + e.ToString());
+}
+
+/// One `\stats` section line: ` key=value` for every declared series whose
+/// first label key is `scope` ("" = unlabelled) and that has a stats key,
+/// for the instance labelled `label_value`. A histogram renders, only when
+/// it exists, as ` key=count (p50=.. p99=.. mean=.. max=.. us)`.
+std::string StatFields(const MetricsSnapshotData& snap, std::string_view scope,
+                       const std::string& label_value) {
+  auto us = [](double v) {
+    return std::to_string(static_cast<int64_t>(v + 0.5));
+  };
+  std::string out;
+  for (const MetricSeries* s : series::kAll) {
+    const char* first_key = s->label_keys[0];
+    if (s->stat_key == nullptr ||
+        std::string_view(first_key == nullptr ? "" : first_key) != scope) {
+      continue;
+    }
+    const std::string key = std::string(" ") + s->stat_key + "=";
+    if (s->kind != MetricKind::kHistogram) {
+      const ScalarSnapshot* v = s->kind == MetricKind::kCounter
+                                    ? snap.FindCounter(s->name, label_value)
+                                    : snap.FindGauge(s->name, label_value);
+      out += key + std::to_string(v == nullptr ? 0 : v->value);
+      continue;
+    }
+    const HistogramSnapshot* h = snap.FindHistogram(s->name, label_value);
+    if (h == nullptr) continue;
+    out += key + std::to_string(h->count);
+    if (h->count > 0) {
+      out += " (p50=" + us(h->Percentile(0.5)) + " p99=" +
+             us(h->Percentile(0.99)) + " mean=" + us(h->Mean()) +
+             " max=" + std::to_string(h->max) + " us)";
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -52,6 +90,8 @@ Engine::Engine(EngineOptions options)
   }
   scheduler_.SetTrace(trace_.get(), clock_);
   scheduler_.SetIdleFallbackUs(options_.idle_tick_us);
+  metrics_.SetCollector(
+      [this](MetricsSnapshotData& out) { CollectMetrics(out); });
   wake_hub_ = std::make_shared<WakeHub>();
   wake_hub_->scheduler = &scheduler_;
   // Last: the system streams route through the fully initialized engine.
@@ -89,16 +129,12 @@ void Engine::WireBasketWake(const BasketPtr& basket) {
   wired_baskets_.push_back(basket);
 }
 
-void Engine::BindTransitionMetrics(Transition& t) const {
-  MetricLabels labels{{"transition", t.name()},
-                      {"kind", std::string(TransitionKindToString(t.kind()))}};
-  Transition::MetricsBinding binding;
-  binding.fires = metrics_.GetCounter("datacell_transition_fires_total", labels);
-  binding.tuples =
-      metrics_.GetCounter("datacell_transition_tuples_total", labels);
-  binding.fire_latency_us =
-      metrics_.GetHistogram("datacell_transition_fire_latency_us", labels);
-  t.BindMetrics(binding);
+void Engine::UnwireBasket(const BasketPtr& basket) {
+  basket->SetWakeCallback(nullptr);
+  basket->SetTrace(nullptr, nullptr);
+  wired_baskets_.erase(
+      std::remove(wired_baskets_.begin(), wired_baskets_.end(), basket),
+      wired_baskets_.end());
 }
 
 Engine::StreamInfo* Engine::FindStream(const std::string& name) {
@@ -171,7 +207,6 @@ void Engine::SetUpMonitor() {
         return IngestColumns(stream, std::move(batch));
       },
       clock_, options_.monitor_tick_us, options_.shard_index);
-  BindTransitionMetrics(*monitor_);
   scheduler_.AddTransition(monitor_);
 }
 
@@ -384,7 +419,6 @@ Result<Receptor*> Engine::AttachReceptor(const std::string& name,
   // receptor would only fire on the next fallback tick. The callback holds
   // the wake hub, not the engine: either object may die first.
   channel->SetWakeCallback([hub = wake_hub_] { hub->Notify(); });
-  BindTransitionMetrics(*receptor);
   scheduler_.AddTransition(receptor);
   return receptor.get();
 }
@@ -599,7 +633,6 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
                 "sharedfilter_" + group_table->name(), stream->base,
                 in.consume_predicate, group_basket, clock_);
             shared_filters_.push_back(filter);
-            BindTransitionMetrics(*filter);
             scheduler_.AddTransition(filter);
             group = subplan_groups_.emplace(key, group_basket).first;
           }
@@ -661,7 +694,7 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
   foptions.exec.pool = kernel_pool_.get();
   foptions.exec.parallel_threshold = options_.parallel_threshold;
   foptions.exec.morsel_counter =
-      &metrics_.GetCounter("datacell_kernel_morsels_total")->cell();
+      &metrics_.GetCounter(series::kKernelMorsels.name)->cell();
   foptions.specialize = options_.specialize_plans;
   foptions.state_string_bytes = options_.state_string_bytes;
   DC_ASSIGN_OR_RETURN(
@@ -669,9 +702,7 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
       Factory::Create("factory_" + ToLower(name), std::move(query),
                       std::move(input_baskets), output,
                       std::move(static_bindings), clock_, foptions));
-  if (factory->is_specialized()) {
-    metrics_.GetCounter("datacell_specialized_queries")->Inc();
-  }
+  if (factory->is_specialized()) ++specialized_queries_;
   factory->SetProfiling(profile_queries_);
 
   for (const ChainLink& link : chain_links) {
@@ -685,13 +716,7 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
   // output (select *): that is the paper's per-tuple response time. For
   // other queries the output ts is the production stamp and "latency" would
   // be near-zero noise — not worth a per-tuple Observe on the hot path.
-  if (output_carries_ts) {
-    emitter->SetLatencyHistogram(
-        metrics_.GetHistogram("datacell_query_e2e_latency_us",
-                              {{"query", ToLower(name)}}));
-  }
-  BindTransitionMetrics(*factory);
-  BindTransitionMetrics(*emitter);
+  if (output_carries_ts) emitter->TrackLatency();
 
   scheduler_.AddTransition(factory);
   scheduler_.AddTransition(emitter);
@@ -764,7 +789,10 @@ Status Engine::RemoveContinuousQuery(QueryId id) {
     replicas.erase(std::remove_if(replicas.begin(), replicas.end(),
                                   [&](const BasketPtr& b) {
                                     for (const BasketPtr& in : inputs) {
-                                      if (in == b) return true;
+                                      if (in == b) {
+                                        UnwireBasket(b);
+                                        return true;
+                                      }
                                     }
                                     return false;
                                   }),
@@ -782,6 +810,7 @@ Status Engine::RemoveContinuousQuery(QueryId id) {
           break;
         }
       }
+      UnwireBasket(it->second);
       it = subplan_groups_.erase(it);
     } else {
       ++it;
@@ -943,71 +972,37 @@ Result<TablePtr> Engine::ExecuteSql(const std::string& sql) {
   return Status::Internal("bad statement kind");
 }
 
-void Engine::RefreshPulledMetrics() const {
-  // Mirror the pull-side sources into registry cells so one snapshot carries
-  // everything. Push-side metrics (transition fires, e2e latency, morsels)
-  // are already live in the registry.
-  metrics_.GetCounter("datacell_ingested_tuples_total")->Set(tuples_ingested());
-  metrics_.GetCounter("datacell_scheduler_sweeps_total")
-      ->Set(scheduler_.sweeps());
-  metrics_.GetCounter("datacell_scheduler_firings_total")
-      ->Set(scheduler_.total_firings());
-  metrics_.GetCounter("datacell_scheduler_errors_total")
-      ->Set(scheduler_.error_count());
-  metrics_.GetCounter("datacell_scheduler_idle_waits_total")
-      ->Set(scheduler_.idle_waits());
-  metrics_.GetCounter("datacell_scheduler_wakes_notified_total")
-      ->Set(scheduler_.wakes_notified());
-  metrics_.GetCounter("datacell_scheduler_wakes_timeout_total")
-      ->Set(scheduler_.wakes_timeout());
+void Engine::CollectMetrics(MetricsSnapshotData& out) const {
+  out.Add(series::kIngestedTuples, {}, tuples_ingested());
+  out.Add(series::kSchedulerSweeps, {}, scheduler_.sweeps());
+  out.Add(series::kSchedulerFirings, {}, scheduler_.total_firings());
+  out.Add(series::kSchedulerErrors, {}, scheduler_.error_count());
+  out.Add(series::kSchedulerIdleWaits, {}, scheduler_.idle_waits());
+  out.Add(series::kSchedulerWakesNotified, {}, scheduler_.wakes_notified());
+  out.Add(series::kSchedulerWakesTimeout, {}, scheduler_.wakes_timeout());
+  if (specialized_queries_ > 0) {
+    out.Add(series::kSpecializedQueries, {}, specialized_queries_);
+  }
   for (const auto& receptor : receptors_) {
-    metrics_
-        .GetCounter("datacell_receptor_malformed_total",
-                    {{"receptor", receptor->name()}})
-        ->Set(receptor->malformed_lines());
+    out.Add(series::kReceptorMalformed, {receptor->name()},
+            receptor->malformed_lines());
   }
-  // wired_baskets_ holds every engine-created basket: stream bases, private
-  // replicas, chain links, output baskets and shared subplan group baskets.
+  for (const TransitionPtr& t : scheduler_.TransitionsSnapshot()) {
+    series::AddTransition(out, *t);
+  }
+  // wired_baskets_ holds every live engine-created basket: stream bases,
+  // private replicas, chain links, output baskets and shared subplan group
+  // baskets.
   for (const BasketPtr& basket : wired_baskets_) {
-    MetricLabels labels{{"basket", basket->name()}};
-    metrics_.GetGauge("datacell_basket_tuples", labels)
-        ->Set(static_cast<int64_t>(basket->size()));
-    metrics_.GetGauge("datacell_basket_high_water", labels)
-        ->Set(static_cast<int64_t>(basket->size_high_water()));
-    metrics_.GetGauge("datacell_basket_bytes", labels)
-        ->Set(static_cast<int64_t>(basket->memory_usage()));
-    metrics_.GetCounter("datacell_basket_appended_total", labels)
-        ->Set(basket->total_appended());
-    metrics_.GetCounter("datacell_basket_consumed_total", labels)
-        ->Set(basket->total_consumed());
-    metrics_.GetCounter("datacell_basket_shed_total", labels)
-        ->Set(basket->total_shed());
-  }
-  // Per-step profiler series, labeled {query, step}; the step label carries
-  // the execution-order index so same-named steps of one pipeline stay
-  // distinct series. Only queries whose profiler has seen at least one fire
-  // register series, so an engine that never profiles exports nothing here.
-  for (const QueryInfo& q : queries_) {
-    if (q.removed || q.factory == nullptr) continue;
-    const PipelineProfile& prof = q.factory->profile();
-    if (prof.fires() == 0) continue;
-    PipelineProfile::Snapshot snap = prof.Snap();
-    std::string qname = ToLower(q.name);
-    metrics_
-        .GetCounter("datacell_profile_fires_total", {{"query", qname}})
-        ->Set(snap.fires);
-    metrics_
-        .GetCounter("datacell_profile_fire_time_ns_total", {{"query", qname}})
-        ->Set(snap.fire_time_ns);
-    for (size_t i = 0; i < snap.steps.size(); ++i) {
-      MetricLabels labels{
-          {"query", qname},
-          {"step", std::to_string(i + 1) + ". " + snap.steps[i].label}};
-      metrics_.GetCounter("datacell_profile_step_time_ns_total", labels)
-          ->Set(snap.steps[i].time_ns);
-      metrics_.GetCounter("datacell_profile_step_rows_total", labels)
-          ->Set(snap.steps[i].rows_out);
-    }
+    const std::string& b = basket->name();
+    out.Add(series::kBasketTuples, {b}, static_cast<int64_t>(basket->size()));
+    out.Add(series::kBasketHighWater, {b},
+            static_cast<int64_t>(basket->size_high_water()));
+    out.Add(series::kBasketBytes, {b},
+            static_cast<int64_t>(basket->memory_usage()));
+    out.Add(series::kBasketAppended, {b}, basket->total_appended());
+    out.Add(series::kBasketConsumed, {b}, basket->total_consumed());
+    out.Add(series::kBasketShed, {b}, basket->total_shed());
   }
   // Pass-3 scale-out readiness: queries whose *effective* verdict (static
   // report + live overrides) is partitionable outright, and the total that
@@ -1019,15 +1014,29 @@ void Engine::RefreshPulledMetrics() const {
     analysis::PartitionVerdict v = EffectivePartitionVerdict(q);
     if (v == analysis::PartitionVerdict::kPartitionable) ++partitionable;
     if (v != analysis::PartitionVerdict::kPinned) ++shardable;
-  }
-  metrics_.GetGauge("datacell_partitionable_queries")->Set(partitionable);
-  metrics_.GetGauge("datacell_shardable_queries")->Set(shardable);
-  // Pass-4 state bounds vs measured occupancy, per query: the static bound
-  // (-1 = unbounded, 0 = symbolic-only) next to the factory's live
-  // accounting so a gauge scrape can cross-check bound soundness.
-  for (const QueryInfo& q : queries_) {
-    if (q.removed || q.factory == nullptr) continue;
-    std::string qname = ToLower(q.name);
+    const std::string qname = ToLower(q.name);
+    if (const Histogram* e2e = q.emitter->latency_us()) {
+      out.Add(series::kQueryE2eLatency, {qname}, e2e->Snapshot());
+    }
+    // Per-step profiler series, labeled {query, step}; the step label
+    // carries the execution-order index so same-named steps of one pipeline
+    // stay distinct series. Only a profiler that has seen a fire exports,
+    // so an engine that never profiles exports nothing here.
+    const PipelineProfile& prof = q.factory->profile();
+    if (prof.fires() > 0) {
+      PipelineProfile::Snapshot snap = prof.Snap();
+      out.Add(series::kProfileFires, {qname}, snap.fires);
+      out.Add(series::kProfileFireTime, {qname}, snap.fire_time_ns);
+      for (size_t i = 0; i < snap.steps.size(); ++i) {
+        std::string step = std::to_string(i + 1) + ". " + snap.steps[i].label;
+        out.Add(series::kProfileStepTime, {qname, step},
+                snap.steps[i].time_ns);
+        out.Add(series::kProfileStepRows, {qname, step},
+                snap.steps[i].rows_out);
+      }
+    }
+    // Pass-4 state bound (-1 = unbounded, 0 = symbolic-only) next to the
+    // factory's live accounting, so a scrape can cross-check soundness.
     int64_t bound = 0;
     if (q.state != nullptr) {
       if (q.state->total.kind == analysis::StateBoundKind::kUnbounded) {
@@ -1036,29 +1045,14 @@ void Engine::RefreshPulledMetrics() const {
         bound = q.state->total.bytes;
       }
     }
-    metrics_.GetGauge("datacell_query_state_bound_bytes", {{"query", qname}})
-        ->Set(bound);
-    metrics_.GetGauge("datacell_query_state_bytes", {{"query", qname}})
-        ->Set(static_cast<int64_t>(q.factory->state_bytes()));
-    metrics_
-        .GetGauge("datacell_query_state_high_water_bytes", {{"query", qname}})
-        ->Set(static_cast<int64_t>(q.factory->state_bytes_high_water()));
+    out.Add(series::kQueryStateBound, {qname}, bound);
+    out.Add(series::kQueryState, {qname},
+            static_cast<int64_t>(q.factory->state_bytes()));
+    out.Add(series::kQueryStateHighWater, {qname},
+            static_cast<int64_t>(q.factory->state_bytes_high_water()));
   }
-}
-
-MetricsSnapshotData Engine::MetricsSnapshot() const {
-  RefreshPulledMetrics();
-  return metrics_.Snapshot();
-}
-
-std::string Engine::MetricsText() const {
-  RefreshPulledMetrics();
-  return metrics_.PrometheusText();
-}
-
-std::string Engine::MetricsText(const std::string& prefix) const {
-  RefreshPulledMetrics();
-  return metrics_.PrometheusText(prefix);
+  out.Add(series::kPartitionableQueries, {}, partitionable);
+  out.Add(series::kShardableQueries, {}, shardable);
 }
 
 void Engine::SetProfiling(bool on) {
@@ -1079,93 +1073,28 @@ std::string Engine::TraceJson() const {
 
 std::string Engine::StatsReport() const {
   MetricsSnapshotData snap = MetricsSnapshot();
-  auto counter = [&snap](const std::string& name,
-                         const std::string& label_value = "") {
-    const CounterSnapshot* c = snap.FindCounter(name, label_value);
-    return c == nullptr ? int64_t{0} : c->value;
-  };
-  auto us = [](double v) {
-    return std::to_string(static_cast<int64_t>(v + 0.5));
-  };
   const char* policy = "round-robin";
   if (scheduler_.policy() == SchedulingPolicy::kPriority) policy = "priority";
   if (scheduler_.policy() == SchedulingPolicy::kAdaptive) policy = "adaptive";
 
   std::string out = "== DataCell engine ==\n";
-  out += "scheduler: sweeps=" +
-         std::to_string(counter("datacell_scheduler_sweeps_total")) +
-         " firings=" +
-         std::to_string(counter("datacell_scheduler_firings_total")) +
-         " errors=" +
-         std::to_string(counter("datacell_scheduler_errors_total")) +
-         " wakes_notified=" +
-         std::to_string(counter("datacell_scheduler_wakes_notified_total")) +
-         " wakes_timeout=" +
-         std::to_string(counter("datacell_scheduler_wakes_timeout_total")) +
-         " policy=" + policy + "\n";
-  out += "ingested tuples: " +
-         std::to_string(counter("datacell_ingested_tuples_total")) + "\n";
-  int64_t morsels = counter("datacell_kernel_morsels_total");
-  if (morsels > 0) {
-    out += "kernel morsels: " + std::to_string(morsels) + "\n";
-  }
+  out += std::string("engine: policy=") + policy +
+         StatFields(snap, "", "") + "\n";
   out += "-- transitions --\n";
-  for (const TransitionPtr& t : scheduler_.transitions()) {
+  for (const TransitionPtr& t : scheduler_.TransitionsSnapshot()) {
     out += "  [" + std::string(TransitionKindToString(t->kind())) + "] " +
-           t->name() + ": fires=" +
-           std::to_string(counter("datacell_transition_fires_total",
-                                  t->name())) +
-           " tuples=" +
-           std::to_string(counter("datacell_transition_tuples_total",
-                                  t->name())) +
-           " busy_us=" + std::to_string(t->busy_time_us());
-    const HistogramSnapshot* lat =
-        snap.FindHistogram("datacell_transition_fire_latency_us", t->name());
-    if (lat != nullptr && lat->count > 0) {
-      out += " fire_us(p50=" + us(lat->Percentile(0.5)) +
-             " p99=" + us(lat->Percentile(0.99)) +
-             " max=" + std::to_string(lat->max) + ")";
-    }
-    out += "\n";
+           t->name() + ":" + StatFields(snap, "transition", t->name()) + "\n";
   }
-  bool any_query = false;
+  out += "-- queries (end-to-end tuple latency) --\n";
   for (const QueryInfo& q : queries_) {
-    if (q.removed) continue;
-    const HistogramSnapshot* lat =
-        snap.FindHistogram("datacell_query_e2e_latency_us", ToLower(q.name));
-    if (lat == nullptr) continue;
-    if (!any_query) {
-      out += "-- queries (end-to-end tuple latency) --\n";
-      any_query = true;
-    }
-    out += "  " + q.name + ": delivered=" + std::to_string(lat->count);
-    if (lat->count > 0) {
-      out += " e2e_us(p50=" + us(lat->Percentile(0.5)) +
-             " p99=" + us(lat->Percentile(0.99)) +
-             " mean=" + us(lat->Mean()) +
-             " max=" + std::to_string(lat->max) + ")";
-    }
-    out += "\n";
+    std::string fields = StatFields(snap, "query", ToLower(q.name));
+    if (q.removed || fields.empty()) continue;
+    out += "  " + q.name + ":" + fields + "\n";
   }
   out += "-- streams --\n";
   for (const auto& [key, stream] : streams_) {
-    const std::string& bname = stream.base->name();
-    auto gauge = [&snap](const std::string& name, const std::string& lv) {
-      const GaugeSnapshot* g = snap.FindGauge(name, lv);
-      return g == nullptr ? int64_t{0} : g->value;
-    };
-    out += "  " + key + ": buffered=" +
-           std::to_string(gauge("datacell_basket_tuples", bname)) +
-           " high_water=" +
-           std::to_string(gauge("datacell_basket_high_water", bname)) +
-           " in=" +
-           std::to_string(counter("datacell_basket_appended_total", bname)) +
-           " out=" +
-           std::to_string(counter("datacell_basket_consumed_total", bname)) +
-           " shed=" +
-           std::to_string(counter("datacell_basket_shed_total", bname)) +
-           " bytes=" +
-           std::to_string(gauge("datacell_basket_bytes", bname)) + "\n";
+    out += "  " + key + ":" + StatFields(snap, "basket", stream.base->name()) +
+           "\n";
   }
   if (!subplan_groups_.empty()) {
     out += "-- shared subplan groups --\n";

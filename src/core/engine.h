@@ -103,9 +103,9 @@ struct EngineOptions {
   /// explicit wakes.
   int64_t idle_tick_us = 2000;
   /// Which shard of a ShardedEngine (core/shard.h) this engine is. Pure
-  /// observability: sys.transitions / sys.baskets monitor rows and the
-  /// datacell_shard_* metrics carry it so per-shard telemetry stays
-  /// attributable after the union. 0 for standalone engines.
+  /// observability: sys.transitions / sys.baskets monitor rows carry it so
+  /// per-shard telemetry stays attributable after the union. 0 for
+  /// standalone engines.
   int shard_index = 0;
   /// Pass-4 admission control. max_query_state_bytes > 0 gates each
   /// submitted query on its static state bound: unbounded verdicts and
@@ -336,24 +336,21 @@ class Engine {
   size_t num_shared_subplans() const { return subplan_groups_.size(); }
 
   // --- observability --------------------------------------------------------
-  /// The engine's metric registry. Every receptor, factory, emitter and
-  /// shared filter pushes per-instance counters and fire-latency histograms
-  /// here as it runs; emitters additionally push per-query end-to-end tuple
-  /// latency (see Emitter::SetLatencyHistogram). Names follow the scheme
-  /// documented in docs/ARCHITECTURE.md ("Observability").
+  /// The engine's metric registry. Its snapshot reads every series declared
+  /// in core/engine_metrics.h from the object that owns the count — the
+  /// scheduler, each transition, basket, receptor, factory and emitter —
+  /// so live objects export and removed ones do not. See
+  /// docs/ARCHITECTURE.md ("Observability").
   MetricsRegistry& metrics() const { return metrics_; }
-  /// Typed point-in-time view: refreshes the pull-side gauges (basket
-  /// occupancy/high-water/bytes, scheduler sweep and wake counters, ingest
-  /// totals, receptor malformed counts) and snapshots the whole registry.
-  /// Safe to call while the scheduler runs.
-  MetricsSnapshotData MetricsSnapshot() const;
-  /// Prometheus text exposition of MetricsSnapshot() — scrape or diff it.
-  std::string MetricsText() const;
-
-  /// Prometheus exposition restricted to metric names starting with
-  /// `prefix` (the shell's `\metrics <prefix>`). Refreshes pulled gauges
-  /// like MetricsText().
-  std::string MetricsText(const std::string& prefix) const;
+  /// Typed point-in-time view of every series. Safe to call while the
+  /// scheduler runs.
+  MetricsSnapshotData MetricsSnapshot() const { return metrics_.Snapshot(); }
+  /// Prometheus text exposition of MetricsSnapshot() — scrape or diff it —
+  /// restricted to metric names starting with `prefix` when non-empty (the
+  /// shell's `\metrics <prefix>`).
+  std::string MetricsText(const std::string& prefix = "") const {
+    return metrics_.PrometheusText(prefix);
+  }
 
   /// Runtime toggle for every factory's per-step pipeline profiler (see
   /// algebra/profile.h); also the default for queries submitted later.
@@ -381,9 +378,8 @@ class Engine {
   std::string TraceJson() const;
 
   /// Multi-line human-readable engine state, built on MetricsSnapshot():
-  /// per-transition fire counts and latency percentiles, per-query
-  /// end-to-end latency, per-basket occupancy/shedding, scheduler and wake
-  /// counters.
+  /// one line per section instance (engine, transitions, queries, streams)
+  /// listing every declared series that has a `\stats` key.
   std::string StatsReport() const;
   /// Total tuples shed across all stream baskets.
   int64_t total_shed() const;
@@ -461,11 +457,12 @@ class Engine {
   /// basket for trace detachment in the destructor (the trace ring dies with
   /// the engine). Also wires lock-wait tracing when enabled.
   void WireBasketWake(const BasketPtr& basket);
-  /// Registers `t`'s per-instance metrics (fires/tuples/fire-latency) under
-  /// its name and kind. Call before the transition enters the scheduler.
-  void BindTransitionMetrics(Transition& t) const;
-  /// Pull-side refresh backing MetricsSnapshot().
-  void RefreshPulledMetrics() const;
+  /// Reverses WireBasketWake for a basket the engine retires (a removed
+  /// query's private replica or subplan group): it stops exporting series.
+  void UnwireBasket(const BasketPtr& basket);
+  /// The registry's collector: appends every series in
+  /// core/engine_metrics.h, read from the object that owns the count.
+  void CollectMetrics(MetricsSnapshotData& out) const;
 
   EngineOptions options_;
   Catalog catalog_;
@@ -477,8 +474,8 @@ class Engine {
   std::unique_ptr<ThreadPool> kernel_pool_;
   /// All wake callbacks route through this hub; disarmed in the destructor.
   std::shared_ptr<WakeHub> wake_hub_;
-  /// Engine-created baskets (stream bases, private replicas, outputs): kept
-  /// for per-basket metrics and for trace detachment in the destructor.
+  /// Live engine-created baskets (stream bases, private replicas, outputs):
+  /// kept for per-basket metrics and for trace detachment in the destructor.
   std::vector<BasketPtr> wired_baskets_;
   std::map<std::string, StreamInfo> streams_;  // key: lower-cased name
   std::vector<QueryInfo> queries_;
@@ -495,8 +492,9 @@ class Engine {
   std::vector<std::shared_ptr<SharedFilterTransition>> shared_filters_;
   // Atomic: receptors and application threads ingest concurrently.
   std::atomic<int64_t> tuples_ingested_{0};
-  // Observability. The registry is mutable because snapshots refresh the
-  // pull-side gauges; all cells are atomic, so const readers are safe.
+  int64_t specialized_queries_ = 0;  // registrations, never decremented
+  // Observability: holds the morsel counter and collects every other series
+  // from its owner at snapshot time. Mutable because GetCounter registers.
   mutable MetricsRegistry metrics_;
   std::unique_ptr<TraceRing> trace_;
 };

@@ -41,6 +41,12 @@ bool Scheduler::RemoveTransition(const Transition* t) {
   return false;
 }
 
+std::vector<TransitionPtr> Scheduler::TransitionsSnapshot() const {
+  std::lock_guard<std::mutex> lock(transitions_mu_);
+  DC_LOCK_ORDER(&transitions_mu_, "scheduler_transitions", "scheduler");
+  return transitions_;
+}
+
 std::vector<size_t> Scheduler::FiringOrder() const {
   std::vector<size_t> order(transitions_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;

@@ -50,6 +50,9 @@ class Scheduler {
   /// in-flight snapshot. Returns false when not found.
   bool RemoveTransition(const Transition* t);
   const std::vector<TransitionPtr>& transitions() const { return transitions_; }
+  /// Copy of the transition list, safe while another thread adds or
+  /// removes transitions (metrics snapshots use it).
+  std::vector<TransitionPtr> TransitionsSnapshot() const;
 
   /// One sweep: fires every currently-ready transition once, in policy
   /// order. Returns the number of transitions fired. Transition errors are

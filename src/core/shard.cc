@@ -7,6 +7,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/engine_metrics.h"
 #include "sql/parser.h"
 
 namespace datacell {
@@ -215,14 +216,9 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   scheduler_.SetIdleFallbackUs(options_.engine.idle_tick_us);
   wake_hub_ = std::make_shared<WakeHub>();
   wake_hub_->scheduler = &scheduler_;
-  routed_counters_.reserve(options_.num_shards);
-  for (size_t i = 0; i < options_.num_shards; ++i) {
-    routed_counters_.push_back(
-        metrics_.GetCounter("datacell_shard_routed_tuples_total",
-                            {{"shard", std::to_string(i)}}));
-  }
-  broadcast_counter_ =
-      metrics_.GetCounter("datacell_shard_broadcast_tuples_total");
+  routed_ = std::make_unique<Counter[]>(options_.num_shards);
+  metrics_.SetCollector(
+      [this](MetricsSnapshotData& out) { CollectMetrics(out); });
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -233,18 +229,20 @@ ShardedEngine::~ShardedEngine() {
   for (const auto& b : union_baskets_) b->SetWakeCallback(nullptr);
 }
 
-Counter* ShardedEngine::RoutedCounter(size_t shard) {
-  return routed_counters_[shard];
-}
-
 int64_t ShardedEngine::routed_tuples() const {
   int64_t total = 0;
-  for (Counter* c : routed_counters_) total += c->value();
+  for (size_t s = 0; s < shards_.size(); ++s) total += routed_[s].value();
   return total;
 }
 
-int64_t ShardedEngine::broadcast_tuples() const {
-  return broadcast_counter_->value();
+void ShardedEngine::CollectMetrics(MetricsSnapshotData& out) const {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    out.Add(series::kShardRouted, {std::to_string(s)}, routed_[s].value());
+  }
+  out.Add(series::kShardBroadcast, {}, broadcast_.value());
+  for (const TransitionPtr& t : scheduler_.TransitionsSnapshot()) {
+    series::AddTransition(out, *t);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -463,7 +461,7 @@ Status ShardedEngine::IngestColumns(const std::string& name,
             ? 0
             : static_cast<size_t>(r->route.home_shard);
     DC_RETURN_NOT_OK(shards_[home]->IngestColumns(name, std::move(batch)));
-    RoutedCounter(home)->Inc(static_cast<int64_t>(rows));
+    routed_[home].Inc(static_cast<int64_t>(rows));
     return Status::OK();
   }
   if (!batch.MatchesSchema(r->user_schema)) {
@@ -486,7 +484,7 @@ Status ShardedEngine::IngestColumns(const std::string& name,
       DC_RETURN_NOT_OK(shards_[s]->IngestColumns(name, std::move(scratch)));
     }
     DC_RETURN_NOT_OK(shards_[n - 1]->IngestColumns(name, std::move(batch)));
-    broadcast_counter_->Inc(static_cast<int64_t>(n * rows));
+    broadcast_.Inc(static_cast<int64_t>(n * rows));
     return Status::OK();
   }
   // Round-robin / hash: column-wise zero-copy gather into per-shard scratch
@@ -513,7 +511,7 @@ Status ShardedEngine::IngestColumns(const std::string& name,
       scratch.column(c).AppendPositions(batch.column(c), r->positions[s]);
     }
     DC_RETURN_NOT_OK(shards_[s]->IngestColumns(name, std::move(scratch)));
-    RoutedCounter(s)->Inc(static_cast<int64_t>(r->positions[s].size()));
+    routed_[s].Inc(static_cast<int64_t>(r->positions[s].size()));
   }
   batch.Clear();
   return Status::OK();
@@ -972,16 +970,6 @@ Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
     merge_emitter = std::make_shared<MergeEmitter>(
         "merge_" + ToLower(name), union_basket, report->merge_plan,
         partial_schema.num_fields(), &shards_[0]->clock());
-    Transition::MetricsBinding binding;
-    MetricLabels labels{{"transition", merge_emitter->name()},
-                        {"kind", "emitter"}};
-    binding.fires =
-        metrics_.GetCounter("datacell_transition_fires_total", labels);
-    binding.tuples =
-        metrics_.GetCounter("datacell_transition_tuples_total", labels);
-    binding.fire_latency_us =
-        metrics_.GetHistogram("datacell_transition_fire_latency_us", labels);
-    merge_emitter->BindMetrics(binding);
     for (const auto& [s, local] : placement.shard_queries) {
       DC_RETURN_NOT_OK(shards_[s]->Subscribe(
           local, std::make_shared<ForwardingSink>(union_basket)));
@@ -1100,7 +1088,7 @@ std::string ShardedEngine::ShardsReport() const {
            " firings=" + std::to_string(
                const_cast<Engine&>(e).scheduler().total_firings()) +
            " shed=" + std::to_string(e.total_shed()) +
-           " routed=" + std::to_string(routed_counters_[s]->value()) + "\n";
+           " routed=" + std::to_string(routed_[s].value()) + "\n";
   }
   out += "broadcast tuples: " + std::to_string(broadcast_tuples()) + "\n";
   out += "routes:\n";

@@ -183,12 +183,13 @@ class ShardedEngine {
   };
   Result<StreamRoute> GetRoute(const std::string& stream) const;
 
-  /// Frontend registry: datacell_shard_routed_tuples_total{shard=i},
-  /// datacell_shard_broadcast_tuples_total, merge-emitter transition
-  /// metrics. Per-shard engine metrics live in each shard's own registry.
+  /// Frontend registry: its snapshot reads the router's per-shard routed
+  /// and broadcast counts and the merge emitters' transition series (see
+  /// core/engine_metrics.h). Per-shard engine metrics live in each shard's
+  /// own registry.
   MetricsRegistry& metrics() const { return metrics_; }
   int64_t routed_tuples() const;
-  int64_t broadcast_tuples() const;
+  int64_t broadcast_tuples() const { return broadcast_.value(); }
 
   /// The `\shards` report: per-shard net sizes, firings and occupancy,
   /// stream routes, and per-query placements.
@@ -260,7 +261,8 @@ class ShardedEngine {
                              const sql::InsertStmt& stmt);
   Status FanOut(const std::string& sql);
 
-  Counter* RoutedCounter(size_t shard);
+  /// The frontend registry's collector.
+  void CollectMetrics(MetricsSnapshotData& out) const;
 
   /// Wake indirection for union baskets (mirrors Engine::WakeHub): the
   /// forwarding sinks live in shard emitters, which must never reach a dead
@@ -289,8 +291,8 @@ class ShardedEngine {
   std::vector<BasketPtr> union_baskets_;
   size_t next_pinned_shard_ = 0;
   mutable MetricsRegistry metrics_;
-  std::vector<Counter*> routed_counters_;  // one per shard
-  Counter* broadcast_counter_ = nullptr;
+  std::unique_ptr<Counter[]> routed_;  // tuples routed to each shard
+  Counter broadcast_;  // tuples copied to every shard, counted per copy
 };
 
 }  // namespace datacell

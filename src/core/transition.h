@@ -63,34 +63,23 @@ class Transition {
   void Release() { in_flight_.store(false, std::memory_order_release); }
 
   // --- statistics -------------------------------------------------------
-  int64_t runs() const { return runs_.load(std::memory_order_relaxed); }
+  // One set of counts per transition: the fire-latency histogram's count
+  // and sum are the run count and busy time. The engine's metrics snapshot
+  // reads them from here (core/engine_metrics.h).
+  int64_t runs() const {
+    return static_cast<int64_t>(fire_latency_us_.count());
+  }
   int64_t tuples_processed() const {
     return tuples_.load(std::memory_order_relaxed);
   }
-  int64_t busy_time_us() const {
-    return busy_us_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-instance registry cells this transition feeds from RecordRun.
-  /// Bound once by the engine at wiring time (before the transition enters
-  /// the scheduler); any pointer may be null.
-  struct MetricsBinding {
-    Counter* fires = nullptr;            // productive Fire() calls
-    Counter* tuples = nullptr;           // tuples processed
-    Histogram* fire_latency_us = nullptr;  // per-fire wall time
-  };
-  void BindMetrics(const MetricsBinding& binding) { metrics_ = binding; }
+  int64_t busy_time_us() const { return fire_latency_us_.sum(); }
+  /// Wall time of each productive Fire(), in µs.
+  const Histogram& fire_latency_us() const { return fire_latency_us_; }
 
  protected:
   void RecordRun(int64_t tuples, int64_t elapsed_us) {
-    runs_.fetch_add(1, std::memory_order_relaxed);
     tuples_.fetch_add(tuples, std::memory_order_relaxed);
-    busy_us_.fetch_add(elapsed_us, std::memory_order_relaxed);
-    if (metrics_.fires != nullptr) metrics_.fires->Inc();
-    if (metrics_.tuples != nullptr) metrics_.tuples->Inc(tuples);
-    if (metrics_.fire_latency_us != nullptr) {
-      metrics_.fire_latency_us->Observe(elapsed_us);
-    }
+    fire_latency_us_.Observe(elapsed_us);
   }
 
  private:
@@ -98,10 +87,8 @@ class Transition {
   TransitionKind kind_;
   int priority_;
   std::atomic<bool> in_flight_{false};
-  std::atomic<int64_t> runs_{0};
   std::atomic<int64_t> tuples_{0};
-  std::atomic<int64_t> busy_us_{0};
-  MetricsBinding metrics_;  // written before scheduling starts, then read-only
+  Histogram fire_latency_us_;
 };
 
 using TransitionPtr = std::shared_ptr<Transition>;

@@ -108,18 +108,11 @@ TEST(MetricsRegistry, StablePointersAndLabelIdentity) {
   EXPECT_NE(a, c);   // distinct labels -> distinct series
   a->Inc(3);
   c->Inc(5);
-  EXPECT_EQ(reg.num_metrics(), 2u);
   MetricsSnapshotData snap = reg.Snapshot();
+  EXPECT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.FindCounter("datacell_x_total", "1")->value, 3);
   EXPECT_EQ(snap.FindCounter("datacell_x_total", "2")->value, 5);
   EXPECT_EQ(snap.FindCounter("datacell_missing"), nullptr);
-
-  Gauge* g = reg.GetGauge("datacell_depth");
-  g->Set(7);
-  g->UpdateMax(3);  // lower: no change
-  EXPECT_EQ(g->value(), 7);
-  g->UpdateMax(11);
-  EXPECT_EQ(g->value(), 11);
 }
 
 TEST(MetricsRegistry, RenderMetricNameEscapesValues) {
@@ -133,12 +126,22 @@ TEST(MetricsRegistry, RenderMetricNameEscapesValues) {
 TEST(MetricsRegistry, PrometheusTextGolden) {
   MetricsRegistry reg;
   reg.GetCounter("datacell_test_events_total")->Inc(3);
-  reg.GetCounter("datacell_test_tuples_total", {{"query", "q1"}})->Inc(7);
-  reg.GetGauge("datacell_test_depth")->Set(5);
-  Histogram* h = reg.GetHistogram("datacell_test_latency_us");
-  h->Observe(1);    // bucket 1  [1, 1]
-  h->Observe(3);    // bucket 2  [2, 3]
-  h->Observe(100);  // bucket 7  [64, 127]
+  // Gauges and histograms live in their owners; a collector reads them.
+  constexpr MetricSeries kDepth{"datacell_test_depth", MetricKind::kGauge,
+                                {}, nullptr};
+  constexpr MetricSeries kTuples{"datacell_test_tuples_total",
+                                 MetricKind::kCounter, {"query"}, nullptr};
+  constexpr MetricSeries kLatency{"datacell_test_latency_us",
+                                  MetricKind::kHistogram, {}, nullptr};
+  Histogram h;
+  h.Observe(1);    // bucket 1  [1, 1]
+  h.Observe(3);    // bucket 2  [2, 3]
+  h.Observe(100);  // bucket 7  [64, 127]
+  reg.SetCollector([&](MetricsSnapshotData& out) {
+    out.Add(kLatency, {}, h.Snapshot());
+    out.Add(kDepth, {}, 5);
+    out.Add(kTuples, {"q1"}, 7);  // sorts in among the registry's counters
+  });
   EXPECT_EQ(reg.PrometheusText(),
             "# TYPE datacell_test_events_total counter\n"
             "datacell_test_events_total 3\n"
@@ -158,7 +161,12 @@ TEST(MetricsRegistry, PrometheusTextGolden) {
 
 TEST(MetricsRegistry, SnapshotConsistentUnderConcurrentObserve) {
   MetricsRegistry reg;
-  Histogram* h = reg.GetHistogram("datacell_race_us");
+  Histogram owned;
+  Histogram* h = &owned;
+  static constexpr MetricSeries kRace{"datacell_race_us",
+                                      MetricKind::kHistogram, {}, nullptr};
+  reg.SetCollector(
+      [h](MetricsSnapshotData& out) { out.Add(kRace, {}, h->Snapshot()); });
   Counter* c = reg.GetCounter("datacell_race_total");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
@@ -423,6 +431,227 @@ TEST(EngineMetrics, MalformedReceptorLinesReachRegistry) {
   ASSERT_NE(malformed, nullptr);
   EXPECT_EQ(malformed->value, 1);
   EXPECT_EQ(snap.FindCounter("datacell_ingested_tuples_total")->value, 2);
+}
+
+
+// --- exposition goldens -----------------------------------------------------
+
+/// A small engine covering every owner of a series: a receptor that saw one
+/// malformed line, a specialized query, a `select *` query (so the e2e
+/// histogram exists), a separate-strategy query (a private replica) and the
+/// scheduler counters after one Drain(). Simulated clock, no profiling.
+void BuildGoldenEngine(Engine& engine, Channel& wire) {
+  ASSERT_TRUE(engine.ExecuteSql("create basket s (x int, y double)").ok());
+  ASSERT_TRUE(engine.AttachReceptor("s", &wire).ok());
+  ASSERT_TRUE(engine
+                  .SubmitContinuousQuery(
+                      "hot", "select x from [select * from s] as a where a.x > 1")
+                  .ok());
+  ASSERT_TRUE(
+      engine.SubmitContinuousQuery("all", "select * from [select * from s] as b")
+          .ok());
+  QueryOptions separate;
+  separate.strategy = ProcessingStrategy::kSeparateBaskets;
+  ASSERT_TRUE(engine
+                  .SubmitContinuousQuery(
+                      "sep", "select y from [select * from s] as c", separate)
+                  .ok());
+  wire.Push("1,2.5");
+  wire.Push("not,a-number");
+  wire.Push("3,4.5");
+  engine.Drain();
+}
+
+/// The full exposition of BuildGoldenEngine, byte for byte: names, kinds,
+/// label sets, values and order.
+constexpr const char* kEngineGolden = R"(# TYPE datacell_basket_appended_total counter
+datacell_basket_appended_total{basket="all_out"} 2
+datacell_basket_appended_total{basket="hot_out"} 1
+datacell_basket_appended_total{basket="s"} 2
+datacell_basket_appended_total{basket="s__q2"} 2
+datacell_basket_appended_total{basket="sep_out"} 2
+# TYPE datacell_basket_consumed_total counter
+datacell_basket_consumed_total{basket="all_out"} 2
+datacell_basket_consumed_total{basket="hot_out"} 1
+datacell_basket_consumed_total{basket="s"} 2
+datacell_basket_consumed_total{basket="s__q2"} 2
+datacell_basket_consumed_total{basket="sep_out"} 2
+# TYPE datacell_basket_shed_total counter
+datacell_basket_shed_total{basket="all_out"} 0
+datacell_basket_shed_total{basket="hot_out"} 0
+datacell_basket_shed_total{basket="s"} 0
+datacell_basket_shed_total{basket="s__q2"} 0
+datacell_basket_shed_total{basket="sep_out"} 0
+# TYPE datacell_ingested_tuples_total counter
+datacell_ingested_tuples_total 2
+# TYPE datacell_kernel_morsels_total counter
+datacell_kernel_morsels_total 0
+# TYPE datacell_receptor_malformed_total counter
+datacell_receptor_malformed_total{receptor="receptor_s_0"} 1
+# TYPE datacell_scheduler_errors_total counter
+datacell_scheduler_errors_total 0
+# TYPE datacell_scheduler_firings_total counter
+datacell_scheduler_firings_total 7
+# TYPE datacell_scheduler_idle_waits_total counter
+datacell_scheduler_idle_waits_total 0
+# TYPE datacell_scheduler_sweeps_total counter
+datacell_scheduler_sweeps_total 2
+# TYPE datacell_scheduler_wakes_notified_total counter
+datacell_scheduler_wakes_notified_total 0
+# TYPE datacell_scheduler_wakes_timeout_total counter
+datacell_scheduler_wakes_timeout_total 0
+# TYPE datacell_specialized_queries counter
+datacell_specialized_queries 3
+# TYPE datacell_transition_fires_total counter
+datacell_transition_fires_total{transition="emitter_all",kind="emitter"} 1
+datacell_transition_fires_total{transition="emitter_hot",kind="emitter"} 1
+datacell_transition_fires_total{transition="emitter_sep",kind="emitter"} 1
+datacell_transition_fires_total{transition="factory_all",kind="factory"} 1
+datacell_transition_fires_total{transition="factory_hot",kind="factory"} 1
+datacell_transition_fires_total{transition="factory_sep",kind="factory"} 1
+datacell_transition_fires_total{transition="receptor_s_0",kind="receptor"} 1
+# TYPE datacell_transition_tuples_total counter
+datacell_transition_tuples_total{transition="emitter_all",kind="emitter"} 2
+datacell_transition_tuples_total{transition="emitter_hot",kind="emitter"} 1
+datacell_transition_tuples_total{transition="emitter_sep",kind="emitter"} 2
+datacell_transition_tuples_total{transition="factory_all",kind="factory"} 2
+datacell_transition_tuples_total{transition="factory_hot",kind="factory"} 2
+datacell_transition_tuples_total{transition="factory_sep",kind="factory"} 2
+datacell_transition_tuples_total{transition="receptor_s_0",kind="receptor"} 2
+# TYPE datacell_basket_bytes gauge
+datacell_basket_bytes{basket="all_out"} 0
+datacell_basket_bytes{basket="hot_out"} 0
+datacell_basket_bytes{basket="s"} 48
+datacell_basket_bytes{basket="s__q2"} 0
+datacell_basket_bytes{basket="sep_out"} 0
+# TYPE datacell_basket_high_water gauge
+datacell_basket_high_water{basket="all_out"} 2
+datacell_basket_high_water{basket="hot_out"} 1
+datacell_basket_high_water{basket="s"} 2
+datacell_basket_high_water{basket="s__q2"} 2
+datacell_basket_high_water{basket="sep_out"} 2
+# TYPE datacell_basket_tuples gauge
+datacell_basket_tuples{basket="all_out"} 0
+datacell_basket_tuples{basket="hot_out"} 0
+datacell_basket_tuples{basket="s"} 0
+datacell_basket_tuples{basket="s__q2"} 0
+datacell_basket_tuples{basket="sep_out"} 0
+# TYPE datacell_partitionable_queries gauge
+datacell_partitionable_queries 1
+# TYPE datacell_query_state_bound_bytes gauge
+datacell_query_state_bound_bytes{query="all"} 0
+datacell_query_state_bound_bytes{query="hot"} 0
+datacell_query_state_bound_bytes{query="sep"} 0
+# TYPE datacell_query_state_bytes gauge
+datacell_query_state_bytes{query="all"} 0
+datacell_query_state_bytes{query="hot"} 0
+datacell_query_state_bytes{query="sep"} 0
+# TYPE datacell_query_state_high_water_bytes gauge
+datacell_query_state_high_water_bytes{query="all"} 0
+datacell_query_state_high_water_bytes{query="hot"} 0
+datacell_query_state_high_water_bytes{query="sep"} 0
+# TYPE datacell_shardable_queries gauge
+datacell_shardable_queries 1
+# TYPE datacell_query_e2e_latency_us histogram
+datacell_query_e2e_latency_us_bucket{query="all",le="0"} 2
+datacell_query_e2e_latency_us_bucket{query="all",le="+Inf"} 2
+datacell_query_e2e_latency_us_sum{query="all"} 0
+datacell_query_e2e_latency_us_count{query="all"} 2
+# TYPE datacell_transition_fire_latency_us histogram
+datacell_transition_fire_latency_us_bucket{transition="emitter_all",kind="emitter",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_all",kind="emitter",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="emitter_all",kind="emitter"} 0
+datacell_transition_fire_latency_us_count{transition="emitter_all",kind="emitter"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_hot",kind="emitter",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_hot",kind="emitter",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="emitter_hot",kind="emitter"} 0
+datacell_transition_fire_latency_us_count{transition="emitter_hot",kind="emitter"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_sep",kind="emitter",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_sep",kind="emitter",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="emitter_sep",kind="emitter"} 0
+datacell_transition_fire_latency_us_count{transition="emitter_sep",kind="emitter"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_all",kind="factory",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_all",kind="factory",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="factory_all",kind="factory"} 0
+datacell_transition_fire_latency_us_count{transition="factory_all",kind="factory"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_hot",kind="factory",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_hot",kind="factory",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="factory_hot",kind="factory"} 0
+datacell_transition_fire_latency_us_count{transition="factory_hot",kind="factory"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_sep",kind="factory",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_sep",kind="factory",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="factory_sep",kind="factory"} 0
+datacell_transition_fire_latency_us_count{transition="factory_sep",kind="factory"} 1
+datacell_transition_fire_latency_us_bucket{transition="receptor_s_0",kind="receptor",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="receptor_s_0",kind="receptor",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="receptor_s_0",kind="receptor"} 0
+datacell_transition_fire_latency_us_count{transition="receptor_s_0",kind="receptor"} 1
+)";
+
+TEST(MetricsGolden, EngineExpositionIsPinned) {
+  EngineOptions opts;
+  opts.use_wall_clock = false;
+  Engine engine(opts);
+  Channel wire;
+  BuildGoldenEngine(engine, wire);
+  EXPECT_EQ(engine.MetricsText(), kEngineGolden);
+}
+
+TEST(MetricsGolden, RemovedQueryExportsNoSeries) {
+  EngineOptions opts;
+  opts.use_wall_clock = false;
+  opts.monitor_tick_us = 1000;
+  Engine engine(opts);
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+  QueryOptions separate;
+  separate.strategy = ProcessingStrategy::kSeparateBaskets;
+  auto gone = engine.SubmitContinuousQuery(
+      "gone", "select * from [select * from r] as a", separate);
+  ASSERT_TRUE(gone.ok());
+  ASSERT_TRUE(engine.Ingest("r", {Value::Int64(1)}).ok());
+  engine.Drain();
+  ASSERT_NE(engine.MetricsText().find("factory_gone"), std::string::npos);
+  ASSERT_TRUE(engine.RemoveContinuousQuery(*gone).ok());
+
+  auto rows_naming = [&engine](const std::string& sql,
+                               const std::string& needle) {
+    auto t = engine.ExecuteSql(sql);
+    EXPECT_TRUE(t.ok());
+    int n = 0;
+    for (size_t i = 0; t.ok() && i < (*t)->num_rows(); ++i) {
+      if ((*t)->column(0)->GetValue(i).ToString().find(needle) !=
+          std::string::npos) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  const int transition_rows =
+      rows_naming("select t.transition from sys.transitions as t", "gone");
+  const int query_rows = rows_naming("select q.query from sys.queries as q", "gone");
+  const int replica_rows = rows_naming("select b.name from sys.baskets as b", "r__q0");
+  EXPECT_GT(transition_rows, 0);  // the tick before removal saw the query
+
+  std::string text = engine.MetricsText();
+  EXPECT_EQ(text.find("factory_gone"), std::string::npos) << text;
+  EXPECT_EQ(text.find("emitter_gone"), std::string::npos) << text;
+  EXPECT_EQ(text.find("query=\"gone\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("r__q0"), std::string::npos) << text;
+  // The output stream stays a queryable stream, so it keeps its series.
+  EXPECT_NE(text.find("basket=\"gone_out\""), std::string::npos) << text;
+  std::string report = engine.StatsReport();
+  EXPECT_EQ(report.find("gone\n"), std::string::npos) << report;
+  EXPECT_EQ(report.find("factory_gone"), std::string::npos) << report;
+
+  // The next monitor tick reads the same snapshot: no new rows name the
+  // removed query or its retired replica.
+  engine.simulated_clock()->Advance(1000);
+  engine.Drain();
+  EXPECT_EQ(rows_naming("select t.transition from sys.transitions as t", "gone"),
+            transition_rows);
+  EXPECT_EQ(rows_naming("select q.query from sys.queries as q", "gone"), query_rows);
+  EXPECT_EQ(rows_naming("select b.name from sys.baskets as b", "r__q0"),
+            replica_rows);
 }
 
 }  // namespace

@@ -477,7 +477,9 @@ TEST(MetricsFilter, PrefixSelectsSeries) {
   MetricsRegistry reg;
   reg.GetCounter("datacell_alpha_total")->Inc();
   reg.GetCounter("datacell_beta_total")->Inc();
-  reg.GetGauge("datacell_alpha_depth")->Set(3);
+  static constexpr MetricSeries kDepth{"datacell_alpha_depth",
+                                       MetricKind::kGauge, {}, nullptr};
+  reg.SetCollector([](MetricsSnapshotData& out) { out.Add(kDepth, {}, 3); });
   std::string all = reg.PrometheusText();
   EXPECT_NE(all.find("datacell_alpha_total"), std::string::npos);
   EXPECT_NE(all.find("datacell_beta_total"), std::string::npos);

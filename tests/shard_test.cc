@@ -555,5 +555,42 @@ TEST(ShardReportTest, ShardsReportListsRoutesAndPlacements) {
   EXPECT_NE((*info)->placement.find("merge"), std::string::npos);
 }
 
+
+// --- frontend exposition golden ---------------------------------------------
+
+/// The frontend registry's exposition, byte for byte: per-shard routed
+/// counters, the broadcast counter and one merge emitter's transition series.
+constexpr const char* kFrontendGolden = R"(# TYPE datacell_shard_broadcast_tuples_total counter
+datacell_shard_broadcast_tuples_total 0
+# TYPE datacell_shard_routed_tuples_total counter
+datacell_shard_routed_tuples_total{shard="0"} 19
+datacell_shard_routed_tuples_total{shard="1"} 21
+# TYPE datacell_transition_fires_total counter
+datacell_transition_fires_total{transition="merge_mean",kind="emitter"} 1
+# TYPE datacell_transition_tuples_total counter
+datacell_transition_tuples_total{transition="merge_mean",kind="emitter"} 1
+# TYPE datacell_transition_fire_latency_us histogram
+datacell_transition_fire_latency_us_bucket{transition="merge_mean",kind="emitter",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="merge_mean",kind="emitter",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="merge_mean",kind="emitter"} 0
+datacell_transition_fire_latency_us_count{transition="merge_mean",kind="emitter"} 1
+)";
+
+TEST(ShardMetricsTest, FrontendExpositionIsPinned) {
+  ShardedEngineOptions so;
+  so.num_shards = 2;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(se.ExecuteScript("create basket sensors (id int, temp double) "
+                               "partition by id")
+                  .ok());
+  auto q = se.SubmitContinuousQuery(
+      "mean", "select avg(temp) as mean from [select * from sensors] as s");
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  ASSERT_TRUE(se.IngestBatch("sensors", SensorRows(40)).ok());
+  se.Drain();
+  EXPECT_EQ(se.metrics().PrometheusText(), kFrontendGolden);
+}
+
 }  // namespace
 }  // namespace datacell
