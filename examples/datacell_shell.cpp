@@ -1,7 +1,9 @@
 // Interactive DataCell shell: a minimal SQL client for exploring the engine.
-// Reads ';'-terminated statements from stdin and supports a few meta
-// commands. Continuous queries are submitted with the \watch command and
-// their results print as they arrive.
+// Reads statements and meta commands from stdin, cut by sql::SplitScript:
+// SQL statements and \watch end at a ';' outside '...' literals and `--`
+// comments, so both may span lines; every other meta command ends at the end
+// of its line. Continuous queries are submitted with \watch and their
+// results print as they arrive.
 //
 //   ./build/examples/datacell_shell
 //   datacell> create basket s (x int, label string);
@@ -20,7 +22,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "adapters/csv.h"
@@ -28,6 +29,7 @@
 #include "core/engine.h"
 #include "core/shard.h"
 #include "net/observability.h"
+#include "sql/parser.h"
 
 using namespace datacell;
 
@@ -80,25 +82,27 @@ class Shell {
     } else {
       std::printf("DataCell shell — end statements with ';', \\help for help\n");
     }
+    // The buffer keeps only the piece still waiting for its terminator.
     std::string buffer;
     std::string line;
     std::printf("datacell> ");
     std::fflush(stdout);
     while (std::getline(std::cin, line)) {
-      std::string trimmed(Trim(line));
-      if (!trimmed.empty() && trimmed[0] == '\\') {
-        if (!HandleMeta(trimmed)) return 0;
-        Prompt(buffer);
-        continue;
-      }
       buffer += line;
       buffer += '\n';
-      size_t pos;
-      while ((pos = buffer.find(';')) != std::string::npos) {
-        std::string stmt = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        if (!Trim(stmt).empty()) Execute(stmt);
+      size_t consumed = buffer.size();
+      for (const sql::ScriptPiece& piece : sql::SplitScript(buffer)) {
+        if (!piece.terminated) {
+          consumed = static_cast<size_t>(piece.text.data() - buffer.data());
+          break;
+        }
+        if (!piece.is_command()) {
+          Execute(std::string(piece.text));
+        } else if (!HandleMeta(std::string(piece.text))) {
+          return 0;
+        }
       }
+      buffer.erase(0, consumed);
       Prompt(buffer);
     }
     return 0;
@@ -136,9 +140,12 @@ class Shell {
     }
     if (StartsWith(cmd, "\\help")) {
       std::printf(
-          "  <sql>;                 run DDL / INSERT / one-time SELECT\n"
-          "  \\watch <name> <sql>;   submit a continuous query; results "
-          "print as they arrive\n"
+          "  <sql>;                 run DDL / INSERT / one-time SELECT "
+          "(may span lines)\n"
+          "  \\watch <name> <sql>;   submit a continuous query (may span "
+          "lines; ends at ';');\n"
+          "                         results print as they arrive\n"
+          "  other \\ commands end at the end of their line:\n"
           "  \\explain <sql>         show the MAL plan of a query\n"
           "  \\explain <id|name>     show a registered query's execution\n"
           "                         pipeline (specialized steps or\n"
@@ -435,16 +442,9 @@ class Shell {
       }
       return true;
     }
-    if (StartsWith(cmd, "\\watch ")) {
-      std::istringstream in(cmd.substr(7));
-      std::string name;
-      in >> name;
-      std::string sql;
-      std::getline(in, sql);
-      // Strip a trailing ';'.
-      while (!sql.empty() && (sql.back() == ';' || sql.back() == ' ')) {
-        sql.pop_back();
-      }
+    if (auto watch = sql::SplitWatch(cmd)) {
+      const std::string name = watch->first;
+      const std::string& sql = watch->second;
       auto q = sharded_ != nullptr
                    ? sharded_->SubmitContinuousQuery(name, sql)
                    : engine_->SubmitContinuousQuery(name, sql);

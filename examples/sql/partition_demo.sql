@@ -7,7 +7,7 @@
 -- verdicts: partitionable, needs-final-merge, needs-broadcast, pinned.
 -- Each query reads its own basket so the live N004 multi-reader override
 -- never fires and the effective verdict matches the static one.
--- (\watch statements are one-liners: the lint splitter is line-based.)
+-- (\watch statements end at their ';', so they may span lines.)
 
 -- q1: per-tuple filter/project preserves the declared key end to end.
 -- Verdict: partitionable(id); hot_out inherits the key.

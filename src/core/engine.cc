@@ -9,26 +9,12 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/engine_metrics.h"
+#include "sql/binder.h"
 #include "sql/parser.h"
 
 namespace datacell {
 
 namespace {
-
-/// Evaluates a constant INSERT expression (literals, optionally negated).
-Result<Value> EvalConstAst(const sql::AstExpr& e) {
-  using sql::AstExprKind;
-  using sql::AstUnaryOp;
-  if (e.kind == AstExprKind::kLiteral) return e.literal;
-  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
-    DC_ASSIGN_OR_RETURN(Value v, EvalConstAst(*e.children[0]));
-    if (v.is_int64()) return Value::Int64(-v.int64_value());
-    if (v.is_double()) return Value::Double(-v.double_value());
-    return Status::TypeError("cannot negate non-numeric literal");
-  }
-  return Status::InvalidArgument(
-      "INSERT values must be literals: " + e.ToString());
-}
 
 /// One `\stats` section line: ` key=value` for every declared series whose
 /// first label key is `scope` ("" = unlabelled) and that has a stats key,
@@ -461,9 +447,8 @@ Result<BasketPtr> Engine::MakePrivateBasket(const std::string& stream,
   return basket;
 }
 
-Result<QueryId> Engine::SubmitContinuousQuery(const std::string& name,
-                                              const std::string& sql,
-                                              QueryOptions options) {
+Result<sql::CompiledQuery> Engine::CompileContinuous(
+    const std::string& sql) const {
   DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
   if (stmt.kind != sql::Statement::Kind::kSelect) {
     return Status::InvalidArgument("continuous queries must be SELECTs");
@@ -477,6 +462,13 @@ Result<QueryId> Engine::SubmitContinuousQuery(const std::string& name,
         "[select ... from <basket>]");
   }
   query.sql_text = sql;
+  return query;
+}
+
+Result<QueryId> Engine::SubmitContinuousQuery(const std::string& name,
+                                              const std::string& sql,
+                                              QueryOptions options) {
+  DC_ASSIGN_OR_RETURN(sql::CompiledQuery query, CompileContinuous(sql));
   return SubmitCompiledQuery(name, std::move(query), options);
 }
 
@@ -869,47 +861,28 @@ Status Engine::ExecuteCreate(const sql::CreateStmt& stmt) {
 }
 
 Status Engine::ExecuteInsert(const sql::InsertStmt& stmt) {
+  if (const StreamInfo* stream = FindStream(stmt.table)) {
+    DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                        sql::BindInsertRows(stmt, stream->user_schema));
+    // A basket takes the statement as one batch with one arrival ts.
+    return IngestBatch(stmt.table, rows);
+  }
   DC_ASSIGN_OR_RETURN(TablePtr table, catalog_.Get(stmt.table));
-  DC_ASSIGN_OR_RETURN(RelationKind kind, catalog_.KindOf(stmt.table));
-  bool is_basket = kind == RelationKind::kBasket;
-  // Effective schema the user addresses (without ts for baskets).
-  size_t user_cols =
-      is_basket ? table->num_columns() - 1 : table->num_columns();
-
-  // Optional column list: build the value permutation.
-  std::vector<size_t> positions;
-  if (!stmt.columns.empty()) {
-    for (const std::string& col : stmt.columns) {
-      auto idx = table->schema().IndexOf(col);
-      if (!idx.has_value() || *idx >= user_cols) {
-        return Status::NotFound("unknown column '" + col + "' in INSERT");
-      }
-      positions.push_back(*idx);
-    }
-  }
-
-  // The statement applies whole or not at all: every row is evaluated and
-  // validated before the first one lands.
-  std::vector<Row> rows;
-  rows.reserve(stmt.rows.size());
-  for (const auto& ast_row : stmt.rows) {
-    size_t expected = stmt.columns.empty() ? user_cols : stmt.columns.size();
-    if (ast_row.size() != expected) {
-      return Status::InvalidArgument("INSERT row arity mismatch");
-    }
-    Row row(user_cols, Value::Null());
-    for (size_t i = 0; i < ast_row.size(); ++i) {
-      DC_ASSIGN_OR_RETURN(Value v, EvalConstAst(*ast_row[i]));
-      size_t pos = stmt.columns.empty() ? i : positions[i];
-      // Integer literals inserted into double columns widen on append.
-      row[pos] = std::move(v);
-    }
-    rows.push_back(std::move(row));
-  }
-  // A basket takes the statement as one batch with one arrival ts.
-  if (is_basket) return IngestBatch(stmt.table, rows);
-  DC_RETURN_NOT_OK(ColumnBatch::CheckRows(table->schema(), rows));
+  DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                      sql::BindInsertRows(stmt, table->schema()));
   for (const Row& row : rows) DC_RETURN_NOT_OK(table->AppendRow(row));
+  return Status::OK();
+}
+
+Status Engine::CheckDrop(const sql::DropStmt& stmt) const {
+  auto it = streams_.find(ToLower(stmt.name));
+  if (it != streams_.end() && it->second.has_consumers) {
+    return Status::FailedPrecondition("cannot drop stream '" + stmt.name +
+                                      "' with active continuous queries");
+  }
+  if (!catalog_.Contains(stmt.name)) {
+    return Status::NotFound("unknown relation '" + stmt.name + "'");
+  }
   return Status::OK();
 }
 
@@ -941,35 +914,39 @@ Result<TablePtr> Engine::ExecuteSelect(const sql::SelectStmt& stmt) {
   return ExecutePlan(*query.plan, bindings);
 }
 
-Result<TablePtr> Engine::ExecuteSql(const std::string& sql) {
-  DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  auto empty = [] {
-    return std::make_shared<Table>("", Schema{});
-  };
+Result<TablePtr> Engine::Execute(const sql::Statement& stmt) {
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
       return ExecuteSelect(*stmt.select);
     case sql::Statement::Kind::kCreate:
       DC_RETURN_NOT_OK(ExecuteCreate(*stmt.create));
-      return empty();
+      break;
     case sql::Statement::Kind::kInsert:
       DC_RETURN_NOT_OK(ExecuteInsert(*stmt.insert));
-      return empty();
-    case sql::Statement::Kind::kDrop: {
-      const std::string key = ToLower(stmt.drop->name);
-      if (streams_.count(key) > 0) {
-        if (streams_[key].has_consumers) {
-          return Status::FailedPrecondition(
-              "cannot drop stream '" + stmt.drop->name +
-              "' with active continuous queries");
-        }
-        streams_.erase(key);
-      }
+      break;
+    case sql::Statement::Kind::kDrop:
+      DC_RETURN_NOT_OK(CheckDrop(*stmt.drop));
+      streams_.erase(ToLower(stmt.drop->name));
       DC_RETURN_NOT_OK(catalog_.Drop(stmt.drop->name));
-      return empty();
-    }
+      break;
   }
-  return Status::Internal("bad statement kind");
+  return std::make_shared<Table>("", Schema{});
+}
+
+Result<TablePtr> Engine::ExecuteSql(const std::string& sql) {
+  DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  return Execute(stmt);
+}
+
+Result<TablePtr> Engine::ExecuteScript(const std::string& script) {
+  DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> statements,
+                      sql::ParseScript(script));
+  TablePtr last = std::make_shared<Table>("", Schema{});
+  for (const sql::Statement& stmt : statements) {
+    DC_ASSIGN_OR_RETURN(TablePtr result, Execute(stmt));
+    if (stmt.kind == sql::Statement::Kind::kSelect) last = std::move(result);
+  }
+  return last;
 }
 
 void Engine::CollectMetrics(MetricsSnapshotData& out) const {
@@ -1122,43 +1099,6 @@ int64_t Engine::total_shed() const {
     if (stream.chain_head != nullptr) shed += stream.chain_head->total_shed();
   }
   return shed;
-}
-
-Result<TablePtr> Engine::ExecuteScript(const std::string& script) {
-  DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> statements,
-                      sql::ParseScript(script));
-  TablePtr last = std::make_shared<Table>("", Schema{});
-  for (size_t i = 0; i < statements.size(); ++i) {
-    // Re-render is not available; dispatch the parsed statement through the
-    // same paths ExecuteSql uses.
-    sql::Statement& stmt = statements[i];
-    switch (stmt.kind) {
-      case sql::Statement::Kind::kSelect: {
-        DC_ASSIGN_OR_RETURN(last, ExecuteSelect(*stmt.select));
-        break;
-      }
-      case sql::Statement::Kind::kCreate:
-        DC_RETURN_NOT_OK(ExecuteCreate(*stmt.create));
-        break;
-      case sql::Statement::Kind::kInsert:
-        DC_RETURN_NOT_OK(ExecuteInsert(*stmt.insert));
-        break;
-      case sql::Statement::Kind::kDrop: {
-        const std::string key = ToLower(stmt.drop->name);
-        if (streams_.count(key) > 0) {
-          if (streams_[key].has_consumers) {
-            return Status::FailedPrecondition(
-                "cannot drop stream '" + stmt.drop->name +
-                "' with active continuous queries");
-          }
-          streams_.erase(key);
-        }
-        DC_RETURN_NOT_OK(catalog_.Drop(stmt.drop->name));
-        break;
-      }
-    }
-  }
-  return last;
 }
 
 std::string Engine::DumpCatalogSql() const {

@@ -161,14 +161,25 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // --- SQL entry points ---------------------------------------------------
-  /// Executes DDL (CREATE TABLE/BASKET, DROP), INSERT, or a one-time SELECT.
-  /// Returns the result table for SELECT, an empty table otherwise.
-  /// Continuous SELECTs (basket expression in FROM) are rejected here —
-  /// submit them with SubmitContinuousQuery.
+  /// Executes one parsed statement: DDL (CREATE TABLE/BASKET, DROP), INSERT,
+  /// or a one-time SELECT. Returns the result table for SELECT, an empty
+  /// table otherwise. Continuous SELECTs (basket expression in FROM) are
+  /// rejected here — submit them with SubmitContinuousQuery. Every SQL entry
+  /// point, the sharded frontend's fan-out included, dispatches here.
+  Result<TablePtr> Execute(const sql::Statement& stmt);
+  /// Parses one statement and executes it.
   Result<TablePtr> ExecuteSql(const std::string& sql);
-  /// Executes a ';'-separated script of statements; stops at the first
-  /// error. Returns the result of the last SELECT (or an empty table).
+  /// Parses a ';'-separated script whole (a parse error executes nothing),
+  /// then executes its statements in order; stops at the first error.
+  /// Returns the result of the last SELECT (or an empty table).
   Result<TablePtr> ExecuteScript(const std::string& script);
+  /// The checks a DROP must pass before it changes anything: the relation
+  /// exists, and no continuous query consumes it if it is a stream.
+  Status CheckDrop(const sql::DropStmt& stmt) const;
+
+  /// Parses and compiles a continuous SELECT (one with a basket expression
+  /// in FROM) against this engine's catalog; `sql_text` is set to `sql`.
+  Result<sql::CompiledQuery> CompileContinuous(const std::string& sql) const;
 
   /// Registers a continuous query under `name`. Creates the factory, an
   /// output basket `<name>_out`, and an emitter, wires them into the

@@ -8,70 +8,12 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/engine_metrics.h"
+#include "sql/binder.h"
 #include "sql/parser.h"
 
 namespace datacell {
 
 namespace {
-
-/// Evaluates a constant INSERT expression (literals, optionally negated).
-/// Mirrors the engine's insert path; the router must materialise the rows
-/// itself to know where they go.
-Result<Value> EvalConstInsert(const sql::AstExpr& e) {
-  using sql::AstExprKind;
-  using sql::AstUnaryOp;
-  if (e.kind == AstExprKind::kLiteral) return e.literal;
-  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
-    DC_ASSIGN_OR_RETURN(Value v, EvalConstInsert(*e.children[0]));
-    if (v.is_int64()) return Value::Int64(-v.int64_value());
-    if (v.is_double()) return Value::Double(-v.double_value());
-    return Status::TypeError("cannot negate non-numeric literal");
-  }
-  return Status::InvalidArgument(
-      "INSERT values must be literals: " + e.ToString());
-}
-
-/// Splits a script into statements on top-level ';', preserving the original
-/// text of each (unlike sql::ParseScript, which keeps only the parse trees —
-/// the frontend fans the raw text out to every shard).
-std::vector<std::string> SplitStatements(const std::string& script) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool in_string = false;
-  bool in_comment = false;
-  for (size_t i = 0; i < script.size(); ++i) {
-    char ch = script[i];
-    if (in_comment) {
-      if (ch == '\n') in_comment = false;
-      cur += ch;
-      continue;
-    }
-    if (in_string) {
-      if (ch == '\'') in_string = false;
-      cur += ch;
-      continue;
-    }
-    if (ch == '\'') {
-      in_string = true;
-    } else if (ch == '-' && i + 1 < script.size() && script[i + 1] == '-') {
-      in_comment = true;
-    } else if (ch == ';') {
-      out.push_back(cur);
-      cur.clear();
-      continue;
-    }
-    cur += ch;
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool IsBlank(const std::string& s) {
-  for (char ch : s) {
-    if (!std::isspace(static_cast<unsigned char>(ch))) return false;
-  }
-  return true;
-}
 
 /// Shard-side egress of a merged query: appends every emitted partial batch
 /// into the frontend union basket. Emitters call OnBatch from shard worker
@@ -521,99 +463,81 @@ Status ShardedEngine::IngestColumns(const std::string& name,
 // SQL entry points
 // ---------------------------------------------------------------------------
 
-Status ShardedEngine::FanOut(const std::string& sql) {
+Status ShardedEngine::FanOut(const sql::Statement& stmt) {
   for (auto& shard : shards_) {
-    DC_RETURN_NOT_OK(shard->ExecuteSql(sql).status());
+    DC_RETURN_NOT_OK(shard->Execute(stmt).status());
   }
   return Status::OK();
 }
 
-Result<TablePtr> ShardedEngine::ExecuteSql(const std::string& sql) {
-  DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  auto empty = [] { return std::make_shared<Table>("", Schema{}); };
+Result<TablePtr> ShardedEngine::Execute(const sql::Statement& stmt) {
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
       return ExecuteGatherSelect(*stmt.select);
-    case sql::Statement::Kind::kCreate: {
-      DC_RETURN_NOT_OK(FanOut(sql));
+    case sql::Statement::Kind::kCreate:
+      DC_RETURN_NOT_OK(FanOut(stmt));
       if (stmt.create->is_basket) {
-        Schema schema;
-        for (const sql::ColumnDef& def : stmt.create->columns) {
-          schema.AddField(Field{def.name, def.type});
-        }
-        DC_RETURN_NOT_OK(
-            RegisterRoute(stmt.create->name, schema, stmt.create->partition_by));
+        DC_ASSIGN_OR_RETURN(BasketPtr basket,
+                            shards_[0]->GetBasket(stmt.create->name));
+        DC_RETURN_NOT_OK(RegisterRoute(stmt.create->name, basket->user_schema(),
+                                       stmt.create->partition_by));
       }
-      return empty();
-    }
+      break;
     case sql::Statement::Kind::kInsert:
-      DC_RETURN_NOT_OK(ExecuteInsertRouted(sql, *stmt.insert));
-      return empty();
+      DC_RETURN_NOT_OK(ExecuteInsertRouted(stmt));
+      break;
     case sql::Statement::Kind::kDrop: {
-      DC_RETURN_NOT_OK(FanOut(sql));
+      // Check on every shard before any shard drops: shard catalogs stay
+      // identical even when only one shard hosts a consumer.
+      for (auto& shard : shards_) {
+        DC_RETURN_NOT_OK(shard->CheckDrop(*stmt.drop));
+      }
+      DC_RETURN_NOT_OK(FanOut(stmt));
       std::lock_guard<std::mutex> lock(routes_mu_);
       routes_.erase(ToLower(stmt.drop->name));
       internal_.erase(ToLower(stmt.drop->name));
-      return empty();
+      break;
     }
   }
-  return Status::Internal("unhandled statement kind");
+  return std::make_shared<Table>("", Schema{});
+}
+
+Result<TablePtr> ShardedEngine::ExecuteSql(const std::string& sql) {
+  DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  return Execute(stmt);
 }
 
 Result<TablePtr> ShardedEngine::ExecuteScript(const std::string& script) {
+  DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> statements,
+                      sql::ParseScript(script));
   TablePtr last = std::make_shared<Table>("", Schema{});
-  for (const std::string& piece : SplitStatements(script)) {
-    if (IsBlank(piece)) continue;
-    DC_ASSIGN_OR_RETURN(last, ExecuteSql(piece));
+  for (const sql::Statement& stmt : statements) {
+    DC_ASSIGN_OR_RETURN(TablePtr result, Execute(stmt));
+    if (stmt.kind == sql::Statement::Kind::kSelect) last = std::move(result);
   }
   return last;
 }
 
-Status ShardedEngine::ExecuteInsertRouted(const std::string& sql,
-                                          const sql::InsertStmt& stmt) {
+Status ShardedEngine::ExecuteInsertRouted(const sql::Statement& stmt) {
+  const std::string& table = stmt.insert->table;
   Schema user;
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
-    RouteState* r = FindRoute(stmt.table);
+    RouteState* r = FindRoute(table);
     if (r == nullptr) {
       // Static tables replicate: the same INSERT lands on every shard.
       // Unrouted streams (query outputs, sys.*) cannot take frontend rows.
-      bool is_stream = shards_[0]->GetBasket(stmt.table).ok();
-      if (is_stream) {
+      if (shards_[0]->GetBasket(table).ok()) {
         return Status::FailedPrecondition(
-            "stream '" + stmt.table + "' has no frontend ingest route");
+            "stream '" + table + "' has no frontend ingest route");
       }
-      return FanOut(sql);
+      return FanOut(stmt);
     }
     user = r->user_schema;
   }
-  std::vector<size_t> positions;
-  if (!stmt.columns.empty()) {
-    for (const std::string& col : stmt.columns) {
-      auto idx = user.IndexOf(col);
-      if (!idx.has_value()) {
-        return Status::NotFound("unknown column '" + col + "' in INSERT");
-      }
-      positions.push_back(*idx);
-    }
-  }
-  std::vector<Row> rows;
-  rows.reserve(stmt.rows.size());
-  for (const auto& ast_row : stmt.rows) {
-    size_t expected =
-        stmt.columns.empty() ? user.num_fields() : stmt.columns.size();
-    if (ast_row.size() != expected) {
-      return Status::InvalidArgument("INSERT row arity mismatch");
-    }
-    Row row(user.num_fields(), Value::Null());
-    for (size_t i = 0; i < ast_row.size(); ++i) {
-      DC_ASSIGN_OR_RETURN(Value v, EvalConstInsert(*ast_row[i]));
-      size_t pos = stmt.columns.empty() ? i : positions[i];
-      row[pos] = std::move(v);
-    }
-    rows.push_back(std::move(row));
-  }
-  return IngestBatch(stmt.table, rows);
+  DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                      sql::BindInsertRows(*stmt.insert, user));
+  return IngestBatch(table, rows);
 }
 
 Result<TablePtr> ShardedEngine::ExecuteGatherSelect(
@@ -676,20 +600,10 @@ Result<TablePtr> ShardedEngine::ExecuteGatherSelect(
 Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
                                                      const std::string& sql,
                                                      QueryOptions options) {
-  DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  if (stmt.kind != sql::Statement::Kind::kSelect) {
-    return Status::InvalidArgument("continuous queries must be SELECTs");
-  }
   // Compile against shard 0's catalog (DDL fans out, so all shard catalogs
   // are identical) purely to classify; the shards re-compile for execution.
-  sql::Planner planner(&shards_[0]->catalog());
   DC_ASSIGN_OR_RETURN(sql::CompiledQuery query,
-                      planner.CompileSelect(*stmt.select));
-  if (!query.continuous) {
-    return Status::InvalidArgument(
-        "'" + name + "' is not a continuous query (no basket expression)");
-  }
-  query.sql_text = sql;
+                      shards_[0]->CompileContinuous(sql));
 
   auto report = std::make_shared<analysis::PartitionReport>();
   {

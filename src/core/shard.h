@@ -110,11 +110,18 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   // --- SQL entry points ---------------------------------------------------
-  /// DDL fans out to every shard; INSERT into streams routes through the
-  /// router; one-time SELECTs gather (baskets bind the concatenated
-  /// per-shard snapshots). Continuous SELECTs are rejected here.
+  /// Executes one parsed statement. DDL fans the parsed statement out to
+  /// every shard's Engine::Execute; a DROP first passes Engine::CheckDrop
+  /// on every shard, so one a shard rejects lands on none. INSERT into
+  /// streams routes through the router; one-time SELECTs gather (baskets
+  /// bind the concatenated per-shard snapshots). Continuous SELECTs are
+  /// rejected here.
+  Result<TablePtr> Execute(const sql::Statement& stmt);
+  /// Parses one statement and executes it.
   Result<TablePtr> ExecuteSql(const std::string& sql);
-  /// ';'-separated statements through ExecuteSql; stops at the first error.
+  /// Parses a ';'-separated script whole (a parse error executes nothing),
+  /// then executes its statements in order; stops at the first error.
+  /// Returns the result of the last SELECT (or an empty table).
   Result<TablePtr> ExecuteScript(const std::string& script);
 
   /// Classifies `sql` with the partition analyzer and places it across the
@@ -257,9 +264,11 @@ class ShardedEngine {
                        const std::string& partition_key);
 
   Result<TablePtr> ExecuteGatherSelect(const sql::SelectStmt& stmt);
-  Status ExecuteInsertRouted(const std::string& sql,
-                             const sql::InsertStmt& stmt);
-  Status FanOut(const std::string& sql);
+  /// INSERT into a routed stream goes through the router; into a static
+  /// table, to every shard.
+  Status ExecuteInsertRouted(const sql::Statement& stmt);
+  /// Executes `stmt` on every shard in order; stops at the first error.
+  Status FanOut(const sql::Statement& stmt);
 
   /// The frontend registry's collector.
   void CollectMetrics(MetricsSnapshotData& out) const;

@@ -1,6 +1,7 @@
 #include "sql/binder.h"
 
 #include "common/string_util.h"
+#include "storage/column_batch.h"
 
 namespace datacell {
 namespace sql {
@@ -21,6 +22,19 @@ namespace {
 /// " at line:col" suffix for binder diagnostics; empty when unknown.
 std::string AtLoc(SourceLoc loc) {
   return loc.valid() ? " at " + loc.ToString() : std::string();
+}
+
+/// Evaluates a constant INSERT expression (literals, optionally negated).
+Result<Value> EvalInsertLiteral(const AstExpr& e) {
+  if (e.kind == AstExprKind::kLiteral) return e.literal;
+  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
+    DC_ASSIGN_OR_RETURN(Value v, EvalInsertLiteral(*e.children[0]));
+    if (v.is_int64()) return Value::Int64(-v.int64_value());
+    if (v.is_double()) return Value::Double(-v.double_value());
+    return Status::TypeError("cannot negate non-numeric literal");
+  }
+  return Status::InvalidArgument("INSERT values must be literals: " +
+                                 e.ToString());
 }
 
 }  // namespace
@@ -283,6 +297,37 @@ Result<ExprPtr> BindScalarExpr(const AstExpr& ast, const Scope& scope) {
     }
   }
   return Status::Internal("bad expression kind");
+}
+
+Result<std::vector<Row>> BindInsertRows(const InsertStmt& stmt,
+                                        const Schema& schema) {
+  // The schema position each value of a row lands in.
+  std::vector<size_t> positions;
+  for (const std::string& col : stmt.columns) {
+    auto idx = schema.IndexOf(col);
+    if (!idx.has_value()) {
+      return Status::NotFound("unknown column '" + col + "' in INSERT");
+    }
+    positions.push_back(*idx);
+  }
+  if (stmt.columns.empty()) {
+    for (size_t i = 0; i < schema.num_fields(); ++i) positions.push_back(i);
+  }
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
+  for (const auto& ast_row : stmt.rows) {
+    if (ast_row.size() != positions.size()) {
+      return Status::InvalidArgument("INSERT row arity mismatch");
+    }
+    Row row(schema.num_fields(), Value::Null());
+    for (size_t i = 0; i < ast_row.size(); ++i) {
+      // Integer literals bound to double columns widen on append.
+      DC_ASSIGN_OR_RETURN(row[positions[i]], EvalInsertLiteral(*ast_row[i]));
+    }
+    rows.push_back(std::move(row));
+  }
+  DC_RETURN_NOT_OK(ColumnBatch::CheckRows(schema, rows));
+  return rows;
 }
 
 }  // namespace sql

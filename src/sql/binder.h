@@ -71,6 +71,14 @@ Status CheckBinaryOperandTypes(AstBinaryOp op, const ExprPtr& l,
 Status CheckScalarFuncArg(ScalarFunc func, const std::string& name,
                           const ExprPtr& arg);
 
+/// Binds an INSERT's literal rows against the target's user-addressable
+/// schema (a basket's without its implicit ts column): the optional column
+/// list places each value, omitted columns are NULL, and every row is
+/// type-checked. An error binds no row, so the statement lands whole or not
+/// at all.
+Result<std::vector<Row>> BindInsertRows(const InsertStmt& stmt,
+                                        const Schema& schema);
+
 }  // namespace sql
 }  // namespace datacell
 

@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <cctype>
+
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
@@ -749,6 +752,66 @@ Result<std::vector<Statement>> ParseScript(std::string_view sql) {
   DC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   Parser parser(std::move(tokens));
   return parser.ParseScript();
+}
+
+namespace {
+constexpr std::string_view kWatch = "\\watch ";
+}  // namespace
+
+std::vector<ScriptPiece> SplitScript(std::string_view script) {
+  std::vector<ScriptPiece> out;
+  const size_t n = script.size();
+  size_t i = 0;
+  uint32_t line = 1;
+  auto at_comment = [&] {
+    return script[i] == '-' && i + 1 < n && script[i + 1] == '-';
+  };
+  auto to_line_end = [&] { i = std::min(script.find('\n', i), n); };
+  auto step = [&] { line += script[i++] == '\n' ? 1u : 0u; };
+  while (true) {
+    // Whitespace and comments between pieces belong to no piece.
+    while (i < n && (at_comment() ||
+                     std::isspace(static_cast<unsigned char>(script[i])))) {
+      if (at_comment()) {
+        to_line_end();
+      } else {
+        step();
+      }
+    }
+    if (i == n) return out;
+    const size_t start = i;
+    ScriptPiece piece;
+    piece.line = line;
+    if (script[i] == '\\' && !StartsWith(script.substr(i), kWatch)) {
+      to_line_end();
+    } else {
+      while (i < n && script[i] != ';') {
+        if (at_comment()) {
+          to_line_end();
+          continue;
+        }
+        if (script[i] == '\'') {
+          // A '' escape closes the literal and reopens it at once.
+          for (step(); i < n && script[i] != '\'';) step();
+        }
+        if (i < n) step();
+      }
+    }
+    piece.terminated = i < n;
+    piece.text = Trim(script.substr(start, i - start));
+    if (!piece.text.empty()) out.push_back(piece);  // not a bare ';'
+    if (i < n && script[i] == ';') ++i;
+  }
+}
+
+std::optional<std::pair<std::string, std::string>> SplitWatch(
+    std::string_view text) {
+  if (!StartsWith(text, kWatch)) return std::nullopt;
+  const std::string_view rest = Trim(text.substr(kWatch.size()));
+  const size_t name_end =
+      std::min(rest.find_first_of(" \t\r\n"), rest.size());
+  return std::make_pair(std::string(rest.substr(0, name_end)),
+                        std::string(Trim(rest.substr(name_end))));
 }
 
 }  // namespace sql

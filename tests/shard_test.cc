@@ -289,6 +289,29 @@ TEST(ShardRouterTest, InsertStatementsRouteAndTablesReplicate) {
   EXPECT_EQ((*all)->num_rows(), 3u);
 }
 
+// The router binds INSERT through the engine's binder: a column list
+// places values by name, so the hash key is read from the right column.
+TEST(ShardRouterTest, InsertColumnListRoutesOnTheKey) {
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (k int, v int) partition by k").ok());
+  ASSERT_TRUE(
+      se.ExecuteSql("insert into s (v, k) values (10, 1), (20, 1)").ok());
+  int shards_with_rows = 0;
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    auto basket = se.shard(i).GetBasket("s");
+    ASSERT_TRUE(basket.ok());
+    if ((*basket)->size() > 0) ++shards_with_rows;
+  }
+  EXPECT_EQ(shards_with_rows, 1);
+  auto all = se.ExecuteSql("select k, v from s where k = 1");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ((*all)->num_rows(), 2u);
+}
+
 // A batch with one bad row is rejected whole: no shard keeps any of its good
 // rows, and nothing is counted as routed (a single Engine behaves the same).
 TEST(ShardRouterTest, RejectedBatchLandsOnNoShard) {
@@ -413,6 +436,103 @@ TEST(ShardLatticeTest, DropErasesTheRoute) {
   ASSERT_TRUE(se.ExecuteSql("drop basket r").ok());
   EXPECT_FALSE(se.GetRoute("r").ok());
   EXPECT_FALSE(se.Ingest("r", {Value::Int64(1)}).ok());
+}
+
+// --- DDL and scripts: every shard catalog moves together -------------------
+
+ShardedEngineOptions FourShards() {
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  return so;
+}
+
+// Two pinned count-window queries live on different shards, so only shard 1
+// hosts b's consumer. The DROP it rejects must leave b on every shard.
+TEST(ShardDdlTest, RejectedDropLandsOnNoShard) {
+  ShardedEngine se(FourShards());
+  auto setup = se.ExecuteScript(
+      "create basket a (k int, v int);"
+      "create basket b (k int, v int);");
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  std::vector<QueryId> ids;
+  for (const std::string x : {"a", "b"}) {
+    const std::string sql = "select t.k, t.v from [select * from " + x +
+                            "] as t window size 4 slide 4";
+    auto q = se.SubmitContinuousQuery("w" + x, sql);
+    ASSERT_TRUE(q.ok()) << q.status().message();
+    ids.push_back(*q);
+  }
+  auto pa = se.GetPlacement(ids[0]);
+  auto pb = se.GetPlacement(ids[1]);
+  ASSERT_TRUE(pa.ok() && pb.ok());
+  ASSERT_EQ((*pb)->verdict, analysis::PartitionVerdict::kPinned);
+  ASSERT_NE((*pa)->home_shard, (*pb)->home_shard);
+
+  auto dropped = se.ExecuteSql("drop basket b");
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.status().code(), StatusCode::kFailedPrecondition)
+      << dropped.status().ToString();
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    EXPECT_TRUE(se.shard(i).catalog().Contains("b")) << "shard " << i;
+  }
+  EXPECT_TRUE(se.GetRoute("b").ok());
+  // b still exists everywhere, so re-creating it changes no shard.
+  auto again = se.ExecuteSql("create basket b (k int, v int)");
+  EXPECT_TRUE(again.status().IsAlreadyExists()) << again.status().ToString();
+  // And b's pinned consumer still sees every row.
+  auto sink = std::make_shared<CollectingSink>();
+  ASSERT_TRUE(se.Subscribe(ids[1], sink).ok());
+  const std::string rows = "(1, 1), (2, 2), (3, 3), (4, 4)";
+  ASSERT_TRUE(se.ExecuteSql("insert into b values " + rows).ok());
+  se.Drain();
+  EXPECT_EQ(sink->row_count(), 4u);
+}
+
+// Sharded twins of misc_test's ScriptTest cases: a script behaves on the
+// sharded frontend exactly as on one engine.
+TEST(ShardScriptTest, RunsStatementsInOrder) {
+  ShardedEngine se(FourShards());
+  auto result = se.ExecuteScript(
+      "create table t (a int, b varchar);"
+      "insert into t values (1, 'x'), (2, 'y');"
+      "insert into t values (3, 'z');"
+      "select count(*) as c from t;");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ((*result)->GetRow(0)[0], Value::Int64(3));
+}
+
+TEST(ShardScriptTest, StopsAtFirstError) {
+  ShardedEngine se(FourShards());
+  auto result = se.ExecuteScript(
+      "create table t (a int);"
+      "insert into missing values (1);"
+      "create table u (a int);");
+  EXPECT_FALSE(result.ok());
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    EXPECT_TRUE(se.shard(i).catalog().Contains("t")) << "shard " << i;
+    EXPECT_FALSE(se.shard(i).catalog().Contains("u")) << "shard " << i;
+  }
+}
+
+TEST(ShardScriptTest, LastSelectWins) {
+  ShardedEngine se(FourShards());
+  auto result = se.ExecuteScript(
+      "create table t (a int);"
+      "insert into t values (7);"
+      "select a from t;"
+      "select a + 1 as b from t");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ((*result)->GetRow(0)[0], Value::Int64(8));
+}
+
+TEST(ShardScriptTest, ParseErrorRejectsWholeScript) {
+  ShardedEngine se(FourShards());
+  EXPECT_FALSE(se.ExecuteScript("create table t (a int); garbage;").ok());
+  // Nothing executed, on any shard.
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    EXPECT_FALSE(se.shard(i).catalog().Contains("t")) << "shard " << i;
+  }
 }
 
 // --- cascades over query outputs --------------------------------------------

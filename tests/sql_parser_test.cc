@@ -306,6 +306,53 @@ TEST(ParserTest, EmptyStatementRejected) {
   EXPECT_FALSE(ParseStatement("   ").ok());
 }
 
+// --- SplitScript (the shell dialect) ----------------------------------------
+
+TEST(SplitScriptTest, SemicolonsInLiteralsAndCommentsDoNotSplit) {
+  auto pieces = SplitScript(
+      "-- lead; comment\n"
+      "insert into t values ('a;b', 'it''s;');  -- trailing; comment\n"
+      "select x -- not; the end\n"
+      "  from t;");
+  ASSERT_EQ(pieces.size(), 2u);
+  EXPECT_EQ(pieces[0].text, "insert into t values ('a;b', 'it''s;')");
+  EXPECT_EQ(pieces[0].line, 2u);
+  EXPECT_EQ(pieces[1].text, "select x -- not; the end\n  from t");
+  EXPECT_EQ(pieces[1].line, 3u);
+  EXPECT_TRUE(pieces[1].terminated);
+}
+
+TEST(SplitScriptTest, LineCommandsEndAtTheirLineWatchAtSemicolon) {
+  auto pieces = SplitScript(
+      "\\stats\n"
+      "create table t (a int);\n"
+      "\\watch big select a from [select * from s] as x\n"
+      "  where x.a > 1;\n"
+      "\\quit");
+  ASSERT_EQ(pieces.size(), 4u);
+  EXPECT_TRUE(pieces[0].is_command());
+  EXPECT_EQ(pieces[0].text, "\\stats");
+  EXPECT_TRUE(pieces[0].terminated);
+  EXPECT_EQ(pieces[1].text, "create table t (a int)");
+  EXPECT_EQ(pieces[1].line, 2u);
+  EXPECT_EQ(pieces[2].text,
+            "\\watch big select a from [select * from s] as x\n"
+            "  where x.a > 1");
+  EXPECT_EQ(pieces[2].line, 3u);
+  EXPECT_EQ(pieces[3].text, "\\quit");
+  EXPECT_EQ(pieces[3].line, 5u);
+  EXPECT_FALSE(pieces[3].terminated);  // no newline after it
+}
+
+TEST(SplitScriptTest, UnterminatedTailAndBlankPieces) {
+  auto pieces = SplitScript(";; -- only a comment\n  ;select 'x;\n");
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0].text, "select 'x;");
+  EXPECT_EQ(pieces[0].line, 2u);
+  EXPECT_FALSE(pieces[0].terminated);  // the ';' is inside the open literal
+  EXPECT_TRUE(SplitScript(" \n-- nothing\n").empty());
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace datacell

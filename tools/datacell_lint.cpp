@@ -4,9 +4,10 @@
 //                       [--state-report <out.json>] [--shards N]
 //                       file.sql [more.sql ...]
 //
-// Each file is a ';'-separated script in the shell's dialect: DDL, INSERT,
-// one-time SELECTs and continuous queries (either `\watch <name> <sql>;` or
-// a bare SELECT over a basket expression). DDL and INSERTs execute against a
+// Each file is a script in the shell's dialect, cut by sql::SplitScript: DDL,
+// INSERT, one-time SELECTs and continuous queries (either `\watch <name>
+// <sql>;` or a bare SELECT over a basket expression) end at ';', any other
+// `\` command at the end of its line. DDL and INSERTs execute against a
 // scratch engine so later statements see the schemas; SELECTs are compiled
 // and type-checked but never run. After every file is processed the whole
 // registered net is linted (orphan baskets, dead transitions, chained
@@ -131,58 +132,6 @@ void Emit(LintOutput* out, LintDiag d) {
   out->diags.push_back(std::move(d));
 }
 
-/// One raw statement of a script with the 1-based file line it starts on.
-struct ScriptStmt {
-  std::string text;
-  size_t line = 1;
-};
-
-/// Splits on ';' outside of '...' string literals and -- comments, keeping
-/// the starting line of each statement for file:line diagnostics.
-std::vector<ScriptStmt> SplitStatements(const std::string& content) {
-  std::vector<ScriptStmt> out;
-  std::string cur;
-  size_t line = 1;
-  size_t stmt_line = 1;
-  bool in_string = false;
-  bool in_comment = false;
-  bool cur_started = false;
-  auto flush = [&]() {
-    std::string trimmed(Trim(cur));
-    if (!trimmed.empty()) out.push_back({std::move(trimmed), stmt_line});
-    cur.clear();
-    cur_started = false;
-  };
-  for (size_t i = 0; i < content.size(); ++i) {
-    char c = content[i];
-    if (c == '\n') {
-      ++line;
-      in_comment = false;
-      cur.push_back(c);
-      continue;
-    }
-    if (in_comment) continue;
-    if (!in_string && c == '-' && i + 1 < content.size() &&
-        content[i + 1] == '-') {
-      in_comment = true;
-      ++i;
-      continue;
-    }
-    if (c == '\'') in_string = !in_string;
-    if (c == ';' && !in_string) {
-      flush();
-      continue;
-    }
-    if (!cur_started && !std::isspace(static_cast<unsigned char>(c))) {
-      cur_started = true;
-      stmt_line = line;
-    }
-    cur.push_back(c);
-  }
-  flush();
-  return out;
-}
-
 /// Live N-shard replay for --shards: DDL/INSERTs and query registrations
 /// mirror into a real ShardedEngine, so the recorded placements come from
 /// the actual router and placement passes — route conflicts included.
@@ -269,38 +218,35 @@ bool LintFile(const char* path, Engine* engine, ShardSim* sim,
   buf << in.rdbuf();
   const std::string content = buf.str();
 
-  for (const ScriptStmt& stmt : SplitStatements(content)) {
+  for (const sql::ScriptPiece& stmt : sql::SplitScript(content)) {
     // Shell meta-command: only \watch registers anything; the rest
     // (\stats, \quit, ...) are runtime-only and irrelevant to linting.
-    if (stmt.text[0] == '\\') {
-      if (!StartsWith(stmt.text, "\\watch ")) continue;
-      std::istringstream is(stmt.text.substr(7));
-      std::string name;
-      is >> name;
-      std::string sql;
-      std::getline(is, sql);
-      std::string trimmed_sql(Trim(sql));
-      auto q = engine->SubmitContinuousQuery(name, trimmed_sql);
+    if (stmt.is_command()) {
+      auto watch = sql::SplitWatch(stmt.text);
+      if (!watch.has_value()) continue;
+      const auto& [name, watch_sql] = *watch;
+      auto q = engine->SubmitContinuousQuery(name, watch_sql);
       if (!q.ok()) {
         ReportStatus(path, stmt.line, q.status(), out);
       } else {
         query_lines->push_back({*q, stmt.line});
-        if (sim != nullptr) sim->Submit(name, trimmed_sql);
+        if (sim != nullptr) sim->Submit(name, watch_sql);
       }
       continue;
     }
 
-    auto parsed = sql::ParseStatement(stmt.text);
+    const std::string text(stmt.text);
+    auto parsed = sql::ParseStatement(text);
     if (!parsed.ok()) {
       ReportStatus(path, stmt.line, parsed.status(), out);
       continue;
     }
     if (parsed->kind != sql::Statement::Kind::kSelect) {
       // DDL / INSERT: execute so later statements bind against the schema.
-      auto r = engine->ExecuteSql(stmt.text);
+      auto r = engine->Execute(*parsed);
       if (!r.ok()) ReportStatus(path, stmt.line, r.status(), out);
       // The shard replay needs the same catalog (errors already reported).
-      if (r.ok() && sim != nullptr) sim->engine->ExecuteSql(stmt.text);
+      if (r.ok() && sim != nullptr) (void)sim->engine->Execute(*parsed);
       continue;
     }
     sql::Planner planner(&engine->catalog());
@@ -313,12 +259,12 @@ bool LintFile(const char* path, Engine* engine, ShardSim* sim,
       // A bare continuous SELECT registers under a synthetic name so the
       // net analysis sees its plumbing.
       std::string name = "lint" + std::to_string((*watch_count)++);
-      auto q = engine->SubmitContinuousQuery(name, stmt.text);
+      auto q = engine->SubmitContinuousQuery(name, text);
       if (!q.ok()) {
         ReportStatus(path, stmt.line, q.status(), out);
       } else {
         query_lines->push_back({*q, stmt.line});
-        if (sim != nullptr) sim->Submit(name, stmt.text);
+        if (sim != nullptr) sim->Submit(name, text);
       }
       continue;
     }
