@@ -1,7 +1,9 @@
 #include "adapters/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -99,51 +101,220 @@ Status ArityError(size_t got, size_t want) {
                             std::to_string(want));
 }
 
-}  // namespace
+// One field of a split line. Quotedness is kept beside the text: a quoted
+// empty field is an empty string, an unquoted one is null.
+struct CsvField {
+  std::string text;
+  bool quoted = false;
+};
 
-Status AppendCsvToColumns(std::string_view line, ColumnBatch* batch) {
-  DC_CHECK(batch != nullptr);
-  const Schema& schema = batch->schema();
-  if (line.find('"') != std::string_view::npos) {
-    // Quoted fields: reuse the general row parser, then transpose the one
-    // validated row (rare path; quoting implies string payload anyway).
-    DC_ASSIGN_OR_RETURN(Row row, ParseCsvRow(line, schema));
+Result<std::vector<CsvField>> SplitCsvLine(std::string_view line) {
+  std::vector<CsvField> fields;
+  CsvField cur;
+  bool in_quotes = false;
+  size_t i = 0;
+  while (i < line.size()) {
+    char c = line[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          cur.text.push_back('"');
+          i += 2;
+          continue;
+        }
+        in_quotes = false;
+        ++i;
+        continue;
+      }
+      cur.text.push_back(c);
+      ++i;
+      continue;
+    }
+    if (c == '"' && cur.text.empty()) {
+      in_quotes = true;
+      cur.quoted = true;
+      ++i;
+      continue;
+    }
+    if (c == ',') {
+      fields.push_back(std::move(cur));
+      cur = CsvField();
+      ++i;
+      continue;
+    }
+    cur.text.push_back(c);
+    ++i;
+  }
+  if (in_quotes) {
+    return Status::ParseError("unterminated quote in CSV line");
+  }
+  fields.push_back(std::move(cur));
+  return fields;
+}
+
+// --- the one-pass line parser -------------------------------------------
+
+enum class FieldKind : uint8_t { kInt, kDouble, kOther };
+
+// The compiled schema: each column's target BAT and FieldKind. Columns past
+// the first kCompiledColumns take the per-field path, which keeps the plan
+// on the stack (no allocation per call).
+constexpr size_t kCompiledColumns = 64;
+
+class LinePlan {
+ public:
+  explicit LinePlan(ColumnBatch* batch)
+      : batch_(batch), columns_(batch->num_columns()) {
+    for (size_t c = 0; c < std::min(columns_, kCompiledColumns); ++c) {
+      Bat& col = batch->column(c);
+      cols_[c] = &col;
+      kinds_[c] = FieldKind::kOther;
+      if (IsIntegerBacked(col.type())) kinds_[c] = FieldKind::kInt;
+      if (col.type() == DataType::kDouble) kinds_[c] = FieldKind::kDouble;
+    }
+  }
+  ColumnBatch* batch() const { return batch_; }
+  size_t columns() const { return columns_; }
+  FieldKind kind(size_t c) const {
+    return c < kCompiledColumns ? kinds_[c] : FieldKind::kOther;
+  }
+  Bat& column(size_t c) const {
+    return c < kCompiledColumns ? *cols_[c] : batch_->column(c);
+  }
+
+ private:
+  ColumnBatch* batch_;
+  size_t columns_;
+  Bat* cols_[kCompiledColumns];
+  FieldKind kinds_[kCompiledColumns];
+};
+
+inline bool IsDigit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
+// [-]digits with 1 to 18 digits, ending at ',' or `end`: it fits an int64,
+// and ParseInt64 reads it the same. On success `p` moves past the digits.
+inline bool ScanInt(const char*& p, const char* end, int64_t* out) {
+  const char* q = p;
+  const bool neg = q < end && *q == '-';
+  q += neg;
+  const char* digits = q;
+  uint64_t v = 0;
+  while (q < end && IsDigit(*q)) v = v * 10 + static_cast<unsigned>(*q++ - '0');
+  const size_t n = static_cast<size_t>(q - digits);
+  if (n == 0 || n > 18 || (q < end && *q != ',')) return false;
+  *out = neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+  p = q;
+  return true;
+}
+
+// Powers of ten up to the longest fast-path fraction; all exact doubles.
+constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+
+// [-]digits[.digits] with at most 15 digits in all, ending at ',' or `end`.
+// Both the digits read as an integer m and 10^k (k fraction digits) are
+// then exact doubles, so m / 10^k is the correctly rounded value (Clinger's
+// fast path): bitwise what from_chars and strtod return. On success `p`
+// moves past it.
+inline bool ScanDouble(const char*& p, const char* end, double* out) {
+  const char* q = p;
+  const bool neg = q < end && *q == '-';
+  q += neg;
+  uint64_t m = 0;
+  const char* int_digits = q;
+  while (q < end && IsDigit(*q)) m = m * 10 + static_cast<unsigned>(*q++ - '0');
+  size_t digits = static_cast<size_t>(q - int_digits);
+  size_t fraction = 0;
+  if (digits > 0 && q < end && *q == '.') {
+    const char* frac_digits = ++q;
+    while (q < end && IsDigit(*q)) {
+      m = m * 10 + static_cast<unsigned>(*q++ - '0');
+    }
+    fraction = static_cast<size_t>(q - frac_digits);
+    if (fraction == 0) return false;
+  }
+  digits += fraction;
+  if (digits == 0 || digits > 15 || (q < end && *q != ',')) return false;
+  const double v = static_cast<double>(m) / kPow10[fraction];
+  *out = neg ? -v : v;
+  p = q;
+  return true;
+}
+
+// One line into the batch. Fast forms first; a field they do not take goes
+// to AppendCsvField, and a line with a '"' to ParseCsvRow — checked on every
+// field the fast forms did not take and, before rejecting, on the whole
+// line, so exactly the lines holding a '"' reach it.
+Status ParseLine(std::string_view line, const LinePlan& plan) {
+  ColumnBatch* batch = plan.batch();
+  const size_t rollback = batch->num_rows();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  bool quoted = false;
+  size_t fields = 0;
+  Status st;
+  for (;;) {
+    if (fields == plan.columns()) {
+      // More fields than columns: count them for the message.
+      size_t total = fields + 1 + static_cast<size_t>(std::count(p, end, ','));
+      st = ArityError(total, plan.columns());
+      break;
+    }
+    Bat& col = plan.column(fields);
+    const FieldKind kind = plan.kind(fields);
+    int64_t i;
+    double d;
+    if (kind == FieldKind::kInt && ScanInt(p, end, &i)) {
+      col.AppendInt64(i);
+    } else if (kind == FieldKind::kDouble && ScanDouble(p, end, &d)) {
+      col.AppendDouble(d);
+    } else {
+      const void* comma = std::memchr(p, ',', static_cast<size_t>(end - p));
+      const char* field_end = comma ? static_cast<const char*>(comma) : end;
+      std::string_view field(p, static_cast<size_t>(field_end - p));
+      if (field.find('"') != std::string_view::npos) {
+        quoted = true;
+        break;
+      }
+      st = AppendCsvField(field, col);
+      if (!st.ok()) break;
+      p = field_end;
+    }
+    ++fields;
+    if (p == end) break;
+    ++p;  // the ','
+  }
+  if (st.ok() && !quoted && fields != plan.columns()) {
+    st = ArityError(fields, plan.columns());
+  }
+  if (st.ok() && !quoted) return st;
+  batch->TruncateTo(rollback);
+  if (quoted || line.find('"') != std::string_view::npos) {
+    DC_ASSIGN_OR_RETURN(Row row, ParseCsvRow(line, batch->schema()));
     batch->AppendRowUnchecked(row);
     return Status::OK();
   }
-  size_t rollback = batch->num_rows();
-  size_t n_cols = schema.num_fields();
-  size_t col = 0;
-  size_t start = 0;
-  Status st = Status::OK();
-  for (;;) {
-    size_t comma = line.find(',', start);
-    std::string_view field =
-        comma == std::string_view::npos
-            ? line.substr(start)
-            : line.substr(start, comma - start);
-    if (col >= n_cols) {
-      // Count the remaining fields for the same message the split path gives.
-      size_t total = col + 1;
-      while (comma != std::string_view::npos) {
-        comma = line.find(',', comma + 1);
-        ++total;
-      }
-      st = ArityError(total, n_cols);
-      break;
-    }
-    st = AppendCsvField(field, batch->column(col));
-    if (!st.ok()) break;
-    ++col;
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
+  return st;
+}
+
+}  // namespace
+
+CsvParseReport ParseCsvLines(const TextBlock& block, size_t first, size_t last,
+                             ColumnBatch* batch) {
+  DC_CHECK(batch != nullptr);
+  DC_CHECK_LE(last, block.size());
+  CsvParseReport report;
+  const LinePlan plan(batch);
+  for (size_t i = first; i < last; ++i) {
+    Status st = ParseLine(block.line(i), plan);
+    if (!st.ok() && report.rejected++ == 0) report.first_error = std::move(st);
   }
-  if (st.ok() && col != n_cols) st = ArityError(col, n_cols);
-  if (!st.ok()) {
-    batch->TruncateTo(rollback);
-    return st;
-  }
-  return Status::OK();
+  return report;
+}
+
+Status AppendCsvToColumns(std::string_view line, ColumnBatch* batch) {
+  DC_CHECK(batch != nullptr);
+  return ParseLine(line, LinePlan(batch));
 }
 
 std::string FormatCsvRow(const Row& row) {
@@ -196,78 +367,25 @@ void FormatCsvLine(const ColumnBatch& batch, size_t row, std::string* out) {
   }
 }
 
-Result<std::vector<std::string>> SplitCsvLine(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  bool was_quoted = false;
-  size_t i = 0;
-  while (i < line.size()) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      cur.push_back(c);
-      ++i;
-      continue;
-    }
-    if (c == '"' && cur.empty()) {
-      in_quotes = true;
-      was_quoted = true;
-      ++i;
-      continue;
-    }
-    if (c == ',') {
-      // Mark quoted-empty as a real empty string by a sentinel prefix the
-      // caller strips: we instead record quoting in-band by never treating
-      // a quoted field as null (see ParseCsvRow).
-      fields.push_back(was_quoted && cur.empty() ? std::string("\x01") : cur);
-      cur.clear();
-      was_quoted = false;
-      ++i;
-      continue;
-    }
-    cur.push_back(c);
-    ++i;
-  }
-  if (in_quotes) {
-    return Status::ParseError("unterminated quote in CSV line");
-  }
-  fields.push_back(was_quoted && cur.empty() ? std::string("\x01") : cur);
-  return fields;
-}
-
 Result<Row> ParseCsvRow(std::string_view line, const Schema& schema) {
-  DC_ASSIGN_OR_RETURN(std::vector<std::string> fields, SplitCsvLine(line));
+  DC_ASSIGN_OR_RETURN(std::vector<CsvField> fields, SplitCsvLine(line));
   if (fields.size() != schema.num_fields()) {
-    return Status::ParseError(
-        "tuple arity " + std::to_string(fields.size()) +
-        " does not match schema arity " + std::to_string(schema.num_fields()));
+    return ArityError(fields.size(), schema.num_fields());
   }
   Row row;
   row.reserve(fields.size());
   for (size_t i = 0; i < fields.size(); ++i) {
-    std::string& f = fields[i];
-    bool quoted_empty = f == "\x01";
-    if (quoted_empty) f.clear();
+    CsvField& f = fields[i];
     DataType t = schema.field(i).type;
-    if (f.empty() && !quoted_empty) {
+    if (f.text.empty() && !f.quoted) {
       row.push_back(Value::Null());
       continue;
     }
     if (t == DataType::kString) {
-      row.push_back(Value::String(std::move(f)));
+      row.push_back(Value::String(std::move(f.text)));
       continue;
     }
-    DC_ASSIGN_OR_RETURN(Value v, Value::FromString(f, t));
+    DC_ASSIGN_OR_RETURN(Value v, Value::FromString(f.text, t));
     row.push_back(std::move(v));
   }
   return row;

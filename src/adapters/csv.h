@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "adapters/text_block.h"
 #include "common/result.h"
 #include "storage/column_batch.h"
 #include "storage/schema.h"
@@ -18,18 +19,30 @@ std::string FormatCsvRow(const Row& row);
 
 /// Parses `line` into a typed tuple matching `schema` exactly (arity and
 /// types are validated — the receptor's "validate their structure" duty).
+/// The general parser: ParseCsvLines hands it every line holding a '"', and
+/// the CSV fuzz harness checks ParseCsvLines against it.
 Result<Row> ParseCsvRow(std::string_view line, const Schema& schema);
 
-/// Splits a raw CSV line into unescaped fields.
-Result<std::vector<std::string>> SplitCsvLine(std::string_view line);
+/// What one ParseCsvLines call did with its lines.
+struct CsvParseReport {
+  size_t rejected = 0;  // malformed lines, dropped
+  Status first_error;   // why the first of them was rejected
+};
 
-/// Parses one CSV line directly into `batch`'s typed columns (one value per
-/// column, matching batch->schema() positionally) — the zero-boxing ingest
-/// path: quote-free lines are split as string_views and parsed in place with
-/// no intermediate Row, Value or field-string allocation for fixed-width
-/// types. Lines containing quotes take the general ParseCsvRow path.
-/// Semantics are identical to ParseCsvRow + append. On error the batch is
-/// left unchanged (the partial row is rolled back).
+/// Parses lines [first, last) of `block` straight into `batch`'s typed
+/// columns (one row per valid line, matching batch->schema() positionally).
+/// The schema is compiled once per call; each line is then walked once,
+/// fusing the delimiter scan with the field parse. Int64/timestamp fields of
+/// at most 18 digits and double fields of the form [-]digits[.digits] with
+/// at most 15 digits are read in that walk (the double as an exact
+/// m / 10^k, so bitwise equal to from_chars). Every other field goes
+/// through the general per-field code, and a line holding a '"' through
+/// ParseCsvRow, so acceptance and values are ParseCsvRow's. A malformed line
+/// leaves no partial row behind.
+CsvParseReport ParseCsvLines(const TextBlock& block, size_t first, size_t last,
+                             ColumnBatch* batch);
+
+/// ParseCsvLines for one line; on error the batch is left unchanged.
 Status AppendCsvToColumns(std::string_view line, ColumnBatch* batch);
 
 /// Formats row `row` of `batch` into `out` (cleared first), byte-identical

@@ -40,13 +40,14 @@ void Replayer::Loop() {
   auto start = Clock::now();
   int64_t sent = 0;
   // Columnar formatting path when the generator publishes its schema: rows
-  // are drawn straight into typed buffers and streamed onto the wire with
-  // no Row/Value boxing. The batch and scratch line are reused across
-  // iterations; only the channel-owned line strings are allocated.
+  // are drawn straight into typed buffers and formatted into one newline-
+  // framed text that goes onto the wire with a single PushBlock. The batch,
+  // the line and the text are reused, so a round allocates nothing.
   const Schema* schema = generator_->schema();
   ColumnBatch batch;
   if (schema != nullptr) batch.Reset(*schema);
-  std::string scratch;
+  std::string line;
+  std::string text;
   while (!stop_.load(std::memory_order_acquire)) {
     size_t n = options_.batch_size;
     if (options_.total_rows > 0) {
@@ -54,21 +55,29 @@ void Replayer::Loop() {
       if (remaining <= 0) break;
       n = std::min(n, static_cast<size_t>(remaining));
     }
-    std::vector<std::string> lines;
-    lines.reserve(n);
     if (schema != nullptr) {
       batch.Clear();
       generator_->NextBatchColumns(n, &batch);
-      for (size_t r = 0; r < n; ++r) {
-        FormatCsvLine(batch, r, &scratch);
-        lines.push_back(scratch);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        lines.push_back(FormatCsvRow(generator_->Next()));
-      }
     }
-    channel_->PushBatch(std::move(lines));
+    text.clear();
+    for (size_t r = 0; r < n; ++r) {
+      if (schema != nullptr) {
+        FormatCsvLine(batch, r, &line);
+      } else {
+        line = FormatCsvRow(generator_->Next());
+      }
+      if (line.find('\n') == std::string::npos) {
+        text += line;
+        text.push_back('\n');
+        continue;
+      }
+      // A quoted newline would split the line in framed text: send what is
+      // framed so far, then this line on its own.
+      channel_->PushBlock(text);
+      text.clear();
+      channel_->Push(line);
+    }
+    channel_->PushBlock(text);
     sent += static_cast<int64_t>(n);
     sent_.store(sent, std::memory_order_relaxed);
     // Sleep so the long-run average matches the target rate.

@@ -37,17 +37,30 @@ bool Receptor::Ready() const { return !channel_->empty(); }
 
 Result<int64_t> Receptor::Fire() {
   Timestamp start = clock_->Now();
-  if (channel_->DrainInto(&lines_, max_batch_) == 0) return 0;
   // The batch normally comes back from delivery empty; after a delivery
   // failure it may not, so clear defensively (capacity is kept either way).
   batch_.Clear();
-  for (const std::string& line : lines_) {
-    Status st = AppendCsvToColumns(line, &batch_);
-    if (!st.ok()) {
-      malformed_.fetch_add(1, std::memory_order_relaxed);
-      DC_LOG(Warning) << name()
-                      << ": dropping malformed tuple: " << st.ToString();
+  size_t taken = 0;
+  CsvParseReport bad;
+  while (taken < max_batch_) {
+    Channel::Lines lines = channel_->Take(max_batch_ - taken);
+    if (lines.empty()) break;
+    CsvParseReport report =
+        ParseCsvLines(lines.block(), lines.first(), lines.last(), &batch_);
+    channel_->Release(lines);
+    taken += lines.size();
+    if (report.rejected > 0 && bad.rejected == 0) {
+      bad.first_error = std::move(report.first_error);
     }
+    bad.rejected += report.rejected;
+  }
+  if (taken == 0) return 0;
+  if (bad.rejected > 0) {
+    malformed_.fetch_add(static_cast<int64_t>(bad.rejected),
+                         std::memory_order_relaxed);
+    DC_LOG(Warning) << name() << ": dropped " << bad.rejected
+                    << " malformed tuple(s) of " << taken
+                    << "; first: " << bad.first_error.ToString();
   }
   int64_t n = static_cast<int64_t>(batch_.num_rows());
   DC_RETURN_NOT_OK(deliver_(std::move(batch_)));

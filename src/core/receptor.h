@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "adapters/channel.h"
 #include "common/clock.h"
@@ -39,9 +38,11 @@ class Receptor : public Transition {
     return static_cast<int64_t>(channel_->size());
   }
 
-  /// Drains up to `max_batch` lines, parses and validates each, and delivers
-  /// the valid tuples. Malformed lines are counted and dropped (a receptor
-  /// must not stall the stream on bad input).
+  /// Takes up to `max_batch` lines off the channel, block range by block
+  /// range, parses each range in one pass into the recycled batch, and
+  /// delivers the valid tuples. Malformed lines are counted and dropped (a
+  /// receptor must not stall the stream on bad input), with one warning per
+  /// fire naming the count and the first reason.
   Result<int64_t> Fire() override;
 
   int64_t malformed_lines() const {
@@ -54,10 +55,9 @@ class Receptor : public Transition {
   DeliverColumnsFn deliver_;
   const Clock* clock_;
   size_t max_batch_;
-  // Reused across fires so the steady state allocates nothing: the line
-  // buffer keeps its vector capacity, the batch keeps whatever buffer
-  // capacity the basket handed back in the delivery swap.
-  std::vector<std::string> lines_;
+  // Reused across fires so the steady state allocates nothing: the batch
+  // keeps whatever buffer capacity the basket handed back in the delivery
+  // swap.
   ColumnBatch batch_;
   // Atomic: mutated by whichever scheduler worker fires the receptor, read
   // by monitoring threads through the accessor and the metrics snapshot.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "adapters/channel.h"
@@ -29,11 +34,16 @@ TEST(ChannelTest, PushPopFifo) {
 TEST(ChannelTest, DrainUpTo) {
   Channel c;
   for (int i = 0; i < 5; ++i) c.Push(std::to_string(i));
-  auto batch = c.DrainUpTo(3);
+  Channel::Lines batch = c.Take(3);
   ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[2], "2");
+  EXPECT_EQ(batch.block().line(batch.last() - 1), "2");
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.DrainUpTo(100).size(), 2u);
+  c.Release(batch);
+  Channel::Lines rest = c.Take(100);
+  EXPECT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest.block().line(rest.first()), "3");
+  c.Release(rest);
+  EXPECT_TRUE(c.Take(100).empty());
 }
 
 TEST(ChannelTest, CapacityDropsOldest) {
@@ -47,16 +57,103 @@ TEST(ChannelTest, CapacityDropsOldest) {
   EXPECT_EQ(out, "2");
 }
 
+TEST(ChannelTest, CapacityDropsOldestLineAcrossBlocks) {
+  Channel c(5);
+  c.PushBatch({"a0", "a1", "a2"});  // one block
+  c.PushBlock("b0\nb1\nb2\n");      // a second: drops a0
+  EXPECT_EQ(c.total_dropped(), 1);
+  c.PushBatch({"c0", "c1", "c2", "c3"});  // drops a1 a2 b0 b1
+  EXPECT_EQ(c.total_dropped(), 5);
+  EXPECT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.total_pushed(), 10);
+  std::vector<std::string> got;
+  std::string out;
+  while (c.TryPop(&out)) got.push_back(out);
+  EXPECT_EQ(got, (std::vector<std::string>{"b2", "c0", "c1", "c2", "c3"}));
+  // A batch larger than the capacity keeps only its newest lines.
+  Channel small(2);
+  small.PushBlock("x\ny\nz");
+  EXPECT_EQ(small.total_dropped(), 1);
+  ASSERT_TRUE(small.TryPop(&out));
+  EXPECT_EQ(out, "y");
+}
+
+TEST(ChannelTest, PushKindsInterleaveFifo) {
+  Channel c;
+  c.Push("1");
+  c.PushBatch({"2", "3"});
+  c.Push("4");  // joins the open tail block
+  c.PushBlock("5\n6");
+  c.Push("7\n8");  // one line, newline and all
+  c.PushBlock("9\n\n");  // "9", then an empty line
+  EXPECT_EQ(c.size(), 9u);
+  std::vector<std::string> got;
+  for (Channel::Lines lines = c.Take(4); !lines.empty(); lines = c.Take(4)) {
+    EXPECT_LE(lines.size(), 4u);
+    for (size_t i = lines.first(); i < lines.last(); ++i) {
+      got.emplace_back(lines.block().line(i));
+    }
+    c.Release(lines);
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"1", "2", "3", "4", "5", "6",
+                                           "7\n8", "9", ""}));
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.total_pushed(), 9);
+}
+
+TEST(ChannelTest, TakenRangeSurvivesLaterPushes) {
+  Channel c;
+  c.Push("a");
+  c.Push("b");
+  Channel::Lines first = c.Take(1);  // seals the block: no more appends
+  for (int i = 0; i < 1000; ++i) c.Push("line-" + std::to_string(i));
+  EXPECT_EQ(first.block().line(first.first()), "a");
+  c.Release(first);
+  std::string out;
+  ASSERT_TRUE(c.TryPop(&out));
+  EXPECT_EQ(out, "b");
+  ASSERT_TRUE(c.TryPop(&out));
+  EXPECT_EQ(out, "line-0");
+  EXPECT_EQ(c.size(), 999u);
+}
+
 TEST(ChannelTest, PushBatch) {
   Channel c;
   c.PushBatch({"x", "y", "z"});
   EXPECT_EQ(c.size(), 3u);
 }
 
+/// A blocking pop built from the surviving API, as a consumer thread would
+/// write it: wait on the wake callback, then TryPop. False on timeout, or
+/// when the channel closed empty. The wait state is shared with the
+/// callback, which a producer may still be running after this returns.
+bool PopBlocking(Channel& c, std::string* out,
+                 std::chrono::milliseconds limit) {
+  struct Wait {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool woken = false;
+  };
+  auto wait = std::make_shared<Wait>();
+  c.SetWakeCallback([wait] {
+    std::lock_guard<std::mutex> lock(wait->mu);
+    wait->woken = true;
+    wait->cv.notify_all();
+  });
+  bool got = c.TryPop(out);
+  if (!got && !c.closed()) {
+    std::unique_lock<std::mutex> lock(wait->mu);
+    wait->cv.wait_for(lock, limit, [&] { return wait->woken; });
+  }
+  if (!got) got = c.TryPop(out);
+  c.SetWakeCallback(nullptr);
+  return got;
+}
+
 TEST(ChannelTest, PopBlockingTimesOut) {
   Channel c;
   std::string out;
-  EXPECT_FALSE(c.PopBlocking(&out, 1000));
+  EXPECT_FALSE(PopBlocking(c, &out, std::chrono::milliseconds(1)));
 }
 
 TEST(ChannelTest, PopBlockingWakesOnPush) {
@@ -66,7 +163,7 @@ TEST(ChannelTest, PopBlockingWakesOnPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     c.Push("wake");
   });
-  EXPECT_TRUE(c.PopBlocking(&out, 5 * 1000 * 1000));
+  EXPECT_TRUE(PopBlocking(c, &out, std::chrono::seconds(5)));
   EXPECT_EQ(out, "wake");
   producer.join();
 }
@@ -78,9 +175,11 @@ TEST(ChannelTest, CloseUnblocks) {
     c.Close();
   });
   std::string out;
-  EXPECT_FALSE(c.PopBlocking(&out, 5 * 1000 * 1000));
-  EXPECT_TRUE(c.closed());
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(PopBlocking(c, &out, std::chrono::seconds(5)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
   closer.join();
+  EXPECT_TRUE(c.closed());
 }
 
 // --- CSV -------------------------------------------------------------------
@@ -143,6 +242,130 @@ TEST(CsvTest, TimestampColumn) {
   auto row = ParseCsvRow("123456789", schema);
   ASSERT_TRUE(row.ok());
   EXPECT_TRUE((*row)[0].is_timestamp());
+}
+
+TEST(CsvTest, UnquotedControlByteFieldBesideQuotedField) {
+  // A quoted-empty field used to be marked in band with "\x01", so an
+  // unquoted "\x01" read as "" whenever the line held a quote.
+  Schema schema({{"a", DataType::kString}, {"b", DataType::kString}});
+  for (const char* line : {"a,\x01", "\"a\",\x01"}) {
+    auto row = ParseCsvRow(line, schema);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ((*row)[1].string_value(), "\x01") << line;
+    ColumnBatch batch(schema);
+    ASSERT_TRUE(AppendCsvToColumns(line, &batch).ok());
+    EXPECT_EQ(batch.column(1).StringAt(0), "\x01") << line;
+  }
+  auto quoted_empty = ParseCsvRow("\"a\",\"\"", schema);
+  ASSERT_TRUE(quoted_empty.ok());
+  EXPECT_TRUE((*quoted_empty)[1].is_string());
+  EXPECT_EQ((*quoted_empty)[1].string_value(), "");
+  auto unquoted_empty = ParseCsvRow("\"a\",", schema);
+  ASSERT_TRUE(unquoted_empty.ok());
+  EXPECT_TRUE((*unquoted_empty)[1].is_null());
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(CsvTest, BlockParseMatchesRowParseLineByLine) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString},
+                 {"t", DataType::kTimestamp}});
+  const std::vector<std::string> lines = {
+      "1,2.5,true,x,7",
+      "-0,-0,f,y,-0",
+      "-12,-0.0,F,z,0",
+      "+5,1,t,a,1",                      // int rejects '+'
+      "5,+5,t,a,1",                      // double takes it (strtod)
+      " 7 , 3.25 ,1, s ,  9",            // padded numerics
+      "123456789012345678,1.5,t,a,1",    // 18 digits: fast
+      "1234567890123456789,1.5,t,a,1",   // 19 digits: general path
+      "9999999999999999999,1.5,t,a,1",   // overflows int64
+      "1,123456789012345,t,a,1",         // 15 significant digits
+      "1,1234567890123456,t,a,1",        // 16: general path
+      "1,0.1000000000000000055511151231257827,t,a,1",
+      "1,0.000000000000000000001,t,a,1",  // 22 fraction digits
+      "1,0.0000000000000000000001,t,a,1",  // 23
+      "1,1e3,t,a,1",
+      "1,2.5E-3,t,a,1",
+      "1,inf,t,a,1",
+      "1,-nan,t,a,1",
+      "1,5.,t,a,1",
+      "1,.5,t,a,1",
+      "1,0x1p3,t,a,1",
+      "1,2.5,t,a,1\r",                   // trailing CR
+      "1\r,2.5,t,a,1",
+      "1,,,,",
+      ",,,,",
+      "\"1\",\"2.5\",\"t\",\"q,q\",1",
+      "1,2.5,t,say \"\"hi\"\",1",
+      "1,2.5,t,\x01,1",
+      "1,2.5,t",
+      "1,2.5,t,a,1,extra",
+      "x,2.5,t,a,1",
+      "1,2.5,maybe,a,1",
+      "1,2.5,t,\"unterminated,1",
+      "",
+  };
+  TextBlock block;
+  for (const std::string& line : lines) block.Append(line);
+  ColumnBatch batch(schema);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    SCOPED_TRACE(lines[i]);
+    auto want = ParseCsvRow(lines[i], schema);
+    size_t before = batch.num_rows();
+    CsvParseReport report = ParseCsvLines(block, i, i + 1, &batch);
+    ASSERT_EQ(report.rejected, want.ok() ? 0u : 1u);
+    ASSERT_EQ(batch.num_rows(), before + (want.ok() ? 1 : 0));
+    if (!want.ok()) {
+      EXPECT_FALSE(report.first_error.ok());
+      continue;
+    }
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      const Value& v = (*want)[c];
+      const Bat& col = batch.column(c);
+      ASSERT_EQ(col.IsNull(before), v.is_null()) << "column " << c;
+      if (v.is_null()) continue;
+      switch (schema.field(c).type) {
+        case DataType::kInt64:
+        case DataType::kTimestamp:
+          EXPECT_EQ(col.Int64At(before), v.int64_value());
+          break;
+        case DataType::kDouble:
+          EXPECT_EQ(DoubleBits(col.DoubleAt(before)),
+                    DoubleBits(v.double_value()));
+          break;
+        case DataType::kBool:
+          EXPECT_EQ(col.BoolAt(before), v.bool_value());
+          break;
+        case DataType::kString:
+          EXPECT_EQ(col.StringAt(before), v.string_value());
+          break;
+      }
+    }
+  }
+}
+
+TEST(CsvTest, ParseCsvLinesCountsRejectsAndKeepsTheFirstReason) {
+  Schema schema({{"x", DataType::kInt64}, {"y", DataType::kDouble}});
+  TextBlock block;
+  block.AppendFramed("1,2.5\nbad,1\n3,4.5\n4\n5,6");
+  ASSERT_EQ(block.size(), 5u);
+  ColumnBatch batch(schema);
+  CsvParseReport report = ParseCsvLines(block, 0, block.size(), &batch);
+  EXPECT_EQ(report.rejected, 2u);
+  EXPECT_NE(report.first_error.ToString().find("bad"), std::string::npos)
+      << report.first_error.ToString();
+  ASSERT_EQ(batch.num_rows(), 3u);
+  EXPECT_EQ(batch.column(0).size(), batch.column(1).size());
+  EXPECT_EQ(batch.column(0).Int64At(2), 5);
+  EXPECT_EQ(batch.column(1).DoubleAt(1), 4.5);
 }
 
 // --- generators --------------------------------------------------------------
@@ -326,6 +549,46 @@ TEST(ReplayerTest, SendsExactlyTotalRows) {
   EXPECT_TRUE(replayer.finished());
   EXPECT_EQ(replayer.rows_sent(), 1000);
   EXPECT_EQ(wire.size(), 1000u);
+}
+
+/// Rows-only generator: (i, "line i") with every third string holding a
+/// newline, which framed text must not split.
+class NewlineGenerator : public RowGenerator {
+ public:
+  Row Next() override {
+    int64_t i = next_++;
+    std::string s = "line " + std::to_string(i);
+    if (i % 3 == 0) s += "\nmore";
+    return {Value::Int64(i), Value::String(std::move(s))};
+  }
+
+ private:
+  int64_t next_ = 0;
+};
+
+TEST(ReplayerTest, QuotedNewlineStaysOneLine) {
+  Channel wire;
+  Replayer::Options opts;
+  opts.rows_per_second = 1e6;
+  opts.batch_size = 8;
+  opts.total_rows = 20;
+  Replayer replayer(&wire, std::make_unique<NewlineGenerator>(), opts);
+  ASSERT_TRUE(replayer.Start().ok());
+  for (int i = 0; i < 5000 && !replayer.finished(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  replayer.Stop();
+  ASSERT_TRUE(replayer.finished());
+  ASSERT_EQ(wire.size(), 20u);
+  Schema schema({{"i", DataType::kInt64}, {"s", DataType::kString}});
+  NewlineGenerator expected;
+  std::string line;
+  for (int64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(wire.TryPop(&line));
+    auto row = ParseCsvRow(line, schema);
+    ASSERT_TRUE(row.ok()) << line;
+    EXPECT_EQ(*row, expected.Next()) << line;
+  }
 }
 
 TEST(ReplayerTest, RateIsRoughlyHeld) {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -209,6 +211,81 @@ TEST(ConcurrencyStress, ChannelWakeDrivesReceptor) {
       << "rows=" << sink->rows();
   engine.Stop();
   EXPECT_EQ(sink->rows(), kWriters * kLines);
+  EXPECT_EQ(channel.total_dropped(), 0);
+}
+
+TEST(ConcurrencyStress, MixedPushKindsDeliverEveryTupleOnceInOrder) {
+  Engine engine;
+  ASSERT_TRUE(engine.ExecuteSql("create basket s (p int, i int)").ok());
+  auto q = engine.SubmitContinuousQuery(
+      "q", "select p, i from [select * from s] as a");
+  ASSERT_TRUE(q.ok());
+  auto sink = std::make_shared<CollectingSink>();
+  ASSERT_TRUE(engine.Subscribe(*q, sink).ok());
+
+  Channel channel;
+  auto receptor = engine.AttachReceptor("s", &channel);
+  ASSERT_TRUE(receptor.ok());
+  ASSERT_TRUE(engine.Start(2).ok());
+
+  // Two producers, each cycling through Push, PushBatch and PushBlock in
+  // chunks of 1-7 lines; every PushBlock chunk also carries one malformed
+  // line, which must be dropped and counted, never delivered.
+  constexpr int kProducers = 2;
+  constexpr int kLines = 3000;
+  std::atomic<int64_t> bad_lines{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&channel, &bad_lines, p] {
+      int i = 0;
+      for (int chunk = 0; i < kLines; ++chunk) {
+        const int n = std::min(1 + chunk % 7, kLines - i);
+        auto line = [p](int k) {
+          return std::to_string(p) + "," + std::to_string(k);
+        };
+        switch (chunk % 3) {
+          case 0:
+            for (int k = 0; k < n; ++k) channel.Push(line(i + k));
+            break;
+          case 1: {
+            std::vector<std::string> lines;
+            for (int k = 0; k < n; ++k) lines.push_back(line(i + k));
+            channel.PushBatch(std::move(lines));
+            break;
+          }
+          case 2: {
+            std::string text;
+            for (int k = 0; k < n; ++k) text += line(i + k) + "\n";
+            text += "not,a-tuple";
+            channel.PushBlock(text);
+            bad_lines.fetch_add(1);
+            break;
+          }
+        }
+        i += n;
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+
+  ASSERT_TRUE(WaitFor([&] { return sink->row_count() >= kProducers * kLines; },
+                      milliseconds(10000)))
+      << "rows=" << sink->row_count();
+  ASSERT_TRUE(WaitFor([&] { return channel.empty(); }, milliseconds(10000)));
+  engine.Stop();
+
+  std::vector<Row> rows = sink->TakeRows();
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kProducers * kLines));
+  std::vector<int64_t> next(kProducers, 0);
+  for (const Row& row : rows) {
+    int64_t p = row[0].int64_value();
+    ASSERT_GE(p, 0);
+    ASSERT_LT(p, kProducers);
+    ASSERT_EQ(row[1].int64_value(), next[p]) << "producer " << p;
+    ++next[p];
+  }
+  EXPECT_EQ((*receptor)->malformed_lines(), bad_lines.load());
+  EXPECT_EQ(channel.total_pushed(), kProducers * kLines + bad_lines.load());
   EXPECT_EQ(channel.total_dropped(), 0);
 }
 

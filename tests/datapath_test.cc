@@ -6,6 +6,7 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "adapters/channel.h"
 #include "adapters/csv.h"
 #include "adapters/generator.h"
 #include "adapters/sink.h"
@@ -158,6 +160,72 @@ TEST(DatapathAllocTest, SteadyStatePipelineRoundIsAllocationFree) {
 #endif
 }
 
+/// Appends one `ticks` line (sym,px,qty,seq) and its newline to `text`,
+/// without touching the heap once `text` has the capacity.
+void AppendTickLine(int64_t sym, int64_t px, int64_t qty, int64_t seq,
+                    std::string* text) {
+  char buf[96];
+  char* p = buf;
+  char* end = buf + sizeof(buf);
+  for (int64_t v : {sym, px, qty, seq}) {
+    if (p != buf) *p++ = ',';
+    p = std::to_chars(p, end, v).ptr;
+  }
+  *p++ = '\n';
+  text->append(buf, static_cast<size_t>(p - buf));
+}
+
+// The framed text path: newline-framed text goes onto a channel with
+// PushBlock, the receptor takes the block, parses it in one pass into its
+// recycled batch and delivers it into the basket, and the basket is
+// drained. The channel recycles its block and the batch ping-pongs with the
+// basket, so once warm a round allocates nothing.
+TEST(DatapathAllocTest, FramedTextRoundIsAllocationFree) {
+#if !DATACELL_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under sanitizers or "
+                  "debug-check builds";
+#else
+  constexpr size_t kRows = 1024;
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ExecuteSql("create basket ticks (sym int, px double, "
+                              "qty int, seq int)")
+                  .ok());
+  Channel wire;
+  auto receptor = engine.AttachReceptor("ticks", &wire);
+  ASSERT_TRUE(receptor.ok());
+  auto ticks = engine.GetBasket("ticks");
+  ASSERT_TRUE(ticks.ok());
+  Table drained("drained", (*ticks)->schema());
+  std::string text;
+
+  auto round = [&](int64_t r) {
+    text.clear();
+    for (size_t i = 0; i < kRows; ++i) {
+      AppendTickLine(static_cast<int64_t>(i % 64), static_cast<int64_t>(i),
+                     r % 10, static_cast<int64_t>(i), &text);
+    }
+    wire.PushBlock(text);
+    auto fired = (*receptor)->Fire();
+    ASSERT_TRUE(fired.ok());
+    ASSERT_EQ(*fired, static_cast<int64_t>(kRows));
+    drained.Clear();
+    (*ticks)->DrainAllInto(&drained);
+    ASSERT_EQ(drained.num_rows(), kRows);
+  };
+
+  for (int64_t r = 0; r < 4; ++r) round(r);
+
+  int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int64_t r = 4; r < 16; ++r) round(r);
+  int64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "steady-state framed text rounds performed heap allocations";
+  EXPECT_EQ((*receptor)->malformed_lines(), 0);
+  EXPECT_EQ(wire.total_pushed(), static_cast<int64_t>(16 * kRows));
+#endif
+}
+
 // Buffers a drain or a delivery lets go of return to the allocator; nothing
 // between rounds keeps them. Four queries share one basket on the Engine
 // facade (filter, keyed group-by, sliding window, stream-table join), so
@@ -203,9 +271,25 @@ TEST(DatapathAllocTest, IdleEngineRetainedHeapDoesNotGrowWithRounds) {
 
   auto ticks = engine.GetBasket("ticks");
   ASSERT_TRUE(ticks.ok());
+  // Every other round arrives as text on a channel, so the receptor's batch
+  // and the channel's recycled blocks are part of what must stay bounded.
+  Channel wire;
+  ASSERT_TRUE(engine.AttachReceptor("ticks", &wire).ok());
   ColumnBatch batch((*ticks)->user_schema());
+  std::string text;
   int64_t seq = 0;
+  int64_t rounds = 0;
   auto round = [&] {
+    if (rounds++ % 2 == 1) {
+      text.clear();
+      for (size_t i = 0; i < kRows; ++i, ++seq) {
+        AppendTickLine(seq % kSyms, seq % 200, seq % 10, seq, &text);
+      }
+      wire.PushBlock(text);
+      engine.Drain();
+      ASSERT_TRUE(wire.empty());
+      return;
+    }
     batch.Clear();
     for (size_t i = 0; i < kRows; ++i, ++seq) {
       batch.column(0).AppendInt64(seq % kSyms);
