@@ -7,7 +7,7 @@
 //   2. partitionable group-by: group key == declared partition key, so the
 //      per-shard aggregates are already the global answer.
 //   3. needs-final-merge avg:  per-shard partial (sum, count) plans plus the
-//      frontend MergeEmitter re-division.
+//      re-division, run as an ordinary query in the frontend engine.
 //   4. router overhead:        hash-split columnar ingest alone (no query),
 //      isolating the AppendPositions gather + scratch recycling cost.
 //

@@ -188,6 +188,10 @@ class Shell {
           std::printf("-- shard %zu --\n%s", s,
                       sharded_->shard(s).Analyze().ToString().c_str());
         }
+        // The frontend engine's net: each merged query's partials stream,
+        // merge factory and emitter.
+        std::printf("-- frontend --\n%s",
+                    sharded_->frontend().Analyze().ToString().c_str());
         if (sharded_->num_queries() > 0) {
           std::printf("-- shard placement --\n");
         }
@@ -254,8 +258,11 @@ class Shell {
     if (StartsWith(cmd, "\\metrics")) {
       std::string prefix(Trim(cmd.substr(8)));
       if (sharded_ != nullptr) {
-        // Frontend registry (router + merge counters), then each shard's.
+        // Router registry, the frontend engine (merge queries), then each
+        // shard's.
         std::printf("%s", sharded_->metrics().PrometheusText(prefix).c_str());
+        std::printf("# frontend\n%s",
+                    sharded_->frontend().MetricsText(prefix).c_str());
         for (size_t i = 0; i < sharded_->num_shards(); ++i) {
           std::printf("# shard %zu\n%s", i,
                       sharded_->shard(i).MetricsText(prefix).c_str());

@@ -13,8 +13,9 @@
 #                         engine — catches what tidy's checks don't)
 #   stage 6  sql-lint     datacell-lint over examples/sql (good corpus must
 #                         pass, seeded-bad corpus must fail, partition demo
-#                         shard plan and state-bound report must match their
-#                         committed goldens, no bounded→unbounded drift)
+#                         shard plan (plain and on 4 live shards) and
+#                         state-bound report must match their committed
+#                         goldens, no bounded→unbounded drift)
 #   stage 7  debug-checks full suite with DATACELL_DEBUG_CHECKS=ON
 #                         (lock-order checker + DC_DCHECK invariants live)
 #   stage 8  tsan         concurrency-, metrics-, specialize-, observe- and
@@ -104,6 +105,14 @@ fi
   examples/sql/partition_demo.sql 2>/dev/null
 diff -u examples/sql/partition_report.golden.json \
   "$BUILD_ROOT/partition_demo.report.json"
+# The same demo replayed on a live 4-shard engine pins each query's placement
+# (concat, frontend merge or rejection), so a change to the sharded executor
+# that moves a query shows up as a golden diff.
+"$BUILD_ROOT/werror/tools/datacell-lint" --shards 4 \
+  --partition-report "$BUILD_ROOT/partition_demo.shards4.report.json" \
+  examples/sql/partition_demo.sql >/dev/null 2>&1
+diff -u examples/sql/partition_report.shards4.golden.json \
+  "$BUILD_ROOT/partition_demo.shards4.report.json"
 # Same contract for the pass-4 state bounds: the per-query memory-bound
 # verdicts over the demo corpus are a committed artifact.
 "$BUILD_ROOT/werror/tools/datacell-lint" \

@@ -2,27 +2,13 @@
 
 #include <map>
 #include <set>
-#include <string_view>
 
 #include "analysis/interval.h"
-#include "analysis/partition_analyzer.h"
 
 namespace datacell {
 namespace analysis {
 
 namespace {
-
-/// MergeEmitter union baskets carry the `__partials` suffix (the merge
-/// plan's scan binding). They live in the sharded frontend and are drained
-/// by a frontend MergeEmitter outside any single engine's projected net, so
-/// within a projection they look append-only — exempt from N001 like the
-/// sys.* telemetry places.
-bool IsPartialsUnionPlace(const std::string& name) {
-  constexpr std::string_view suffix = kPartialsBinding;
-  return name.size() >= suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
 
 const char* KindNoun(NetNodeKind k) {
   switch (k) {
@@ -104,7 +90,7 @@ void AnalyzeTopology(const NetTopology& net, AnalysisReport* report) {
   // telemetry baskets are exempt: they are bounded ring-like stores meant to
   // be sampled (one-time queries, HTTP endpoints), not necessarily drained.
   for (const NetPlace& p : net.places) {
-    if (p.system || IsPartialsUnionPlace(p.name)) continue;
+    if (p.system) continue;
     bool fed = p.external_feed || !producers[p.name].empty();
     if (!fed || !consumers[p.name].empty()) continue;
     std::string msg = "basket '" + p.name + "' is appended to but never read";

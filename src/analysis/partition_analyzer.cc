@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 
 namespace datacell {
 namespace analysis {
@@ -195,13 +196,44 @@ PartialLayout DecomposeAggregates(const std::vector<AggSpec>& specs) {
   return out;
 }
 
-/// Builds the merge-side re-aggregation over Scan(kPartialsBinding) and the
+/// The row of a `<query>__partials` basket: the partial row, plus the
+/// basket's trailing ts when the partial carries none (the rule of
+/// Basket::HasTsColumn, which lives in core, above this library).
+Schema PartialsRowSchema(const Schema& partial) {
+  Schema row = partial;
+  const size_t n = partial.num_fields();
+  if (n == 0 || partial.field(n - 1).type != DataType::kTimestamp ||
+      !EqualsIgnoreCase(partial.field(n - 1).name, "ts")) {
+    row.AddField(Field{"ts", DataType::kTimestamp});
+  }
+  return row;
+}
+
+/// The scan both merge kinds start from. It reads the whole partials-basket
+/// row, the way a factory binds it, and projects the partial columns back,
+/// so the merge above sees the partial row and its output schema does not
+/// depend on the basket ts.
+Result<PlanPtr> ScanPartials(const Schema& partial) {
+  const Schema row = PartialsRowSchema(partial);
+  DC_ASSIGN_OR_RETURN(PlanPtr scan, MakeScan(kPartialsBinding, row));
+  if (row.num_fields() == partial.num_fields()) return scan;
+  std::vector<ExprPtr> exprs;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < partial.num_fields(); ++i) {
+    const Field& f = partial.field(i);
+    exprs.push_back(Expr::Column(i, f.name, f.type));
+    names.push_back(f.name);
+  }
+  return MakeProject(std::move(scan), std::move(exprs), std::move(names));
+}
+
+/// Builds the merge-side re-aggregation over the partials scan and the
 /// projection that reconstructs the original aggregate's exact output
 /// schema (so the post-aggregate operators rebuild unchanged on top).
 Result<PlanPtr> BuildReaggregate(const PlanNode& agg, const Schema& partials,
                                  const PartialLayout& layout) {
   size_t groups = agg.group_columns().size();
-  DC_ASSIGN_OR_RETURN(PlanPtr scan, MakeScan(kPartialsBinding, partials));
+  DC_ASSIGN_OR_RETURN(PlanPtr scan, ScanPartials(partials));
   std::vector<size_t> group_cols(groups);
   for (size_t g = 0; g < groups; ++g) group_cols[g] = g;
 
@@ -670,8 +702,8 @@ Result<PartitionReport> AnalyzePartitioning(const CompiledQuery& query,
       // Ordered merge: the partial is everything below the sort; the merge
       // re-sorts the concatenated partials and re-applies what sat above.
       out.partial_plan = sort_node->child();
-      DC_ASSIGN_OR_RETURN(
-          merge, MakeScan(kPartialsBinding, out.partial_plan->output_schema()));
+      DC_ASSIGN_OR_RETURN(merge,
+                          ScanPartials(out.partial_plan->output_schema()));
       size_t sort_pos = 0;
       while (upper[sort_pos] != sort_node) ++sort_pos;
       boundary = sort_pos + 1;  // sort itself rebuilds first, below
@@ -944,10 +976,21 @@ Result<SplitMergeResult> CheckSplitMergeEquivalence(
     shard_outputs.push_back(std::move(part));
   }
 
-  // Merge: concatenate, then run the merge plan when one is prescribed.
-  auto merged = std::make_shared<Table>("merged", partial.output_schema());
+  // Merge: concatenate, then run the merge plan when one is prescribed. A
+  // merge plan binds the partials-basket row, as the frontend factory does:
+  // the partials plus a ts column, stamped 0 here, when they carry none.
+  const Schema& partial_row = partial.output_schema();
+  auto merged = std::make_shared<Table>(
+      kPartialsBinding, report.merge_plan != nullptr
+                            ? PartialsRowSchema(partial_row)
+                            : partial_row);
   for (const TablePtr& p : shard_outputs) {
-    DC_RETURN_NOT_OK(merged->AppendTable(*p));
+    for (size_t c = 0; c < p->num_columns(); ++c) {
+      merged->column(c)->AppendBat(*p->column(c));
+    }
+    if (merged->num_columns() > p->num_columns()) {
+      merged->column(p->num_columns())->AppendConstantInt64(0, p->num_rows());
+    }
   }
   TablePtr result = merged;
   if (report.merge_plan != nullptr) {

@@ -51,7 +51,9 @@ struct ShardKey {
 };
 
 /// Relation name the synthesized merge plan scans the concatenated
-/// per-shard partials under.
+/// per-shard partials under. The bound relation is the row of a
+/// `<query>__partials` basket: the partial plan's output, plus a trailing
+/// `ts` when that output carries none.
 inline constexpr const char* kPartialsBinding = "__partials";
 
 struct PartitionReport {
@@ -71,7 +73,8 @@ struct PartitionReport {
   /// (aggregates decomposed, post-aggregate operators moved to the merge
   /// side) or kOrderedMerge (sort/limit moved to the merge side).
   PlanPtr partial_plan;
-  /// Merge plan over Scan(kPartialsBinding); null when merge == kNone.
+  /// Merge plan over Scan(kPartialsBinding) (the partials-basket row; the
+  /// output schema is the query's); null when merge == kNone.
   PlanPtr merge_plan;
 
   /// Multi-line human-readable summary, for `\analyze`.

@@ -190,8 +190,8 @@ class Engine {
 
   /// Registers an already-compiled continuous query — the path the sharded
   /// executor (core/shard.h) uses to install analyzer-synthesized partial
-  /// plans that have no SQL surface form. `query.sql_text` should be set for
-  /// introspection; everything downstream of parsing in
+  /// and merge plans, which have no SQL surface form. `query.sql_text`
+  /// should be set for introspection; everything downstream of parsing in
   /// SubmitContinuousQuery (plan analysis, strategy plumbing, factory,
   /// emitter, pass-3 classification) runs identically.
   Result<QueryId> SubmitCompiledQuery(const std::string& name,
@@ -288,6 +288,7 @@ class Engine {
   /// Non-null when constructed with use_wall_clock = false.
   SimulatedClock* simulated_clock() { return sim_clock_; }
   Scheduler& scheduler() { return scheduler_; }
+  const Scheduler& scheduler() const { return scheduler_; }
 
   struct QueryInfo {
     std::string name;

@@ -16,16 +16,17 @@ namespace datacell {
 namespace {
 
 /// Shard-side egress of a merged query: appends every emitted partial batch
-/// into the frontend union basket. Emitters call OnBatch from shard worker
-/// threads; the basket's monitor serialises the appends.
+/// into the frontend engine's `<query>__partials` stream. Emitters call
+/// OnBatch from shard worker threads; the basket's monitor serialises the
+/// appends.
 class ForwardingSink final : public ResultSink {
  public:
   explicit ForwardingSink(BasketPtr target) : target_(std::move(target)) {}
 
   void OnBatch(const Table& batch, Timestamp) override {
     // Emitted batches carry the partial plan's full row (including its ts
-    // column when it has one), which is exactly the union basket's row
-    // shape: its trailing column is the basket ts.
+    // column when it has one), which is exactly the partials basket's row
+    // shape: its trailing column is the basket ts, kept as stamped.
     Status st = target_->AppendTable(batch, std::nullopt);
     if (!st.ok()) {
       DC_LOG(Error) << "partials forward failed: " << st.message();
@@ -69,85 +70,11 @@ const char* RouteKindName(RouteKind k) {
 }
 
 // ---------------------------------------------------------------------------
-// MergeEmitter
-// ---------------------------------------------------------------------------
-
-MergeEmitter::MergeEmitter(std::string name, BasketPtr partials,
-                           PlanPtr merge_plan, size_t merge_arity,
-                           const Clock* clock)
-    : Transition(std::move(name), TransitionKind::kEmitter),
-      partials_(std::move(partials)),
-      merge_plan_(std::move(merge_plan)),
-      merge_arity_(merge_arity),
-      clock_(clock) {
-  DC_CHECK(partials_ != nullptr);
-  DC_CHECK(merge_plan_ != nullptr);
-  DC_CHECK(clock_ != nullptr);
-  const Schema& out = merge_plan_->output_schema();
-  if (!Basket::HasTsColumn(out)) {
-    // Merged rows without a ts column (re-aggregation) are stamped with the
-    // delivery time through a private basket, so sinks see the same row
-    // shape a per-shard emitter would deliver.
-    stamp_ = std::make_unique<Basket>(
-        Basket::MakeBasketTable(this->name() + "__stamp", out));
-  }
-}
-
-Result<int64_t> MergeEmitter::Fire() {
-  Timestamp start = clock_->Now();
-  TablePtr drained = partials_->DrainAll();
-  if (drained == nullptr || drained->empty()) return 0;
-  // The union basket appended its own ts column after the partial columns;
-  // the merge plan scans the partial row shape only. Zero-copy prefix share
-  // (when the partials carry their own ts it IS the whole row).
-  TablePtr bound = drained->SharePrefix(analysis::kPartialsBinding,
-                                        merge_arity_);
-  PlanBindings bindings;
-  bindings[analysis::kPartialsBinding] = std::move(bound);
-  DC_ASSIGN_OR_RETURN(TablePtr merged, ExecutePlan(*merge_plan_, bindings));
-  Timestamp now = clock_->Now();
-  TablePtr out = std::move(merged);
-  if (stamp_ != nullptr && !out->empty()) {
-    DC_RETURN_NOT_OK(stamp_->AppendTableMove(std::move(*out), now));
-    out = stamp_->DrainAll();
-  }
-  int64_t n = static_cast<int64_t>(out->num_rows());
-  if (n > 0) {
-    std::lock_guard<std::mutex> lock(sinks_mu_);
-    for (const auto& sink : sinks_) sink->OnBatch(*out, now);
-  }
-  RecordRun(n, clock_->Now() - start);
-  return n;
-}
-
-void MergeEmitter::AddSink(std::shared_ptr<ResultSink> sink) {
-  DC_CHECK(sink != nullptr);
-  std::lock_guard<std::mutex> lock(sinks_mu_);
-  sinks_.push_back(std::move(sink));
-}
-
-size_t MergeEmitter::num_sinks() const {
-  std::lock_guard<std::mutex> lock(sinks_mu_);
-  return sinks_.size();
-}
-
-// ---------------------------------------------------------------------------
 // ShardedEngine: construction
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::WakeHub::Notify() {
-  std::lock_guard<std::mutex> lock(mu);
-  if (scheduler != nullptr) scheduler->NotifyWork();
-}
-
-void ShardedEngine::WakeHub::Disarm() {
-  std::lock_guard<std::mutex> lock(mu);
-  scheduler = nullptr;
-}
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
-    : options_(std::move(options)),
-      scheduler_(options_.engine.scheduling_policy) {
+    : options_(std::move(options)) {
   options_.num_shards = std::max<size_t>(1, options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
@@ -155,21 +82,22 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     eo.shard_index = static_cast<int>(i);
     shards_.push_back(std::make_unique<Engine>(eo));
   }
-  scheduler_.SetIdleFallbackUs(options_.engine.idle_tick_us);
-  wake_hub_ = std::make_shared<WakeHub>();
-  wake_hub_->scheduler = &scheduler_;
+  // The frontend engine runs the merge queries. It takes the shard template
+  // with these fixed values.
+  EngineOptions fo = options_.engine;
+  fo.kernel_threads = 0;     // a merge reads one row per group and shard
+  fo.monitor_tick_us = 0;    // sys.* telemetry describes the shards' nets
+  fo.max_basket_tuples = 0;  // partial rows are results: never shed
+  // The shards already ran the pass-4 admission gate on the whole query.
+  fo.max_query_state_bytes = 0;
+  fo.max_engine_state_bytes = 0;
+  frontend_ = std::make_unique<Engine>(fo);
   routed_ = std::make_unique<Counter[]>(options_.num_shards);
   metrics_.SetCollector(
       [this](MetricsSnapshotData& out) { CollectMetrics(out); });
 }
 
-ShardedEngine::~ShardedEngine() {
-  Stop();
-  wake_hub_->Disarm();
-  // The union baskets' wake callbacks hold only the (now disarmed) hub, but
-  // detach them anyway so a basket retained by a sink cannot even reach it.
-  for (const auto& b : union_baskets_) b->SetWakeCallback(nullptr);
-}
+ShardedEngine::~ShardedEngine() { Stop(); }
 
 int64_t ShardedEngine::routed_tuples() const {
   int64_t total = 0;
@@ -182,9 +110,6 @@ void ShardedEngine::CollectMetrics(MetricsSnapshotData& out) const {
     out.Add(series::kShardRouted, {std::to_string(s)}, routed_[s].value());
   }
   out.Add(series::kShardBroadcast, {}, broadcast_.value());
-  for (const TransitionPtr& t : scheduler_.TransitionsSnapshot()) {
-    series::AddTransition(out, *t);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -814,7 +739,6 @@ Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
   placement.name = name;
   placement.verdict = verdict;
   placement.report = report;
-  std::shared_ptr<MergeEmitter> merge_emitter;
   const std::string out_name = ToLower(name) + "_out";
 
   if (verdict == PartitionVerdict::kPinned) {
@@ -865,30 +789,40 @@ Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
                               name + "__partial", std::move(partial), options));
       placement.shard_queries.emplace_back(s, local);
     }
-    // Frontend union basket: the partial rows from every shard, merged by a
-    // MergeEmitter on the frontend scheduler. When the partials carry their
-    // own ts column it doubles as the basket ts; otherwise the basket
-    // appends one.
-    Schema union_user = partial_schema;
+    // Frontend: every shard's partial rows land in `<name>__partials`, and
+    // the merge plan runs over that stream as an ordinary continuous query.
+    // When the partials carry their own ts column it doubles as the basket
+    // ts; otherwise the basket appends one.
+    Schema partials_user = partial_schema;
     if (Basket::HasTsColumn(partial_schema)) {
       Schema stripped;
       for (size_t f = 0; f + 1 < partial_schema.num_fields(); ++f) {
         stripped.AddField(partial_schema.field(f));
       }
-      union_user = std::move(stripped);
+      partials_user = std::move(stripped);
     }
-    auto union_basket = std::make_shared<Basket>(
-        Basket::MakeBasketTable(ToLower(name) + "__partials", union_user));
-    union_basket->SetWakeCallback([hub = wake_hub_] { hub->Notify(); });
-    union_baskets_.push_back(union_basket);
-    merge_emitter = std::make_shared<MergeEmitter>(
-        "merge_" + ToLower(name), union_basket, report->merge_plan,
-        partial_schema.num_fields(), &shards_[0]->clock());
+    DC_ASSIGN_OR_RETURN(
+        BasketPtr partials,
+        frontend_->CreateStream(ToLower(name) + "__partials", partials_user));
+    sql::CompiledQuery merge;
+    merge.plan = report->merge_plan;
+    merge.output_schema = report->merge_plan->output_schema();
+    merge.continuous = true;
+    merge.inputs.push_back(sql::ContinuousInput{
+        partials->name(), analysis::kPartialsBinding, partials->schema(),
+        nullptr});
+    merge.sql_text = "/* merge of " + name + " */ " + sql;
+    // The shards append straight into the partials basket, so the merge
+    // must read that basket itself, not a private replica or chain link.
+    QueryOptions merge_options = options;
+    merge_options.strategy = ProcessingStrategy::kSharedBaskets;
+    DC_ASSIGN_OR_RETURN(
+        placement.frontend_query,
+        frontend_->SubmitCompiledQuery(name, std::move(merge), merge_options));
     for (const auto& [s, local] : placement.shard_queries) {
       DC_RETURN_NOT_OK(shards_[s]->Subscribe(
-          local, std::make_shared<ForwardingSink>(union_basket)));
+          local, std::make_shared<ForwardingSink>(partials)));
     }
-    scheduler_.AddTransition(merge_emitter);
     placement.merged = true;
     placement.placement = "all " + std::to_string(shards_.size()) +
                           " shards (partials) + frontend merge (" +
@@ -924,7 +858,6 @@ Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
     shards_[s]->SetQueryPlacement(local, placement.placement);
   }
   placements_.push_back(std::move(placement));
-  merge_emitters_.push_back(std::move(merge_emitter));
   return placements_.size() - 1;
 }
 
@@ -934,8 +867,7 @@ Status ShardedEngine::Subscribe(QueryId id, std::shared_ptr<ResultSink> sink) {
   }
   const QueryPlacement& placement = placements_[id];
   if (placement.merged) {
-    merge_emitters_[id]->AddSink(std::move(sink));
-    return Status::OK();
+    return frontend_->Subscribe(placement.frontend_query, std::move(sink));
   }
   // Sinks are thread-safe by contract, so one sink may fan in from every
   // placed shard's emitter.
@@ -961,12 +893,12 @@ int64_t ShardedEngine::Drain(int64_t max_rounds) {
   int64_t total = 0;
   for (int64_t round = 0; round < max_rounds; ++round) {
     // Shards first, to quiescence, so every shard's partials for this round
-    // sit in the union baskets before a merge emitter sweeps them — one
+    // sit in the partials streams before a merge factory fires — one
     // frontend fire then merges the complete round. Cascaded nets (queries
     // over query outputs) settle across rounds.
     int64_t fired = 0;
     for (auto& shard : shards_) fired += shard->Drain();
-    fired += scheduler_.RunUntilQuiescent();
+    fired += frontend_->Drain();
     total += fired;
     if (fired == 0) break;
   }
@@ -977,14 +909,14 @@ Status ShardedEngine::Start(size_t threads_per_shard) {
   for (auto& shard : shards_) {
     DC_RETURN_NOT_OK(shard->Start(threads_per_shard));
   }
-  return scheduler_.Start(1);
+  return frontend_->Start(1);
 }
 
 void ShardedEngine::Stop() {
   // Shards first: once their emitters stop, no new partials arrive and the
-  // frontend scheduler can stop without racing appends.
+  // frontend engine can stop without racing appends.
   for (auto& shard : shards_) shard->Stop();
-  scheduler_.Stop();
+  frontend_->Stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -999,11 +931,13 @@ std::string ShardedEngine::ShardsReport() const {
     out += "  shard " + std::to_string(s) +
            ": queries=" + std::to_string(e.num_queries()) +
            " ingested=" + std::to_string(e.tuples_ingested()) +
-           " firings=" + std::to_string(
-               const_cast<Engine&>(e).scheduler().total_firings()) +
+           " firings=" + std::to_string(e.scheduler().total_firings()) +
            " shed=" + std::to_string(e.total_shed()) +
            " routed=" + std::to_string(routed_[s].value()) + "\n";
   }
+  out += "  frontend: queries=" + std::to_string(frontend_->num_queries()) +
+         " firings=" +
+         std::to_string(frontend_->scheduler().total_firings()) + "\n";
   out += "broadcast tuples: " + std::to_string(broadcast_tuples()) + "\n";
   out += "routes:\n";
   std::lock_guard<std::mutex> lock(routes_mu_);

@@ -33,50 +33,6 @@ enum class RouteKind {
 
 const char* RouteKindName(RouteKind k);
 
-/// Frontend transition recombining the per-shard partials of one
-/// needs-final-merge query: drains the `<query>__partials` union basket,
-/// binds the (ts-stripped) rows under analysis::kPartialsBinding, executes
-/// the analyzer-synthesized merge plan (re-aggregation incl. avg = sum/count
-/// re-division, or the re-sort equivalent of a k-way ts-ordered merge), and
-/// delivers the merged rows to the subscribed sinks.
-///
-/// Merge granularity is per scheduler round: everything drained in one fire
-/// merges together. Under the deterministic protocol (ingest, then Drain —
-/// shard nets run to quiescence before the frontend scheduler) one round
-/// holds every shard's partial for the ingested batch, reproducing
-/// single-engine output exactly. In threaded mode rounds are approximate:
-/// a fire may merge a subset of shards' partials, yielding more (finer)
-/// result rows whose re-merge is the single-engine result.
-class MergeEmitter final : public Transition {
- public:
-  /// `merge_arity` is the partial plan's output arity — the prefix of the
-  /// union basket's columns the merge plan scans (the basket appends its
-  /// implicit ts column after them unless the partials already carry ts).
-  MergeEmitter(std::string name, BasketPtr partials, PlanPtr merge_plan,
-               size_t merge_arity, const Clock* clock);
-
-  bool Ready() const override { return !partials_->empty(); }
-  int64_t Backlog() const override {
-    return static_cast<int64_t>(partials_->size());
-  }
-  Result<int64_t> Fire() override;
-
-  void AddSink(std::shared_ptr<ResultSink> sink);
-  size_t num_sinks() const;
-  const BasketPtr& partials() const { return partials_; }
-
- private:
-  BasketPtr partials_;
-  PlanPtr merge_plan_;
-  size_t merge_arity_;
-  const Clock* clock_;
-  /// Stamps a production ts onto merged rows that lack one, so sinks see
-  /// the same row shape a per-shard emitter would deliver.
-  std::unique_ptr<Basket> stamp_;
-  mutable std::mutex sinks_mu_;
-  std::vector<std::shared_ptr<ResultSink>> sinks_;
-};
-
 /// N independent DataCell engines behind one SQL/catalog frontend — the
 /// fan-out executor for the pass-3 partition recipes (ROADMAP item 1,
 /// AsterixDB-style partitioned intake).
@@ -93,8 +49,9 @@ class MergeEmitter final : public Transition {
 ///   - partitionable / needs-broadcast: the query runs on every shard and
 ///     sinks receive the concatenation of per-shard results;
 ///   - needs-final-merge: each shard runs the synthesized partial plan
-///     (installed via Engine::SubmitCompiledQuery); a frontend MergeEmitter
-///     recombines the partials per the merge plan;
+///     (installed via Engine::SubmitCompiledQuery) and forwards its rows
+///     into the frontend engine's `<query>__partials` stream, where the
+///     merge plan runs as an ordinary continuous query named `<query>`;
 ///   - pinned: the query runs whole on one home shard, and its input
 ///     streams route kSingle there (a single shard is a valid disjoint
 ///     split, so coexisting split consumers stay correct).
@@ -130,9 +87,9 @@ class ShardedEngine {
   Result<QueryId> SubmitContinuousQuery(const std::string& name,
                                         const std::string& sql,
                                         QueryOptions options = {});
-  /// Attaches `sink` to query `id`'s egress: the frontend MergeEmitter for
-  /// merged queries, every placed shard's emitter otherwise (sinks are
-  /// thread-safe by contract, so fan-in is safe).
+  /// Attaches `sink` to query `id`'s egress: the frontend engine's merge
+  /// query for merged queries, every placed shard's emitter otherwise (sinks
+  /// are thread-safe by contract, so fan-in is safe).
   Status Subscribe(QueryId id, std::shared_ptr<ResultSink> sink);
 
   // --- stream management ---------------------------------------------------
@@ -152,13 +109,15 @@ class ShardedEngine {
   Status IngestColumns(const std::string& name, ColumnBatch&& batch);
 
   // --- execution control ----------------------------------------------------
-  /// Deterministic quiescence: alternates full shard drains with frontend
-  /// merge sweeps until a whole round fires nothing (cascaded query
+  /// Deterministic quiescence: alternates full shard drains with a frontend
+  /// engine drain until a whole round fires nothing (cascaded query
   /// networks settle across rounds). Returns total firings.
   int64_t Drain(int64_t max_rounds = 64);
   /// Starts every shard's threaded scheduler (`threads_per_shard` workers
-  /// each — the pinned per-shard worker groups) plus one frontend worker
-  /// driving the merge emitters.
+  /// each — the pinned per-shard worker groups) plus one frontend engine
+  /// worker running the merge queries. A threaded merge fire may see only
+  /// some shards' partials; its finer rows re-merge to the single-engine
+  /// result.
   Status Start(size_t threads_per_shard = 1);
   void Stop();
 
@@ -166,6 +125,11 @@ class ShardedEngine {
   size_t num_shards() const { return shards_.size(); }
   Engine& shard(size_t i) { return *shards_[i]; }
   const Engine& shard(size_t i) const { return *shards_[i]; }
+  /// The frontend engine: it holds each merged query's `<query>__partials`
+  /// stream and runs its merge plan, so merged queries get the profiling,
+  /// metrics, `\stats` and Analyze() of any other query.
+  Engine& frontend() { return *frontend_; }
+  const Engine& frontend() const { return *frontend_; }
 
   struct QueryPlacement {
     std::string name;
@@ -175,6 +139,7 @@ class ShardedEngine {
     std::string placement;
     int home_shard = -1;  // >= 0 for pinned placements
     bool merged = false;  // frontend merge stage installed
+    QueryId frontend_query = 0;  // the merge query's id in frontend()
     std::shared_ptr<const analysis::PartitionReport> report;
     /// (shard index, shard-local query id) for every installed instance.
     std::vector<std::pair<size_t, QueryId>> shard_queries;
@@ -190,10 +155,9 @@ class ShardedEngine {
   };
   Result<StreamRoute> GetRoute(const std::string& stream) const;
 
-  /// Frontend registry: its snapshot reads the router's per-shard routed
-  /// and broadcast counts and the merge emitters' transition series (see
-  /// core/engine_metrics.h). Per-shard engine metrics live in each shard's
-  /// own registry.
+  /// Router registry: its snapshot reads the per-shard routed and the
+  /// broadcast counts (see core/engine_metrics.h). Each shard's and the
+  /// frontend engine's series live in that engine's own registry.
   MetricsRegistry& metrics() const { return metrics_; }
   int64_t routed_tuples() const;
   int64_t broadcast_tuples() const { return broadcast_.value(); }
@@ -270,18 +234,8 @@ class ShardedEngine {
   /// Executes `stmt` on every shard in order; stops at the first error.
   Status FanOut(const sql::Statement& stmt);
 
-  /// The frontend registry's collector.
+  /// The router registry's collector.
   void CollectMetrics(MetricsSnapshotData& out) const;
-
-  /// Wake indirection for union baskets (mirrors Engine::WakeHub): the
-  /// forwarding sinks live in shard emitters, which must never reach a dead
-  /// frontend scheduler.
-  struct WakeHub {
-    void Notify();
-    void Disarm();
-    std::mutex mu;
-    Scheduler* scheduler = nullptr;
-  };
 
   ShardedEngineOptions options_;
   /// Serialises the routing state (routes_, internal_, the per-stream
@@ -290,14 +244,10 @@ class ShardedEngine {
   /// shard schedulers, not from racing producers through the router.
   mutable std::mutex routes_mu_;
   std::vector<std::unique_ptr<Engine>> shards_;
-  /// Frontend scheduler: runs only the merge emitters.
-  Scheduler scheduler_;
-  std::shared_ptr<WakeHub> wake_hub_;
+  std::unique_ptr<Engine> frontend_;
   std::map<std::string, RouteState> routes_;          // lower-cased stream
   std::map<std::string, InternalStream> internal_;    // lower-cased stream
   std::vector<QueryPlacement> placements_;
-  std::vector<std::shared_ptr<MergeEmitter>> merge_emitters_;  // by QueryId
-  std::vector<BasketPtr> union_baskets_;
   size_t next_pinned_shard_ = 0;
   mutable MetricsRegistry metrics_;
   std::unique_ptr<Counter[]> routed_;  // tuples routed to each shard

@@ -20,6 +20,7 @@
 #include "analysis/state_bound.h"
 #include "core/engine.h"
 #include "core/factory.h"
+#include "core/shard.h"
 #include "core/state_oracle.h"
 
 namespace datacell {
@@ -1559,40 +1560,29 @@ TEST(CardinalityHintTest, RejectedOnTablesAndNonPositive) {
           .ok());
 }
 
-// --- N001 exemption for sharded-union partial baskets -----------------------
+// --- the sharded frontend's partials stream ----------------------------------
 
-TEST(NetAnalysisTest, PartialsUnionBasketNotOrphan) {
-  // The sharded executor's frontend union baskets (name__partials) are fed
-  // by cross-engine forwarding the per-shard topology cannot see; they must
-  // not trip the orphan lint the way a plain unfed basket does.
-  analysis::NetTopology net;
-  analysis::NetPlace partials;
-  partials.name = "q1__partials";
-  partials.external_feed = true;  // fed by cross-shard forwarding
-  partials.num_readers = 0;
-  net.places.push_back(partials);
-  analysis::NetPlace lonely;
-  lonely.name = "lonely";
-  lonely.external_feed = true;  // fed but unread: the real orphan
-  lonely.num_readers = 0;
-  net.places.push_back(lonely);
-  analysis::AnalysisReport report;
-  analysis::AnalyzeTopology(net, &report);
-  bool partials_flagged = false;
-  bool lonely_flagged = false;
-  for (const analysis::Diagnostic& d : report.diagnostics()) {
-    if (d.code != analysis::DiagCode::kOrphanBasket) continue;
-    if (d.object.find("__partials") != std::string::npos ||
-        d.message.find("__partials") != std::string::npos) {
-      partials_flagged = true;
-    }
-    if (d.object.find("lonely") != std::string::npos ||
-        d.message.find("lonely") != std::string::npos) {
-      lonely_flagged = true;
-    }
-  }
-  EXPECT_FALSE(partials_flagged) << report.ToString();
-  EXPECT_TRUE(lonely_flagged) << report.ToString();
+TEST(NetAnalysisTest, MergedQueryRaisesNoOrphanOnFrontend) {
+  // A merged query's `<name>__partials` stream is fed by the shards and read
+  // by the merge query's factory in the frontend engine's own net, so the
+  // orphan lint has nothing to flag and needs no exemption.
+  ShardedEngineOptions so;
+  so.num_shards = 2;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket r (id int, temp double) partition by id")
+          .ok());
+  auto q = se.SubmitContinuousQuery(
+      "mean", "select avg(temp) as mean from [select * from r] as s");
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  auto placement = se.GetPlacement(*q);
+  ASSERT_TRUE(placement.ok());
+  ASSERT_TRUE((*placement)->merged);
+  ASSERT_TRUE(se.frontend().GetBasket("mean__partials").ok());
+  analysis::AnalysisReport report = se.frontend().Analyze();
+  EXPECT_FALSE(report.Has(analysis::DiagCode::kOrphanBasket))
+      << report.ToString();
 }
 
 // --- the dynamic state-bound oracle -----------------------------------------

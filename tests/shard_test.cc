@@ -5,6 +5,8 @@
 // tests and a concurrent-ingest stress shape for the TSan job.
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -141,6 +143,32 @@ TEST(ShardEquivalenceTest, AvgReDivisionMergesExactly) {
     EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
     EXPECT_EQ(r.reference.size(), 1u);
   }
+}
+
+// The shards forward partials straight into the frontend's partials basket,
+// so the merge reads it under the shared strategy whatever the query asked
+// for; a separate-baskets query still merges.
+TEST(ShardEquivalenceTest, SeparateStrategyQueryStillMerges) {
+  ShardedEngineOptions so;
+  so.num_shards = 2;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(se.ExecuteSql("create basket sensors (id int, temp double) "
+                            "partition by id")
+                  .ok());
+  QueryOptions separate;
+  separate.strategy = ProcessingStrategy::kSeparateBaskets;
+  auto q = se.SubmitContinuousQuery(
+      "mean", "select avg(temp) as mean from [select * from sensors] as s",
+      separate);
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  auto sink = std::make_shared<CollectingSink>();
+  ASSERT_TRUE(se.Subscribe(*q, sink).ok());
+  ASSERT_TRUE(se.IngestBatch("sensors", SensorRows(200)).ok());
+  se.Drain();
+  std::vector<Row> rows = sink->TakeRows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Double(24.5));  // mean of 0..49, 4 times each
 }
 
 TEST(ShardEquivalenceTest, OrderedTopKMergesAcrossShards) {
@@ -651,6 +679,84 @@ TEST(ShardStressTest, ConcurrentProducersConserveTuples) {
   EXPECT_EQ(sink->rows(), kThreads * kRowsPerThread);
 }
 
+/// Sums a merged query's (count, sum) columns as batches arrive, from any
+/// thread.
+class TotalsSink final : public ResultSink {
+ public:
+  void OnBatch(const Table& batch, Timestamp) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      n_ += batch.column(0)->Int64At(r);
+      sum_ += batch.column(1)->DoubleAt(r);
+    }
+  }
+  int64_t n() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return n_;
+  }
+  double sum() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sum_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  int64_t n_ = 0;
+  double sum_ = 0;
+};
+
+// A merged query under Start(): a threaded frontend round may merge only
+// some shards' partials, so more (finer) rows arrive than after a drain,
+// but every routed tuple is counted in exactly one of them.
+TEST(ShardStressTest, MergedQueryUnderStartConservesCounts) {
+  ShardedEngineOptions so;
+  so.num_shards = 2;  // wall clock: the threaded scheduler path
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (id int, v int) partition by id").ok());
+  auto q = se.SubmitContinuousQuery(
+      "tot", "select count(*) as n, sum(v) as s from [select * from s] as t");
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  auto placement = se.GetPlacement(*q);
+  ASSERT_TRUE(placement.ok());
+  ASSERT_TRUE((*placement)->merged);
+  auto sink = std::make_shared<TotalsSink>();
+  ASSERT_TRUE(se.Subscribe(*q, sink).ok());
+  ASSERT_TRUE(se.Start(1).ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kRowsPerThread = 500;
+  constexpr int64_t kTotal = kThreads * kRowsPerThread;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&se, &failures, t] {
+      for (int i = 0; i < kRowsPerThread; ++i) {
+        Status st = se.Ingest(
+            "s", {Value::Int64(t * kRowsPerThread + i), Value::Int64(2)});
+        if (!st.ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(se.routed_tuples(), kTotal);
+
+  // The threaded frontend merges while the shards run.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sink->n() < kTotal && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const int64_t merged_while_started = sink->n();
+  se.Stop();
+  se.Drain();  // merges whatever the threaded rounds left behind
+  EXPECT_GT(merged_while_started, 0);
+  EXPECT_EQ(sink->n(), se.routed_tuples());
+  EXPECT_EQ(sink->sum(), 2.0 * kTotal);
+}
+
 // --- introspection ----------------------------------------------------------
 
 TEST(ShardReportTest, ShardsReportListsRoutesAndPlacements) {
@@ -676,31 +782,10 @@ TEST(ShardReportTest, ShardsReportListsRoutesAndPlacements) {
 }
 
 
-// --- frontend exposition golden ---------------------------------------------
+// --- exposition goldens -----------------------------------------------------
 
-/// The frontend registry's exposition, byte for byte: per-shard routed
-/// counters, the broadcast counter and one merge emitter's transition series.
-constexpr const char* kFrontendGolden = R"(# TYPE datacell_shard_broadcast_tuples_total counter
-datacell_shard_broadcast_tuples_total 0
-# TYPE datacell_shard_routed_tuples_total counter
-datacell_shard_routed_tuples_total{shard="0"} 19
-datacell_shard_routed_tuples_total{shard="1"} 21
-# TYPE datacell_transition_fires_total counter
-datacell_transition_fires_total{transition="merge_mean",kind="emitter"} 1
-# TYPE datacell_transition_tuples_total counter
-datacell_transition_tuples_total{transition="merge_mean",kind="emitter"} 1
-# TYPE datacell_transition_fire_latency_us histogram
-datacell_transition_fire_latency_us_bucket{transition="merge_mean",kind="emitter",le="0"} 1
-datacell_transition_fire_latency_us_bucket{transition="merge_mean",kind="emitter",le="+Inf"} 1
-datacell_transition_fire_latency_us_sum{transition="merge_mean",kind="emitter"} 0
-datacell_transition_fire_latency_us_count{transition="merge_mean",kind="emitter"} 1
-)";
-
-TEST(ShardMetricsTest, FrontendExpositionIsPinned) {
-  ShardedEngineOptions so;
-  so.num_shards = 2;
-  so.engine = Deterministic();
-  ShardedEngine se(so);
+/// Two shards, one merged query (avg re-division), 40 rows, drained.
+void RunMean(ShardedEngine& se) {
   ASSERT_TRUE(se.ExecuteScript("create basket sensors (id int, temp double) "
                                "partition by id")
                   .ok());
@@ -709,7 +794,54 @@ TEST(ShardMetricsTest, FrontendExpositionIsPinned) {
   ASSERT_TRUE(q.ok()) << q.status().message();
   ASSERT_TRUE(se.IngestBatch("sensors", SensorRows(40)).ok());
   se.Drain();
-  EXPECT_EQ(se.metrics().PrometheusText(), kFrontendGolden);
+}
+
+/// The router registry's exposition, byte for byte: per-shard routed
+/// counters and the broadcast counter, nothing else.
+constexpr const char* kRouterGolden = R"(# TYPE datacell_shard_broadcast_tuples_total counter
+datacell_shard_broadcast_tuples_total 0
+# TYPE datacell_shard_routed_tuples_total counter
+datacell_shard_routed_tuples_total{shard="0"} 19
+datacell_shard_routed_tuples_total{shard="1"} 21
+)";
+
+TEST(ShardMetricsTest, RouterExpositionIsPinned) {
+  ShardedEngineOptions so;
+  so.num_shards = 2;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  RunMean(se);
+  EXPECT_EQ(se.metrics().PrometheusText(), kRouterGolden);
+}
+
+/// The frontend engine's transition series: the merge of `mean` runs as the
+/// ordinary factory_mean and emitter_mean. One round fires each once; the
+/// factory reads one partial row per shard.
+constexpr const char* kFrontendGolden = R"(# TYPE datacell_transition_fires_total counter
+datacell_transition_fires_total{transition="emitter_mean",kind="emitter"} 1
+datacell_transition_fires_total{transition="factory_mean",kind="factory"} 1
+# TYPE datacell_transition_tuples_total counter
+datacell_transition_tuples_total{transition="emitter_mean",kind="emitter"} 1
+datacell_transition_tuples_total{transition="factory_mean",kind="factory"} 2
+# TYPE datacell_transition_fire_latency_us histogram
+datacell_transition_fire_latency_us_bucket{transition="emitter_mean",kind="emitter",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="emitter_mean",kind="emitter",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="emitter_mean",kind="emitter"} 0
+datacell_transition_fire_latency_us_count{transition="emitter_mean",kind="emitter"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_mean",kind="factory",le="0"} 1
+datacell_transition_fire_latency_us_bucket{transition="factory_mean",kind="factory",le="+Inf"} 1
+datacell_transition_fire_latency_us_sum{transition="factory_mean",kind="factory"} 0
+datacell_transition_fire_latency_us_count{transition="factory_mean",kind="factory"} 1
+)";
+
+TEST(ShardMetricsTest, FrontendExpositionIsPinned) {
+  ShardedEngineOptions so;
+  so.num_shards = 2;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  RunMean(se);
+  EXPECT_EQ(se.frontend().MetricsText("datacell_transition_"),
+            kFrontendGolden);
 }
 
 }  // namespace

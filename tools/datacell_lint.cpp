@@ -27,9 +27,10 @@
 // --shards N (N > 1) additionally replays each script against a live
 // N-shard ShardedEngine, records the resulting placement (or the
 // rejection reason) per query as a "placement" field in the report, and
-// unions every shard's own Analyze() findings into the diagnostics, each
-// prefixed with its shard label. The default output is unchanged, so
-// golden diffs stay stable.
+// unions every shard's own Analyze() findings, and the frontend engine's,
+// into the diagnostics, each prefixed with its label ("shard K: ",
+// "frontend: "). The default output is unchanged, so golden diffs stay
+// stable.
 //
 // Exit status: 1 when any error-severity diagnostic was produced (with
 // --strict, warnings fail too; notes never fail); 0 otherwise. CI runs this
@@ -455,11 +456,14 @@ int main(int argc, char** argv) {
     EmitReport(path, 0, net, &out);
     if (sim != nullptr) {
       // Shard nets can diverge (pinned queries live on one shard only), so
-      // each shard's own analysis is unioned in under its label.
+      // each shard's own analysis is unioned in under its label, and so is
+      // the frontend engine's (the merge queries of merged placements).
       for (size_t s = 0; s < sim->engine->num_shards(); ++s) {
         EmitReport(path, 0, sim->engine->shard(s).Analyze(), &out,
                    "shard " + std::to_string(s) + ": ");
       }
+      EmitReport(path, 0, sim->engine->frontend().Analyze(), &out,
+                 "frontend: ");
     }
     CollectPartitions(path, &engine, sim.get(), query_lines, &out);
     CollectStateBounds(path, &engine, query_lines, &out);
