@@ -473,15 +473,6 @@ std::vector<size_t> DistinctPositions(const Table& input) {
   return out;
 }
 
-std::string EncodeRowKey(const Table& input, const std::vector<size_t>& columns,
-                         size_t row) {
-  std::string key;
-  for (size_t c : columns) {
-    AppendKeyBytes(*input.column(c), row, &key);
-  }
-  return key;
-}
-
 Result<std::vector<size_t>> TopN(const Table& input,
                                  const std::vector<SortKey>& keys, size_t n) {
   DC_ASSIGN_OR_RETURN(std::vector<size_t> perm, SortPositions(input, keys));

@@ -173,12 +173,6 @@ Result<std::vector<size_t>> SortPositions(const Table& input,
 /// Positions of the first occurrence of each distinct full row.
 std::vector<size_t> DistinctPositions(const Table& input);
 
-/// Canonical byte encoding of row `row`'s values in `columns` — equal rows
-/// encode equal, across tables with the same column types. Used to merge
-/// per-basic-window group summaries in the incremental window executor.
-std::string EncodeRowKey(const Table& input, const std::vector<size_t>& columns,
-                         size_t row);
-
 /// First `n` positions after sorting (top-n without full materialisation of
 /// the sorted table).
 Result<std::vector<size_t>> TopN(const Table& input,

@@ -273,15 +273,22 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
   const PlanNode* aggnode = nullptr;
   const PlanNode* pre = nullptr;      // ref-only projection under aggregate
   const PlanNode* projectnode = nullptr;
-  const PlanNode* postnode = nullptr;  // projection over the aggregate row
+  // Projections over the aggregate rows, root first.
+  std::vector<const PlanNode*> posts;
 
   // The planner roots every aggregating query as Project(Aggregate(...)) —
   // the post-projection reorders or derives the final columns from the
-  // one-row aggregate output.
-  if (n->kind() == PlanKind::kProject && n->child() != nullptr &&
-      n->child()->kind() == PlanKind::kAggregate) {
-    postnode = n;
-    n = n->child().get();
+  // aggregate output. A merge plan (algebra/aggregate_split.h) stacks the
+  // query's projection on the one that restores the aggregate's schema.
+  const PlanNode* top = n;
+  while (top->kind() == PlanKind::kProject) {
+    posts.push_back(top);
+    top = top->child().get();
+  }
+  if (!posts.empty() && top->kind() == PlanKind::kAggregate) {
+    n = top;
+  } else {
+    posts.clear();
   }
   if (n->kind() == PlanKind::kAggregate) {
     if (n->group_columns().size() > 1) {
@@ -465,19 +472,9 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     pipe->agg_schema_ = aggnode->output_schema();
   }
 
-  if (postnode != nullptr) {
-    std::vector<Proj> projs;
-    const Schema& os = postnode->output_schema();
-    for (size_t i = 0; i < postnode->projections().size(); ++i) {
-      const Expr& e = *postnode->projections()[i];
-      Proj pr;
-      if (!CompileProj(e, os.field(i).type, &pr)) {
-        return Fail("post-aggregate projection not specializable: " +
-                    e.ToString());
-      }
-      projs.push_back(std::move(pr));
-    }
-    pipe->post_project_.emplace(std::move(projs));
+  for (auto it = posts.rbegin(); it != posts.rend(); ++it) {
+    pipe->post_projects_.push_back({(*it)->projections(),
+                                    (*it)->output_schema()});
   }
 
   pipe->output_schema_ = root.output_schema();
@@ -526,11 +523,11 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     }
     d += "\n";
   }
-  if (postnode != nullptr) {
+  if (!posts.empty()) {
     std::string cols;
-    for (size_t i = 0; i < postnode->projections().size(); ++i) {
+    for (size_t i = 0; i < root.output_schema().num_fields(); ++i) {
       if (i > 0) cols += ", ";
-      cols += postnode->output_schema().field(i).name;
+      cols += root.output_schema().field(i).name;
     }
     d += "  " + std::to_string(step++) + ". project result: " + cols + "\n";
   }
@@ -566,7 +563,9 @@ void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
   if (filter_ || always_false_) filter_step_ = profile->AddStep("filter", 0);
   if (project_) project_step_ = profile->AddStep("project", 0);
   if (aggregates_) agg_step_ = profile->AddStep("aggregate", 0);
-  if (post_project_) post_step_ = profile->AddStep("post-project", 0);
+  if (!post_projects_.empty()) {
+    post_step_ = profile->AddStep("post-project", 0);
+  }
   if (!project_ && !aggregates_) {
     project_step_ = profile->AddStep("materialize", 0);
   }
@@ -815,7 +814,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
     const Bat& vcol = *in.column(g.column);
     return !vcol.has_nulls() && NumericColumn(vcol.type());
   };
-  auto out = std::make_shared<Table>("", output_schema_);
+  auto out = std::make_shared<Table>("", agg_schema_);
   Row row;
   row.reserve(aggs.size());
   for (const Agg& g : aggs) {
@@ -880,28 +879,30 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
                                     : static_cast<int64_t>(n);
     prof->RecordStep(agg_step_, agg_in, 1, ProfileNowNs() - t_start - filter_ns);
   }
-  if (!post_project_) {
-    DC_RETURN_NOT_OK(out->AppendRow(row));
-    return out;
-  }
-  // Post-projection over the one-row aggregate output (reorder / arith).
-  int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
-  Table mid("", agg_schema_);
-  DC_RETURN_NOT_OK(mid.AppendRow(row));
-  DC_RETURN_NOT_OK(RunPostProjection(mid, out.get()));
-  if (prof != nullptr) {
-    prof->RecordStep(post_step_, 1, 1, ProfileNowNs() - pt0);
-  }
-  return out;
+  DC_RETURN_NOT_OK(out->AppendRow(row));
+  return RunPostProjections(std::move(out), prof);
 }
 
-Status SpecializedPipeline::RunPostProjection(const Table& agg_out,
-                                              Table* out) const {
-  for (size_t i = 0; i < post_project_->size(); ++i) {
-    DC_RETURN_NOT_OK(RunProjection((*post_project_)[i], agg_out, nullptr,
-                                   out->column(i).get()));
+Result<TablePtr> SpecializedPipeline::RunPostProjections(
+    TablePtr agg_out, PipelineProfile* prof) const {
+  if (post_projects_.empty()) return agg_out;
+  // The aggregate output is one row per group, so each projection runs
+  // through the interpreter's expression evaluator, as ExecProject does.
+  int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
+  const auto rows = static_cast<int64_t>(agg_out->num_rows());
+  TablePtr cur = std::move(agg_out);
+  for (const auto& [exprs, schema] : post_projects_) {
+    auto next = std::make_shared<Table>("", schema);
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      DC_ASSIGN_OR_RETURN(BatPtr col, EvaluateExpr(*exprs[i], *cur));
+      next->column(i)->AppendBat(*col);
+    }
+    cur = std::move(next);
   }
-  return Status::OK();
+  if (prof != nullptr) {
+    prof->RecordStep(post_step_, rows, rows, ProfileNowNs() - pt0);
+  }
+  return cur;
 }
 
 Status SpecializedPipeline::AccumulateGroups(const Agg& g, const Table& in,
@@ -1045,15 +1046,7 @@ Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
     prof->RecordStep(agg_step_, static_cast<int64_t>(nrows),
                      static_cast<int64_t>(groups), ProfileNowNs() - at0);
   }
-  if (!post_project_) return agg_out;
-  int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
-  auto out = std::make_shared<Table>("", output_schema_);
-  DC_RETURN_NOT_OK(RunPostProjection(*agg_out, out.get()));
-  if (prof != nullptr) {
-    prof->RecordStep(post_step_, static_cast<int64_t>(groups),
-                     static_cast<int64_t>(groups), ProfileNowNs() - pt0);
-  }
-  return out;
+  return RunPostProjections(std::move(agg_out), prof);
 }
 
 Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
@@ -1210,6 +1203,52 @@ Result<TablePtr> SpecializedPipeline::Run(const Table& input,
     }
   }
   return RunStages(*cur, ctx);
+}
+
+PlanRunner::PlanRunner(PlanPtr plan, std::vector<std::string> stream_relations,
+                       PlanBindings static_bindings, bool specialize)
+    : plan_(std::move(plan)),
+      stream_relations_(std::move(stream_relations)),
+      static_bindings_(std::move(static_bindings)) {
+  if (!specialize) {
+    fallback_reason_ = "specialization disabled";
+  } else if (stream_relations_.size() != 1) {
+    fallback_reason_ = "multiple stream inputs";
+  } else {
+    SpecializeResult sr =
+        SpecializePlan(*plan_, stream_relations_[0], static_bindings_);
+    pipeline_ = std::move(sr.pipeline);
+    fallback_reason_ = std::move(sr.fallback_reason);
+  }
+}
+
+Result<TablePtr> PlanRunner::Run(std::span<const TablePtr> inputs,
+                                 const ExecContext& ctx) {
+  // Specialized fast path: no binding-map copy, no plan-tree walk — the
+  // pre-compiled chain runs straight over the slice.
+  if (pipeline_ != nullptr) return pipeline_->Run(*inputs[0], ctx);
+  PlanBindings bindings = static_bindings_;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    bindings[stream_relations_[i]] = inputs[i];
+  }
+  return ExecutePlan(*plan_, bindings, ctx);
+}
+
+std::string PlanRunner::Describe() const {
+  if (pipeline_ != nullptr) return pipeline_->Describe();
+  return "interpreter (fallback: " + fallback_reason_ + ")";
+}
+
+size_t PlanRunner::StateBytes(int64_t string_bytes) const {
+  return pipeline_ != nullptr ? pipeline_->StateBytes(string_bytes) : 0;
+}
+
+void PlanRunner::RegisterProfileSteps(PipelineProfile* profile) {
+  if (pipeline_ != nullptr) {
+    pipeline_->RegisterProfileSteps(profile);
+  } else {
+    PipelineProfile::FromPlan(*plan_, profile);
+  }
 }
 
 }  // namespace datacell

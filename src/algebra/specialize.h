@@ -3,7 +3,9 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/kernels.h"
@@ -26,8 +28,8 @@ namespace datacell {
 /// The supported shape is the canonical continuous-query chain the SQL
 /// planner emits (each stage optional):
 ///
-///   [Aggregate [GROUP BY one int key]] -> [Project] -> [Filter...] ->
-///       (Scan(stream) | HashJoin(Scan(stream), Scan(static table)))
+///   [Project... -> Aggregate [GROUP BY one int key]] -> [Project] ->
+///       [Filter...] -> (Scan(stream) | HashJoin(Scan(stream), Scan(static)))
 ///
 /// plus these per-stage forms:
 ///   - filters: kernel-lowerable comparisons (lowering.h), <>, LIKE,
@@ -35,6 +37,8 @@ namespace datacell {
 ///     constant predicates are folded away (always-true) or pinned to an
 ///     empty selection (always-false — the analyzer warns separately);
 ///   - projections: column references and column-op-literal arithmetic;
+///     projections over the aggregate's output (one row per group) take
+///     any expression and run through the expression evaluator;
 ///   - aggregates: count(*)/count/sum/min/max/avg over column references,
 ///     either scalar or grouped by exactly one integer-backed (int or
 ///     timestamp) column; a grouped stage assigns group ids through a
@@ -43,8 +47,8 @@ namespace datacell {
 ///   - join: stream on the probe side, integer-backed keys; the hash index
 ///     over the static side is built once and probed per firing.
 ///
-/// Anything else (windows, multi-column or string/double/bool group keys,
-/// HAVING, sort/distinct/limit/union, computed predicates the rules above
+/// Anything else (multi-column or string/double/bool group keys, HAVING,
+/// sort/distinct/limit/union, computed predicates the rules above
 /// can't express, ...) falls back to the interpreter with a human-readable
 /// reason, surfaced per query via the shell's \explain and counted by the
 /// engine's metrics. Results are
@@ -149,7 +153,8 @@ class SpecializedPipeline {
   Status AccumulateGroups(const Agg& g, const Table& in,
                           const std::vector<size_t>* rows, size_t groups,
                           const ExecContext& ctx, Bat* out);
-  Status RunPostProjection(const Table& agg_out, Table* out) const;
+  Result<TablePtr> RunPostProjections(TablePtr agg_out,
+                                      PipelineProfile* prof) const;
   Status RunProjection(const Proj& p, const Table& in,
                        const std::vector<size_t>* positions, Bat* out) const;
 
@@ -160,9 +165,10 @@ class SpecializedPipeline {
   std::optional<std::vector<Proj>> project_;
   std::optional<std::vector<Agg>> aggregates_;
   std::optional<GroupKey> group_;  // set for a grouped aggregate
-  // Projection applied to the aggregate output (the planner places a
-  // Project above every Aggregate to reorder/derive the final columns).
-  std::optional<std::vector<Proj>> post_project_;
+  // Projections applied to the aggregate output, innermost first (the
+  // planner places a Project above every Aggregate to reorder/derive the
+  // final columns).
+  std::vector<std::pair<std::vector<ExprPtr>, Schema>> post_projects_;
   Schema agg_schema_;  // aggregate output schema, the post-projection input
   Schema output_schema_;
   std::string description_;
@@ -196,6 +202,42 @@ struct SpecializeResult {
 SpecializeResult SpecializePlan(const PlanNode& plan,
                                 const std::string& stream_relation,
                                 const PlanBindings& static_bindings);
+
+/// One plan fixed for a query's lifetime, run per firing: through the
+/// pipeline SpecializePlan compiled at construction when `specialize` is set
+/// and the plan has one stream input and compiles, else through the
+/// interpreter. Factories and window executors run every plan through one.
+class PlanRunner {
+ public:
+  /// `stream_relations` are the bind names of the plan's stream inputs, in
+  /// the order Run() receives their slices; `static_bindings` resolves the
+  /// scans of catalog tables.
+  PlanRunner(PlanPtr plan, std::vector<std::string> stream_relations,
+             PlanBindings static_bindings, bool specialize);
+
+  /// Runs the plan over one slice per stream input. Not thread-safe, like
+  /// SpecializedPipeline::Run.
+  Result<TablePtr> Run(std::span<const TablePtr> inputs,
+                       const ExecContext& ctx);
+
+  bool specialized() const { return pipeline_ != nullptr; }
+  /// Why specialization was not applied (empty when it was).
+  const std::string& fallback_reason() const { return fallback_reason_; }
+  /// The specialized step list, or the interpreter with its fallback reason.
+  std::string Describe() const;
+  /// SpecializedPipeline::StateBytes; 0 on the interpreter.
+  size_t StateBytes(int64_t string_bytes) const;
+  /// Adds this runner's steps to `profile`: one per specialized stage, or
+  /// one per plan node. Call once, before the first profiled Run().
+  void RegisterProfileSteps(PipelineProfile* profile);
+
+ private:
+  PlanPtr plan_;
+  std::vector<std::string> stream_relations_;
+  PlanBindings static_bindings_;
+  std::unique_ptr<SpecializedPipeline> pipeline_;
+  std::string fallback_reason_;
+};
 
 }  // namespace datacell
 

@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <set>
 
+#include "algebra/aggregate_split.h"
 #include "common/hash.h"
-#include "common/string_util.h"
 
 namespace datacell {
 namespace analysis {
@@ -155,172 +155,6 @@ KeyFlow FlowLower(const PlanNode& node, const BindMap& binds) {
       // aggregate: the planner never builds this; pin conservatively.
       return KeyFlow::Pinned("operator '" + node.Describe() +
                              "' in a position the fan-out does not support");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Merge-plan synthesis.
-// ---------------------------------------------------------------------------
-
-/// Decomposed aggregate: the per-shard partial specs plus, per original
-/// aggregate, where its partial column(s) land.
-struct PartialLayout {
-  std::vector<AggSpec> partial_specs;
-  // Per original aggregate: index of its main partial column (relative to
-  // the partial-spec list) and, for avg, the index of its count partial.
-  std::vector<std::pair<size_t, std::optional<size_t>>> slots;
-};
-
-PartialLayout DecomposeAggregates(const std::vector<AggSpec>& specs) {
-  PartialLayout out;
-  for (size_t j = 0; j < specs.size(); ++j) {
-    const AggSpec& s = specs[j];
-    if (s.func == AggFunc::kAvg) {
-      AggSpec sum = s;
-      sum.func = AggFunc::kSum;
-      sum.output_name = "__p" + std::to_string(j) + "_sum";
-      AggSpec cnt = s;
-      cnt.func = AggFunc::kCount;
-      cnt.output_name = "__p" + std::to_string(j) + "_cnt";
-      out.slots.emplace_back(out.partial_specs.size(),
-                             out.partial_specs.size() + 1);
-      out.partial_specs.push_back(std::move(sum));
-      out.partial_specs.push_back(std::move(cnt));
-    } else {
-      AggSpec p = s;
-      p.output_name = "__p" + std::to_string(j);
-      out.slots.emplace_back(out.partial_specs.size(), std::nullopt);
-      out.partial_specs.push_back(std::move(p));
-    }
-  }
-  return out;
-}
-
-/// The row of a `<query>__partials` basket: the partial row, plus the
-/// basket's trailing ts when the partial carries none (the rule of
-/// Basket::HasTsColumn, which lives in core, above this library).
-Schema PartialsRowSchema(const Schema& partial) {
-  Schema row = partial;
-  const size_t n = partial.num_fields();
-  if (n == 0 || partial.field(n - 1).type != DataType::kTimestamp ||
-      !EqualsIgnoreCase(partial.field(n - 1).name, "ts")) {
-    row.AddField(Field{"ts", DataType::kTimestamp});
-  }
-  return row;
-}
-
-/// The scan both merge kinds start from. It reads the whole partials-basket
-/// row, the way a factory binds it, and projects the partial columns back,
-/// so the merge above sees the partial row and its output schema does not
-/// depend on the basket ts.
-Result<PlanPtr> ScanPartials(const Schema& partial) {
-  const Schema row = PartialsRowSchema(partial);
-  DC_ASSIGN_OR_RETURN(PlanPtr scan, MakeScan(kPartialsBinding, row));
-  if (row.num_fields() == partial.num_fields()) return scan;
-  std::vector<ExprPtr> exprs;
-  std::vector<std::string> names;
-  for (size_t i = 0; i < partial.num_fields(); ++i) {
-    const Field& f = partial.field(i);
-    exprs.push_back(Expr::Column(i, f.name, f.type));
-    names.push_back(f.name);
-  }
-  return MakeProject(std::move(scan), std::move(exprs), std::move(names));
-}
-
-/// Builds the merge-side re-aggregation over the partials scan and the
-/// projection that reconstructs the original aggregate's exact output
-/// schema (so the post-aggregate operators rebuild unchanged on top).
-Result<PlanPtr> BuildReaggregate(const PlanNode& agg, const Schema& partials,
-                                 const PartialLayout& layout) {
-  size_t groups = agg.group_columns().size();
-  DC_ASSIGN_OR_RETURN(PlanPtr scan, ScanPartials(partials));
-  std::vector<size_t> group_cols(groups);
-  for (size_t g = 0; g < groups; ++g) group_cols[g] = g;
-
-  // Merge every partial column: counts and sums re-sum, min/max re-min/max.
-  std::vector<AggSpec> merge_specs;
-  for (size_t p = 0; p < layout.partial_specs.size(); ++p) {
-    AggSpec m;
-    switch (layout.partial_specs[p].func) {
-      case AggFunc::kCount:
-      case AggFunc::kSum:
-        m.func = AggFunc::kSum;
-        break;
-      case AggFunc::kMin:
-        m.func = AggFunc::kMin;
-        break;
-      case AggFunc::kMax:
-        m.func = AggFunc::kMax;
-        break;
-      case AggFunc::kAvg:
-        return Status::Internal("avg survived aggregate decomposition");
-    }
-    m.input_column = groups + p;
-    m.output_name = "__m" + std::to_string(p);
-    merge_specs.push_back(std::move(m));
-  }
-  DC_ASSIGN_OR_RETURN(PlanPtr merged,
-                      MakeAggregate(scan, group_cols, merge_specs));
-
-  // Reconstruct the original aggregate's output schema: group columns pass
-  // through; count casts back to int64; avg becomes sum/count.
-  const Schema& target = agg.output_schema();
-  std::vector<ExprPtr> exprs;
-  std::vector<std::string> names;
-  for (size_t g = 0; g < groups; ++g) {
-    const Field& f = target.field(g);
-    exprs.push_back(Expr::Column(g, f.name, f.type));
-    names.push_back(f.name);
-  }
-  const std::vector<AggSpec>& specs = agg.aggregates();
-  for (size_t j = 0; j < specs.size(); ++j) {
-    const Field& f = target.field(groups + j);
-    size_t main_col = groups + layout.slots[j].first;
-    ExprPtr main = Expr::Column(main_col, "", DataType::kDouble);
-    switch (specs[j].func) {
-      case AggFunc::kCount:
-        exprs.push_back(Expr::Function(ScalarFunc::kToInt64, std::move(main)));
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        exprs.push_back(std::move(main));
-        break;
-      case AggFunc::kAvg: {
-        size_t cnt_col = groups + *layout.slots[j].second;
-        exprs.push_back(Expr::Binary(
-            BinaryOp::kDiv, std::move(main),
-            Expr::Column(cnt_col, "", DataType::kDouble)));
-        break;
-      }
-    }
-    names.push_back(f.name);
-  }
-  return MakeProject(merged, std::move(exprs), std::move(names));
-}
-
-/// Re-applies one post-boundary operator on the merge side.
-Result<PlanPtr> RebuildAbove(PlanPtr base, const PlanNode& node) {
-  switch (node.kind()) {
-    case PlanKind::kFilter:
-      return MakeFilter(std::move(base), node.predicate());
-    case PlanKind::kProject: {
-      std::vector<std::string> names;
-      for (size_t i = 0; i < node.output_schema().num_fields(); ++i) {
-        names.push_back(node.output_schema().field(i).name);
-      }
-      return MakeProject(std::move(base), node.projections(),
-                         std::move(names));
-    }
-    case PlanKind::kDistinct:
-      return MakeDistinct(std::move(base));
-    case PlanKind::kSort:
-      return MakeSort(std::move(base), node.sort_keys());
-    case PlanKind::kLimit:
-      return MakeLimit(std::move(base), node.offset(), node.limit());
-    default:
-      return Status::Internal("unexpected node above the merge boundary: " +
-                              node.Describe());
   }
 }
 
@@ -686,37 +520,25 @@ Result<PartitionReport> AnalyzePartitioning(const CompiledQuery& query,
 
   // --- synthesize the per-shard and merge plans ---------------------------
   if (merging) {
-    PlanPtr merge;
-    size_t boundary;  // index into `upper` of the first node ON the merge side
     if (out.merge == MergeKind::kReaggregate) {
-      PartialLayout layout = DecomposeAggregates(agg->aggregates());
-      DC_ASSIGN_OR_RETURN(
-          PlanPtr partial,
-          MakeAggregate(agg->child(), agg->group_columns(),
-                        layout.partial_specs));
-      out.partial_plan = partial;
-      DC_ASSIGN_OR_RETURN(
-          merge, BuildReaggregate(*agg, partial->output_schema(), layout));
-      boundary = upper.size();  // everything above the aggregate
+      DC_ASSIGN_OR_RETURN(AggregateSplit split, SplitAggregate(query.plan));
+      out.partial_plan = std::move(split.partial);
+      out.merge_plan = std::move(split.merge);
     } else {
       // Ordered merge: the partial is everything below the sort; the merge
-      // re-sorts the concatenated partials and re-applies what sat above.
+      // re-sorts the concatenated partials and re-applies what sat above,
+      // nearest the sort first.
       out.partial_plan = sort_node->child();
-      DC_ASSIGN_OR_RETURN(merge,
+      DC_ASSIGN_OR_RETURN(PlanPtr merge,
                           ScanPartials(out.partial_plan->output_schema()));
+      DC_ASSIGN_OR_RETURN(merge, MakeSort(merge, sort_node->sort_keys()));
       size_t sort_pos = 0;
       while (upper[sort_pos] != sort_node) ++sort_pos;
-      boundary = sort_pos + 1;  // sort itself rebuilds first, below
-      DC_ASSIGN_OR_RETURN(merge, MakeSort(merge, sort_node->sort_keys()));
-    }
-    // Rebuild the spine nodes on the merge side, nearest-boundary first.
-    for (size_t i = boundary; i-- > 0;) {
-      if (out.merge == MergeKind::kOrderedMerge && upper[i] == sort_node) {
-        continue;  // already rebuilt as the merge's sort
+      for (size_t i = sort_pos; i-- > 0;) {
+        DC_ASSIGN_OR_RETURN(merge, RebuildAbove(std::move(merge), *upper[i]));
       }
-      DC_ASSIGN_OR_RETURN(merge, RebuildAbove(std::move(merge), *upper[i]));
+      out.merge_plan = merge;
     }
-    out.merge_plan = merge;
     out.verdict = PartitionVerdict::kNeedsFinalMerge;
   } else {
     out.partial_plan = query.plan;
@@ -976,27 +798,20 @@ Result<SplitMergeResult> CheckSplitMergeEquivalence(
     shard_outputs.push_back(std::move(part));
   }
 
-  // Merge: concatenate, then run the merge plan when one is prescribed. A
-  // merge plan binds the partials-basket row, as the frontend factory does:
-  // the partials plus a ts column, stamped 0 here, when they carry none.
-  const Schema& partial_row = partial.output_schema();
-  auto merged = std::make_shared<Table>(
-      kPartialsBinding, report.merge_plan != nullptr
-                            ? PartialsRowSchema(partial_row)
-                            : partial_row);
-  for (const TablePtr& p : shard_outputs) {
-    for (size_t c = 0; c < p->num_columns(); ++c) {
-      merged->column(c)->AppendBat(*p->column(c));
-    }
-    if (merged->num_columns() > p->num_columns()) {
-      merged->column(p->num_columns())->AppendConstantInt64(0, p->num_rows());
-    }
-  }
-  TablePtr result = merged;
+  // Merge: run the merge plan over the partials-basket row, as the frontend
+  // factory does, when one is prescribed; else concatenate.
+  TablePtr result;
   if (report.merge_plan != nullptr) {
     PlanBindings bind;
-    bind[kPartialsBinding] = merged;
+    bind[kPartialsBinding] =
+        PartialsRowTable(partial.output_schema(), shard_outputs);
     DC_ASSIGN_OR_RETURN(result, ExecutePlan(*report.merge_plan, bind));
+  } else {
+    auto merged = std::make_shared<Table>("", partial.output_schema());
+    for (const TablePtr& p : shard_outputs) {
+      DC_RETURN_NOT_OK(merged->AppendTable(*p));
+    }
+    result = merged;
   }
 
   // LIMIT leaves the tie-break at the cut unspecified: compare row count

@@ -50,12 +50,6 @@ struct ShardKey {
   bool declared = false;  // key matches the receptor's declared partition key
 };
 
-/// Relation name the synthesized merge plan scans the concatenated
-/// per-shard partials under. The bound relation is the row of a
-/// `<query>__partials` basket: the partial plan's output, plus a trailing
-/// `ts` when that output carries none.
-inline constexpr const char* kPartialsBinding = "__partials";
-
 struct PartitionReport {
   PartitionVerdict verdict = PartitionVerdict::kPinned;
   std::string pinned_reason;
@@ -73,8 +67,9 @@ struct PartitionReport {
   /// (aggregates decomposed, post-aggregate operators moved to the merge
   /// side) or kOrderedMerge (sort/limit moved to the merge side).
   PlanPtr partial_plan;
-  /// Merge plan over Scan(kPartialsBinding) (the partials-basket row; the
-  /// output schema is the query's); null when merge == kNone.
+  /// Merge plan over Scan(kPartialsBinding) (algebra/aggregate_split.h),
+  /// bound to the `<query>__partials` basket row; its output schema is the
+  /// query's. Null when merge == kNone.
   PlanPtr merge_plan;
 
   /// Multi-line human-readable summary, for `\analyze`.

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "algebra/aggregate_split.h"
 #include "algebra/kernels.h"
 #include "common/string_util.h"
 
@@ -387,6 +388,13 @@ Result<StateReport> AnalyzeStateBounds(const sql::CompiledQuery& query,
       !query.inputs.empty()) {
     int64_t per_row =
         query.inputs[0].basket_schema.EstimatedRowBytes(options.string_bytes);
+    // An incremental window keeps its aggregate split's partial rows in
+    // place of the raw rows they summarise, at most one per raw row: price
+    // each row held as the wider of the two.
+    if (Result<AggregateSplit> split = SplitAggregate(query.plan); split.ok()) {
+      per_row = std::max(per_row, split->partial->output_schema()
+                                      .EstimatedRowBytes(options.string_bytes));
+    }
     OperatorStateBound op;
     op.op = query.window.kind == sql::WindowSpec::Kind::kCount
                 ? "Window(count)"

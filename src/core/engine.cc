@@ -37,6 +37,9 @@ std::string StatFields(const MetricsSnapshotData& snap, std::string_view scope,
       const ScalarSnapshot* v = s->kind == MetricKind::kCounter
                                     ? snap.FindCounter(s->name, label_value)
                                     : snap.FindGauge(s->name, label_value);
+      // A labelled series its object does not export (a query without a
+      // window has no late count) prints nothing.
+      if (v == nullptr && !scope.empty()) continue;
       out += key + std::to_string(v == nullptr ? 0 : v->value);
       continue;
     }
@@ -1027,6 +1030,9 @@ void Engine::CollectMetrics(MetricsSnapshotData& out) const {
             static_cast<int64_t>(q.factory->state_bytes()));
     out.Add(series::kQueryStateHighWater, {qname},
             static_cast<int64_t>(q.factory->state_bytes_high_water()));
+    if (const WindowExecutor* w = q.factory->window()) {
+      out.Add(series::kWindowLateDropped, {qname}, w->late_dropped());
+    }
   }
   out.Add(series::kPartitionableQueries, {}, partitionable);
   out.Add(series::kShardableQueries, {}, shardable);

@@ -50,6 +50,8 @@ inline constexpr MetricSeries
     kQueryState{"datacell_query_state_bytes", G, {"query"}, nullptr},
     kQueryStateHighWater{"datacell_query_state_high_water_bytes", G, {"query"},
                          nullptr},
+    kWindowLateDropped{"datacell_window_late_dropped_total", C, {"query"},
+                       "late"},
     kProfileFires{"datacell_profile_fires_total", C, {"query"}, nullptr},
     kProfileFireTime{"datacell_profile_fire_time_ns_total", C, {"query"},
                      nullptr},
@@ -73,7 +75,7 @@ inline constexpr const MetricSeries* kAll[] = {
     &kPartitionableQueries, &kShardableQueries,    &kReceptorMalformed,
     &kTransitionFires,     &kTransitionFireLatency, &kTransitionTuples,
     &kQueryE2eLatency,     &kQueryStateBound,      &kQueryState,
-    &kQueryStateHighWater, &kProfileFires,         &kProfileFireTime,
+    &kQueryStateHighWater, &kWindowLateDropped,   &kProfileFires,         &kProfileFireTime,
     &kProfileStepTime,     &kProfileStepRows,      &kBasketTuples,
     &kBasketHighWater,     &kBasketAppended,       &kBasketConsumed,
     &kBasketShed,          &kBasketBytes,          &kShardRouted,

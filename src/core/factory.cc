@@ -22,12 +22,10 @@ const char* ProcessingStrategyToString(ProcessingStrategy s) {
 }
 
 Factory::Factory(std::string name, sql::CompiledQuery query, BasketPtr output,
-                 PlanBindings static_bindings, const Clock* clock,
-                 FactoryOptions options)
+                 const Clock* clock, FactoryOptions options)
     : Transition(std::move(name), TransitionKind::kFactory, options.priority),
       query_(std::move(query)),
       output_(std::move(output)),
-      static_bindings_(std::move(static_bindings)),
       clock_(clock),
       options_(options) {}
 
@@ -88,8 +86,8 @@ Result<std::shared_ptr<Factory>> Factory::Create(
   }
   bool windowed = query.window.kind != sql::WindowSpec::Kind::kNone;
   auto factory = std::shared_ptr<Factory>(
-      new Factory(std::move(name), std::move(query), std::move(output),
-                  std::move(static_bindings), clock, options));
+      new Factory(std::move(name), std::move(query), std::move(output), clock,
+                  options));
   factory->min_tuples_ = static_cast<size_t>(
       std::max<int64_t>(1, factory->query_.threshold.value_or(1)));
   for (size_t i = 0; i < input_baskets.size(); ++i) {
@@ -108,36 +106,28 @@ Result<std::shared_ptr<Factory>> Factory::Create(
     }
     factory->inputs_.push_back(std::move(in));
   }
+  // Registration-time specialization: the plan is fixed for the query's
+  // lifetime, so a PlanRunner compiles it into a fused pipeline once instead
+  // of paying the interpreter's tree walk on every firing; a window executor
+  // does the same for each plan it runs. The profile skeleton holds the
+  // steps of those plans, built while their shape is final, so toggling
+  // profiling later is a single flag flip.
+  factory->profile_ = std::make_unique<PipelineProfile>();
   if (windowed) {
     DC_ASSIGN_OR_RETURN(
         factory->window_,
         WindowExecutor::Create(factory->query_, options.window_mode,
-                               factory->static_bindings_));
-  }
-  // Registration-time specialization: the plan is fixed for the query's
-  // lifetime, so compile it into a fused pipeline once instead of paying the
-  // interpreter's tree walk on every firing.
-  if (!options.specialize) {
-    factory->specialize_fallback_ = "specialization disabled";
-  } else if (windowed) {
-    factory->specialize_fallback_ = "windowed query";
-  } else if (factory->inputs_.size() != 1) {
-    factory->specialize_fallback_ = "multiple stream inputs";
+                               std::move(static_bindings), options.specialize));
+    factory->window_->RegisterProfileSteps(factory->profile_.get());
   } else {
-    SpecializeResult sr =
-        SpecializePlan(*factory->query_.plan, factory->inputs_[0].spec->bind_name,
-                       factory->static_bindings_);
-    factory->specialized_ = std::move(sr.pipeline);
-    factory->specialize_fallback_ = std::move(sr.fallback_reason);
-  }
-  // Profile skeleton: one step per specialized stage, or one per plan node
-  // for interpreter (and windowed) queries. Built here, while the plan shape
-  // is already final, so toggling profiling later is a single flag flip.
-  factory->profile_ = std::make_unique<PipelineProfile>();
-  if (factory->specialized_ != nullptr) {
-    factory->specialized_->RegisterProfileSteps(factory->profile_.get());
-  } else {
-    PipelineProfile::FromPlan(*factory->query_.plan, factory->profile_.get());
+    std::vector<std::string> relations;
+    for (const InputBinding& in : factory->inputs_) {
+      relations.push_back(in.spec->bind_name);
+    }
+    factory->runner_ = std::make_unique<PlanRunner>(
+        factory->query_.plan, std::move(relations), std::move(static_bindings),
+        options.specialize);
+    factory->runner_->RegisterProfileSteps(factory->profile_.get());
   }
   // Seed the state accounting: a specialized join's build index exists from
   // registration, before any tuple flows.
@@ -146,15 +136,9 @@ Result<std::shared_ptr<Factory>> Factory::Create(
 }
 
 void Factory::UpdateStateAccounting() {
-  size_t bytes = 0;
-  if (window_ != nullptr && !inputs_.empty()) {
-    int64_t row_bytes = inputs_[0].spec->basket_schema.EstimatedRowBytes(
-        options_.state_string_bytes);
-    bytes += window_->buffered() * static_cast<size_t>(row_bytes);
-  }
-  if (specialized_ != nullptr) {
-    bytes += specialized_->StateBytes(options_.state_string_bytes);
-  }
+  size_t bytes = window_ != nullptr
+                     ? window_->StateBytes(options_.state_string_bytes)
+                     : runner_->StateBytes(options_.state_string_bytes);
   state_bytes_.store(bytes, std::memory_order_relaxed);
   size_t hw = state_high_water_.load(std::memory_order_relaxed);
   if (bytes > hw) {
@@ -162,21 +146,17 @@ void Factory::UpdateStateAccounting() {
   }
 }
 
+std::string Factory::specialize_fallback() const {
+  if (window_ == nullptr) return runner_->fallback_reason();
+  return options_.specialize ? "windowed query" : "specialization disabled";
+}
+
 std::string Factory::PipelineDescription() const {
-  if (specialized_ != nullptr) return specialized_->Describe();
-  return "interpreter (fallback: " + specialize_fallback_ + ")";
+  return window_ != nullptr ? window_->Describe() : runner_->Describe();
 }
 
 std::string Factory::ProfileReport() const {
-  std::string out = "pipeline: " + PipelineDescription();
-  if (window_ != nullptr) {
-    // Window executors run the interpreter internally per (sub-)window; the
-    // plan-node steps below cover those runs.
-    out += " [windowed: " + std::string(window_->mode_name()) + "]";
-  }
-  out += "\n";
-  out += profile_->Render();
-  return out;
+  return "pipeline: " + PipelineDescription() + "\n" + profile_->Render();
 }
 
 size_t Factory::AvailableOn(const InputBinding& in) const {
@@ -293,35 +273,13 @@ Result<int64_t> Factory::Fire() {
     slices.push_back(std::move(slice));
   }
   // ... run the compiled plan as one bulk operation ...
-  TablePtr result;
-  if (window_ != nullptr) {
-    Result<TablePtr> r = window_->Advance(*slices[0]);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
-  } else if (specialized_ != nullptr) {
-    // Specialized fast path: no binding-map copy, no plan-tree walk — the
-    // pre-compiled chain runs straight over the drained slice.
-    Result<TablePtr> r = specialized_->Run(*slices[0], exec);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
-  } else {
-    PlanBindings bindings = static_bindings_;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      bindings[inputs_[i].spec->bind_name] = slices[i];
-    }
-    Result<TablePtr> r = ExecutePlan(*query_.plan, bindings, exec);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
+  Result<TablePtr> r = window_ != nullptr ? window_->Advance(*slices[0], exec)
+                                           : runner_->Run(slices, exec);
+  if (!r.ok()) {
+    plan_errors_.fetch_add(1, std::memory_order_relaxed);
+    return r.status();
   }
+  TablePtr result = std::move(*r);
   // ... and append the qualifying tuples to the output basket. A uniquely
   // held result (the common case: the plan built fresh columns) is moved in
   // — its buffers swap into the output basket instead of being copied. A

@@ -132,10 +132,10 @@ class Factory final : public Transition {
   const std::shared_ptr<const analysis::StateReport>& state_report() const {
     return state_report_;
   }
-  /// Measured cross-firing operator state in bytes (window buffer rows x
-  /// input row width + specialized join build state), refreshed at the end
-  /// of every Fire — the ground truth the pass-4 oracle and the
-  /// datacell_query_state_bytes gauge compare against the static bound.
+  /// Measured cross-firing operator state in bytes (the window executor's or
+  /// the plan runner's StateBytes), refreshed at the end of every Fire — the
+  /// ground truth the pass-4 oracle and the datacell_query_state_bytes gauge
+  /// compare against the static bound.
   size_t state_bytes() const {
     return state_bytes_.load(std::memory_order_relaxed);
   }
@@ -148,16 +148,18 @@ class Factory final : public Transition {
   const char* window_mode_name() const {
     return window_ == nullptr ? "none" : window_->mode_name();
   }
+  /// The window executor; null for unwindowed queries.
+  const WindowExecutor* window() const { return window_.get(); }
   /// The MAL rendering of the wrapped plan (explain output).
   std::string ExplainPlan() const;
-  /// True when Fire() drives a registration-time specialized pipeline.
-  bool is_specialized() const { return specialized_ != nullptr; }
-  /// Why specialization was not applied (empty when it was).
-  const std::string& specialize_fallback() const {
-    return specialize_fallback_;
+  /// True when Fire() runs a specialized pipeline over the query plan.
+  bool is_specialized() const {
+    return runner_ != nullptr && runner_->specialized();
   }
-  /// The execution pipeline \explain prints: the specialized step list, or
-  /// the interpreter with its fallback reason.
+  /// Why the query plan is not specialized (empty when it is).
+  std::string specialize_fallback() const;
+  /// The execution pipeline \explain prints: the runner's, or the window
+  /// executor's (its mode and the plans it runs).
   std::string PipelineDescription() const;
 
   /// Toggles per-step profiling for this factory's firings. The profile's
@@ -205,8 +207,7 @@ class Factory final : public Transition {
   };
 
   Factory(std::string name, sql::CompiledQuery query, BasketPtr output,
-          PlanBindings static_bindings, const Clock* clock,
-          FactoryOptions options);
+          const Clock* clock, FactoryOptions options);
 
   /// Recomputes state_bytes() / the high-water mark. Called from Fire()
   /// (single-writer) and once at creation for the registration-built join
@@ -221,17 +222,14 @@ class Factory final : public Transition {
   sql::CompiledQuery query_;
   std::vector<InputBinding> inputs_;
   BasketPtr output_;
-  PlanBindings static_bindings_;
   const Clock* clock_;
   FactoryOptions options_;
   size_t min_tuples_ = 1;
-  std::unique_ptr<WindowExecutor> window_;  // null for unwindowed queries
-  // Registration-time compiled pipeline; null means the interpreter runs
-  // and specialize_fallback_ says why.
-  std::unique_ptr<SpecializedPipeline> specialized_;
-  std::string specialize_fallback_;
-  // Built once at Create (steps for the specialized stages or the plan
-  // nodes); recording is gated by profiling_ per firing.
+  // Exactly one is set: a windowed query's executor, or the plan's runner.
+  std::unique_ptr<WindowExecutor> window_;
+  std::unique_ptr<PlanRunner> runner_;
+  // Built once at Create (steps of the plans Fire() runs); recording is
+  // gated by profiling_ per firing.
   std::unique_ptr<PipelineProfile> profile_;
   std::shared_ptr<const analysis::PartitionReport> partition_report_;
   std::shared_ptr<const analysis::StateReport> state_report_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "algebra/aggregate_split.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -809,7 +810,7 @@ Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
     merge.output_schema = report->merge_plan->output_schema();
     merge.continuous = true;
     merge.inputs.push_back(sql::ContinuousInput{
-        partials->name(), analysis::kPartialsBinding, partials->schema(),
+        partials->name(), kPartialsBinding, partials->schema(),
         nullptr});
     merge.sql_text = "/* merge of " + name + " */ " + sql;
     // The shards append straight into the partials basket, so the merge

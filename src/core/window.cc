@@ -1,458 +1,322 @@
 #include "core/window.h"
 
 #include <algorithm>
+#include <map>
+#include <span>
+#include <vector>
 
+#include "algebra/aggregate_split.h"
+#include "algebra/specialize.h"
 #include "common/check.h"
 
 namespace datacell {
 
-namespace internal_window {
-
-Result<AggregateDecomposition> DecomposeAggregatePlan(const PlanPtr& root) {
-  // Walk down through rebuildable unary nodes to the Aggregate.
-  auto rebuildable = [](PlanKind k) {
-    return k == PlanKind::kProject || k == PlanKind::kFilter ||
-           k == PlanKind::kSort || k == PlanKind::kLimit ||
-           k == PlanKind::kDistinct;
-  };
-  std::vector<const PlanNode*> above;  // root-first
-  const PlanNode* node = root.get();
-  while (rebuildable(node->kind())) {
-    above.push_back(node);
-    node = node->child().get();
-  }
-  if (node->kind() != PlanKind::kAggregate) {
-    return Status::Unimplemented(
-        "incremental windows require an aggregate-shaped plan");
-  }
-  AggregateDecomposition out;
-  out.aggregate = node;
-  out.group_columns = node->group_columns();
-  out.aggregates = node->aggregates();
-  out.aggregate_schema = node->output_schema();
-  out.below_aggregate = node->child();
-
-  // Below the aggregate only Project/Filter/Scan may appear (a join below
-  // the aggregate would need cross-chunk state we do not maintain).
-  const PlanNode* below = out.below_aggregate.get();
-  while (below->kind() == PlanKind::kProject ||
-         below->kind() == PlanKind::kFilter) {
-    below = below->child().get();
-  }
-  if (below->kind() != PlanKind::kScan) {
-    return Status::Unimplemented(
-        "incremental windows require a single-scan pipeline below the "
-        "aggregate");
-  }
-
-  // Rebuild the above-aggregate chain on a Scan of the aggregate output.
-  DC_ASSIGN_OR_RETURN(PlanPtr rebuilt,
-                      MakeScan(kAggOutBinding, out.aggregate_schema));
-  for (auto it = above.rbegin(); it != above.rend(); ++it) {
-    const PlanNode* n = *it;
-    switch (n->kind()) {
-      case PlanKind::kProject: {
-        std::vector<std::string> names;
-        names.reserve(n->output_schema().num_fields());
-        for (const Field& f : n->output_schema().fields()) {
-          names.push_back(f.name);
-        }
-        DC_ASSIGN_OR_RETURN(rebuilt,
-                            MakeProject(rebuilt, n->projections(), names));
-        break;
-      }
-      case PlanKind::kFilter: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeFilter(rebuilt, n->predicate()));
-        break;
-      }
-      case PlanKind::kSort: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeSort(rebuilt, n->sort_keys()));
-        break;
-      }
-      case PlanKind::kLimit: {
-        DC_ASSIGN_OR_RETURN(rebuilt,
-                            MakeLimit(rebuilt, n->offset(), n->limit()));
-        break;
-      }
-      case PlanKind::kDistinct: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeDistinct(rebuilt));
-        break;
-      }
-      default:
-        return Status::Internal("unexpected node in above-aggregate chain");
-    }
-  }
-  out.above_aggregate = std::move(rebuilt);
-  return out;
-}
-
-}  // namespace internal_window
-
 namespace {
 
-using internal_window::AggregateDecomposition;
-using internal_window::kAggOutBinding;
+Timestamp MinTs(const Bat& ts) {
+  Timestamp min_ts = ts.Int64At(0);
+  for (size_t i = 1; i < ts.size(); ++i) {
+    min_ts = std::min(min_ts, ts.Int64At(i));
+  }
+  return min_ts;
+}
+
+/// A runner's description as one block without a trailing newline.
+std::string Block(const PlanRunner& runner) {
+  std::string d = runner.Describe();
+  while (!d.empty() && d.back() == '\n') d.pop_back();
+  return d;
+}
 
 /// Full re-evaluation: buffer tuples; when a window is complete, bind the
 /// window slice to the plan's scan and run the whole plan from scratch.
 class ReEvalWindowExecutor final : public WindowExecutor {
  public:
   ReEvalWindowExecutor(const sql::CompiledQuery& query,
-                       PlanBindings static_bindings)
-      : plan_(query.plan),
-        bind_name_(query.inputs[0].bind_name),
+                       PlanBindings static_bindings, bool specialize)
+      : runner_(query.plan, {query.inputs[0].bind_name},
+                std::move(static_bindings), specialize),
         window_(query.window),
         output_schema_(query.output_schema),
-        static_bindings_(std::move(static_bindings)),
         buffer_(std::make_shared<Table>("__window_buffer",
                                         query.inputs[0].basket_schema)) {
     ts_column_ = buffer_->num_columns() - 1;
   }
 
-  Result<TablePtr> Advance(const Table& new_tuples) override {
-    DC_RETURN_NOT_OK(buffer_->AppendTable(new_tuples));
+  Result<TablePtr> Advance(const Table& new_tuples,
+                           const ExecContext& ctx) override {
     auto out = std::make_shared<Table>("", output_schema_);
     if (window_.kind == sql::WindowSpec::Kind::kCount) {
-      DC_RETURN_NOT_OK(AdvanceCount(out.get()));
-    } else {
-      DC_RETURN_NOT_OK(AdvanceTime(out.get()));
+      DC_RETURN_NOT_OK(buffer_->AppendTable(new_tuples));
+      const auto size = static_cast<size_t>(window_.size);
+      while (buffer_->num_rows() >= size) {
+        DC_RETURN_NOT_OK(Run(TablePtr(buffer_->Slice(0, size)), ctx, out.get()));
+        buffer_->RemovePrefix(static_cast<size_t>(window_.slide));
+      }
+    } else if (new_tuples.num_rows() > 0) {
+      DC_RETURN_NOT_OK(AdvanceTime(new_tuples, ctx, out.get()));
     }
     return out;
   }
 
-  size_t buffered() const override { return buffer_->num_rows(); }
+  size_t StateBytes(int64_t string_bytes) const override {
+    return buffer_->num_rows() * static_cast<size_t>(
+                                     buffer_->schema().EstimatedRowBytes(
+                                         string_bytes));
+  }
   const char* mode_name() const override { return "reeval"; }
+  std::string Describe() const override {
+    return "re-evaluated window: " + Block(runner_);
+  }
+  void RegisterProfileSteps(PipelineProfile* profile) override {
+    runner_.RegisterProfileSteps(profile);
+  }
 
  private:
-  Status AdvanceCount(Table* out) {
-    size_t size = static_cast<size_t>(window_.size);
-    size_t slide = static_cast<size_t>(window_.slide);
-    while (buffer_->num_rows() >= size) {
-      TablePtr window = TablePtr(buffer_->Slice(0, size));
-      PlanBindings bindings = static_bindings_;
-      bindings[bind_name_] = std::move(window);
-      DC_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*plan_, bindings));
-      DC_RETURN_NOT_OK(out->AppendTable(*result));
-      buffer_->RemovePrefix(slide);
-    }
-    return Status::OK();
+  Status Run(TablePtr window, const ExecContext& ctx, Table* out) {
+    DC_ASSIGN_OR_RETURN(TablePtr result,
+                        runner_.Run(std::span(&window, 1), ctx));
+    return out->AppendTable(*result);
   }
 
-  Status AdvanceTime(Table* out) {
-    const Bat& ts = *buffer_->column(ts_column_);
-    if (ts.size() == 0) return Status::OK();
+  Status AdvanceTime(const Table& in, const ExecContext& ctx, Table* out) {
+    const Bat& ts = *in.column(ts_column_);
     if (!started_) {
       // Anchor the first window at the earliest tuple seen.
-      Timestamp min_ts = ts.Int64At(0);
-      for (size_t i = 1; i < ts.size(); ++i) {
-        min_ts = std::min(min_ts, ts.Int64At(i));
-      }
-      window_start_ = min_ts;
+      window_start_ = max_seen_ = MinTs(ts);
       started_ = true;
     }
-    while (true) {
-      const Bat& cur_ts = *buffer_->column(ts_column_);
-      Timestamp max_ts = cur_ts.size() == 0 ? window_start_ : cur_ts.Int64At(0);
-      for (size_t i = 1; i < cur_ts.size(); ++i) {
-        max_ts = std::max(max_ts, cur_ts.Int64At(i));
-      }
-      Timestamp window_end = window_start_ + window_.size;
-      // A window closes once a tuple at/after its end has been observed —
-      // the scheduler monitors incoming timestamps (§3.1).
-      if (cur_ts.size() == 0 || max_ts < window_end) break;
+    // A tuple before the open window's start falls into no window: late.
+    std::vector<size_t> timely =
+        SelectRangeInt64(ts, window_start_, std::nullopt);
+    late_dropped_.fetch_add(static_cast<int64_t>(in.num_rows() - timely.size()),
+                            std::memory_order_relaxed);
+    for (size_t i : timely) max_seen_ = std::max(max_seen_, ts.Int64At(i));
+    DC_RETURN_NOT_OK(timely.size() == in.num_rows()
+                         ? buffer_->AppendTable(in)
+                         : buffer_->AppendTable(*in.Take(timely)));
+    // A window closes once a tuple at/after its end has been observed —
+    // the scheduler monitors incoming timestamps (§3.1).
+    while (max_seen_ >= window_start_ + window_.size) {
       std::vector<size_t> in_window =
-          SelectRangeInt64(cur_ts, window_start_, window_end - 1);
-      TablePtr window = TablePtr(buffer_->Take(in_window));
-      PlanBindings bindings = static_bindings_;
-      bindings[bind_name_] = std::move(window);
-      DC_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*plan_, bindings));
-      DC_RETURN_NOT_OK(out->AppendTable(*result));
+          SelectRangeInt64(*buffer_->column(ts_column_), window_start_,
+                           window_start_ + window_.size - 1);
+      DC_RETURN_NOT_OK(Run(TablePtr(buffer_->Take(in_window)), ctx, out));
       window_start_ += window_.slide;
       // Expire tuples that can no longer fall into any future window.
-      std::vector<size_t> expired =
-          SelectRangeInt64(*buffer_->column(ts_column_), std::nullopt,
-                           window_start_ - 1);
-      buffer_->RemovePositions(expired);
+      buffer_->RemovePositions(SelectRangeInt64(
+          *buffer_->column(ts_column_), std::nullopt, window_start_ - 1));
     }
     return Status::OK();
   }
 
-  PlanPtr plan_;
-  std::string bind_name_;
+  PlanRunner runner_;
   sql::WindowSpec window_;
   Schema output_schema_;
-  PlanBindings static_bindings_;
   std::shared_ptr<Table> buffer_;
   size_t ts_column_ = 0;
   bool started_ = false;
   Timestamp window_start_ = 0;
+  Timestamp max_seen_ = 0;
 };
 
-/// Shared machinery of the basic-window executors: per-chunk group
-/// summaries, merging, and re-entry into the above-aggregate plan.
-class IncrementalCore {
- public:
-  struct GroupEntry {
-    Row group_values;                  // one value per group column
-    std::vector<AggPartial> partials;  // one per AggSpec
-  };
-  using ChunkSummary = std::map<std::string, GroupEntry>;
-
-  IncrementalCore(AggregateDecomposition decomposition, std::string bind_name,
-                  PlanBindings static_bindings)
-      : decomposition_(std::move(decomposition)),
-        bind_name_(std::move(bind_name)),
-        static_bindings_(std::move(static_bindings)) {}
-
-  const AggregateDecomposition& decomposition() const { return decomposition_; }
-
-  /// Runs the below-aggregate pipeline on `chunk` and summarises it into
-  /// per-group partial aggregates.
-  Result<ChunkSummary> Summarise(const Table& chunk) const {
-    PlanBindings bindings = static_bindings_;
-    bindings[bind_name_] = TablePtr(chunk.Clone());
-    DC_ASSIGN_OR_RETURN(TablePtr pre,
-                        ExecutePlan(*decomposition_.below_aggregate, bindings));
-    DC_ASSIGN_OR_RETURN(Grouping grouping,
-                        GroupBy(*pre, decomposition_.group_columns));
-    std::vector<std::vector<AggPartial>> per_spec;
-    per_spec.reserve(decomposition_.aggregates.size());
-    for (const AggSpec& spec : decomposition_.aggregates) {
-      if (spec.count_star) {
-        std::vector<AggPartial> counts(grouping.num_groups);
-        for (size_t g : grouping.group_ids) ++counts[g].count;
-        per_spec.push_back(std::move(counts));
-      } else {
-        DC_ASSIGN_OR_RETURN(
-            std::vector<AggPartial> partials,
-            AggregateByGroup(*pre->column(spec.input_column), grouping));
-        per_spec.push_back(std::move(partials));
-      }
-    }
-    ChunkSummary summary;
-    for (size_t g = 0; g < grouping.num_groups; ++g) {
-      size_t rep = grouping.representatives[g];
-      std::string key = EncodeRowKey(*pre, decomposition_.group_columns, rep);
-      GroupEntry entry;
-      for (size_t c : decomposition_.group_columns) {
-        entry.group_values.push_back(pre->column(c)->GetValue(rep));
-      }
-      for (const auto& partials : per_spec) {
-        entry.partials.push_back(partials[g]);
-      }
-      summary.emplace(std::move(key), std::move(entry));
-    }
-    return summary;
-  }
-
-  /// Merges `src` into `dst` group-wise (late tuples joining an existing
-  /// basic window take this path too).
-  static void MergeInto(ChunkSummary* dst, const ChunkSummary& src) {
-    for (const auto& [key, entry] : src) {
-      auto [it, inserted] = dst->emplace(key, entry);
-      if (!inserted) {
-        for (size_t i = 0; i < entry.partials.size(); ++i) {
-          it->second.partials[i].Merge(entry.partials[i]);
-        }
-      }
-    }
-  }
-
-  /// Combines the summaries of one window's chunks, materialises the
-  /// aggregate output and runs the rest of the plan; appends to `out`.
-  template <typename ChunkIt>
-  Status EmitWindow(ChunkIt first, ChunkIt last, Table* out) const {
-    ChunkSummary merged;
-    for (ChunkIt it = first; it != last; ++it) {
-      MergeInto(&merged, *it);
-    }
-    auto agg_table =
-        std::make_shared<Table>("", decomposition_.aggregate_schema);
-    if (decomposition_.group_columns.empty()) {
-      // Scalar aggregation: exactly one row, even for an empty window.
-      GroupEntry whole;
-      whole.partials.resize(decomposition_.aggregates.size());
-      for (const auto& [key, entry] : merged) {
-        for (size_t i = 0; i < entry.partials.size(); ++i) {
-          whole.partials[i].Merge(entry.partials[i]);
-        }
-      }
-      Row row;
-      for (size_t i = 0; i < decomposition_.aggregates.size(); ++i) {
-        row.push_back(
-            whole.partials[i].Finalize(decomposition_.aggregates[i].func));
-      }
-      DC_RETURN_NOT_OK(agg_table->AppendRow(row));
-    } else {
-      for (const auto& [key, entry] : merged) {
-        Row row = entry.group_values;
-        for (size_t i = 0; i < decomposition_.aggregates.size(); ++i) {
-          row.push_back(
-              entry.partials[i].Finalize(decomposition_.aggregates[i].func));
-        }
-        DC_RETURN_NOT_OK(agg_table->AppendRow(row));
-      }
-    }
-    PlanBindings bindings = static_bindings_;
-    bindings[kAggOutBinding] = std::move(agg_table);
-    DC_ASSIGN_OR_RETURN(TablePtr result,
-                        ExecutePlan(*decomposition_.above_aggregate, bindings));
-    return out->AppendTable(*result);
-  }
-
- private:
-  AggregateDecomposition decomposition_;
-  std::string bind_name_;
-  PlanBindings static_bindings_;
-};
-
-/// Basic-window model for count windows: the stream is cut into slide-sized
-/// chunks; each chunk is aggregated once into per-group summaries; a window
-/// emission merges the summaries of the size/slide most recent chunks.
-/// Expiry = dropping the oldest chunk — no subtraction, so min/max stay
-/// exact.
+/// Basic-window model (Zhu & Shasha) over the query's aggregate split: the
+/// stream is cut into slide-sized basic windows, each summarised once by the
+/// partial plan; an emission runs the merge plan over the partial rows of
+/// the size/slide basic windows the window covers, and expiry drops the
+/// oldest basic window's rows — no subtraction, so min/max stay exact.
+/// Count and time windows differ only in how a tuple finds its basic window
+/// (Route*) and in how many basic windows are complete (Complete()).
 class IncrementalWindowExecutor final : public WindowExecutor {
  public:
-  IncrementalWindowExecutor(const sql::CompiledQuery& query,
-                            AggregateDecomposition decomposition,
-                            PlanBindings static_bindings)
-      : core_(std::move(decomposition), query.inputs[0].bind_name,
-              std::move(static_bindings)),
-        output_schema_(query.output_schema),
-        chunk_size_(static_cast<size_t>(query.window.slide)),
-        chunks_per_window_(
-            static_cast<size_t>(query.window.size / query.window.slide)),
-        pending_(std::make_shared<Table>("__window_pending",
-                                         query.inputs[0].basket_schema)) {}
+  static Result<std::unique_ptr<WindowExecutor>> Make(
+      const sql::CompiledQuery& query, AggregateSplit split,
+      PlanBindings static_bindings, bool specialize) {
+    std::unique_ptr<IncrementalWindowExecutor> exec(
+        new IncrementalWindowExecutor(query, std::move(split),
+                                      std::move(static_bindings),
+                                      specialize));
+    // The summary of no tuples, bound when a window has no partial rows: a
+    // scalar aggregate still emits its one row (count 0).
+    auto none = std::make_shared<Table>("", exec->input_schema_);
+    DC_ASSIGN_OR_RETURN(TablePtr empty,
+                        exec->partial_.Run(std::span(&none, 1), ExecContext{}));
+    exec->empty_rows_ = PartialsRowTable(exec->partial_schema_, {empty});
+    return std::unique_ptr<WindowExecutor>(std::move(exec));
+  }
 
-  Result<TablePtr> Advance(const Table& new_tuples) override {
-    DC_RETURN_NOT_OK(pending_->AppendTable(new_tuples));
+  Result<TablePtr> Advance(const Table& new_tuples,
+                           const ExecContext& ctx) override {
     auto out = std::make_shared<Table>("", output_schema_);
-    while (pending_->num_rows() >= chunk_size_) {
-      TablePtr chunk = TablePtr(pending_->Slice(0, chunk_size_));
-      pending_->RemovePrefix(chunk_size_);
-      DC_ASSIGN_OR_RETURN(IncrementalCore::ChunkSummary summary,
-                          core_.Summarise(*chunk));
-      chunks_.push_back(std::move(summary));
-      if (chunks_.size() == chunks_per_window_) {
-        DC_RETURN_NOT_OK(core_.EmitWindow(chunks_.begin(), chunks_.end(),
-                                          out.get()));
-        chunks_.pop_front();  // slide: expire the oldest basic window
-      }
-    }
-    return out;
-  }
-
-  size_t buffered() const override {
-    return pending_->num_rows() + chunks_.size() * chunk_size_;
-  }
-  const char* mode_name() const override { return "incremental"; }
-
- private:
-  IncrementalCore core_;
-  Schema output_schema_;
-  size_t chunk_size_;
-  size_t chunks_per_window_;
-  std::shared_ptr<Table> pending_;
-  std::deque<IncrementalCore::ChunkSummary> chunks_;
-};
-
-/// Basic-window model for time windows: chunks are slide-length time
-/// intervals anchored at the earliest tuple seen; windows cover size/slide
-/// consecutive chunks and close when a tuple at/after the window end is
-/// observed. Late tuples merge into their (not yet expired) chunk summary;
-/// tuples older than the oldest live window are dropped and counted.
-class TimeIncrementalWindowExecutor final : public WindowExecutor {
- public:
-  TimeIncrementalWindowExecutor(const sql::CompiledQuery& query,
-                                AggregateDecomposition decomposition,
-                                PlanBindings static_bindings)
-      : core_(std::move(decomposition), query.inputs[0].bind_name,
-              std::move(static_bindings)),
-        output_schema_(query.output_schema),
-        input_schema_(query.inputs[0].basket_schema),
-        slide_us_(query.window.slide),
-        chunks_per_window_(
-            static_cast<size_t>(query.window.size / query.window.slide)) {
-    ts_column_ = input_schema_.num_fields() - 1;
-  }
-
-  Result<TablePtr> Advance(const Table& new_tuples) override {
-    auto out = std::make_shared<Table>("", output_schema_);
-    if (new_tuples.num_rows() == 0) return out;
-    const Bat& ts = *new_tuples.column(ts_column_);
-    if (!started_) {
-      Timestamp min_ts = ts.Int64At(0);
-      for (size_t i = 1; i < ts.size(); ++i) {
-        min_ts = std::min(min_ts, ts.Int64At(i));
-      }
-      anchor_ = min_ts;
-      started_ = true;
-    }
-    // Route each tuple to its chunk (grid of slide-length intervals).
-    std::map<int64_t, std::vector<size_t>> by_chunk;
-    for (size_t i = 0; i < ts.size(); ++i) {
-      Timestamp t = ts.Int64At(i);
-      max_seen_ = std::max(max_seen_, t);
-      if (t < anchor_ + next_window_ * slide_us_) {
-        ++late_dropped_;  // older than every live window
-        continue;
-      }
-      by_chunk[(t - anchor_) / slide_us_].push_back(i);
-    }
-    for (const auto& [chunk_index, positions] : by_chunk) {
-      TablePtr chunk = TablePtr(new_tuples.Take(positions));
-      DC_ASSIGN_OR_RETURN(IncrementalCore::ChunkSummary summary,
-                          core_.Summarise(*chunk));
-      auto it = chunks_.find(chunk_index);
-      if (it == chunks_.end()) {
-        chunks_.emplace(chunk_index, std::move(summary));
+    if (new_tuples.num_rows() > 0) {
+      if (window_.kind == sql::WindowSpec::Kind::kCount) {
+        DC_RETURN_NOT_OK(RouteCount(new_tuples));
       } else {
-        // Late tuples for a still-live basic window: merge the summaries.
-        IncrementalCore::MergeInto(&it->second, summary);
+        DC_RETURN_NOT_OK(RouteTime(new_tuples));
       }
     }
-    // Close every window whose end the stream has passed.
-    while (max_seen_ >=
-           anchor_ + next_window_ * slide_us_ +
-               static_cast<int64_t>(chunks_per_window_) * slide_us_) {
-      std::vector<IncrementalCore::ChunkSummary> window_chunks;
-      for (size_t k = 0; k < chunks_per_window_; ++k) {
-        auto it = chunks_.find(next_window_ + static_cast<int64_t>(k));
-        if (it != chunks_.end()) window_chunks.push_back(it->second);
-      }
-      DC_RETURN_NOT_OK(core_.EmitWindow(window_chunks.begin(),
-                                        window_chunks.end(), out.get()));
-      chunks_.erase(next_window_);
+    const int64_t complete = Complete();
+    // Summarise each complete basic window's raw rows: once when it
+    // completes, and again for late tuples that reach it afterwards.
+    for (auto& [index, basic] : live_) {
+      if (index >= complete) break;
+      if (basic.raw == nullptr) continue;
+      DC_ASSIGN_OR_RETURN(TablePtr rows,
+                          partial_.Run(std::span(&basic.raw, 1), ctx));
+      basic.raw = nullptr;
+      DC_RETURN_NOT_OK(Accumulate(&basic.partials, std::move(rows)));
+    }
+    while (next_window_ + per_window_ <= complete) {
+      DC_RETURN_NOT_OK(Emit(ctx, out.get()));
+      live_.erase(next_window_);  // slide: expire the oldest basic window
       ++next_window_;
     }
     return out;
   }
 
-  size_t buffered() const override { return chunks_.size(); }
+  size_t StateBytes(int64_t string_bytes) const override {
+    const auto raw_bytes =
+        static_cast<size_t>(input_schema_.EstimatedRowBytes(string_bytes));
+    const auto partial_bytes =
+        static_cast<size_t>(partial_schema_.EstimatedRowBytes(string_bytes));
+    size_t bytes = 0;
+    for (const auto& [index, basic] : live_) {
+      if (basic.raw != nullptr) bytes += basic.raw->num_rows() * raw_bytes;
+      if (basic.partials != nullptr) {
+        bytes += basic.partials->num_rows() * partial_bytes;
+      }
+    }
+    return bytes;
+  }
   const char* mode_name() const override { return "incremental"; }
-  int64_t late_dropped() const { return late_dropped_; }
+  std::string Describe() const override {
+    return "incremental window\npartial: " + Block(partial_) +
+           "\nmerge: " + Block(merge_);
+  }
+  void RegisterProfileSteps(PipelineProfile* profile) override {
+    partial_.RegisterProfileSteps(profile);
+    merge_.RegisterProfileSteps(profile);
+  }
 
  private:
-  IncrementalCore core_;
-  Schema output_schema_;
+  /// One slide of the stream: raw rows not yet summarised, and the partial
+  /// plan's output over the rows that were.
+  struct BasicWindow {
+    TablePtr raw;
+    TablePtr partials;
+  };
+
+  IncrementalWindowExecutor(const sql::CompiledQuery& query,
+                            AggregateSplit split, PlanBindings static_bindings,
+                            bool specialize)
+      : partial_(split.partial, {query.inputs[0].bind_name},
+                 std::move(static_bindings), specialize),
+        merge_(split.merge, {kPartialsBinding}, {}, specialize),
+        window_(query.window),
+        input_schema_(query.inputs[0].basket_schema),
+        partial_schema_(split.partial->output_schema()),
+        output_schema_(query.output_schema),
+        per_window_(query.window.size / query.window.slide),
+        ts_column_(input_schema_.num_fields() - 1) {}
+
+  /// Appends `rows` to `*into`, adopting them when `*into` is empty.
+  static Status Accumulate(TablePtr* into, TablePtr rows) {
+    if (*into == nullptr) {
+      *into = std::move(rows);
+      return Status::OK();
+    }
+    return (*into)->AppendTable(*rows);
+  }
+
+  /// Count windows: tuple n belongs to basic window n / slide.
+  Status RouteCount(const Table& in) {
+    const size_t n = in.num_rows();
+    const auto slide = static_cast<size_t>(window_.slide);
+    for (size_t r = 0; r < n;) {
+      const size_t take = std::min(n - r, slide - seen_ % slide);
+      DC_RETURN_NOT_OK(
+          Accumulate(&live_[static_cast<int64_t>(seen_ / slide)].raw,
+                     in.Slice(r, take)));
+      r += take;
+      seen_ += take;
+    }
+    return Status::OK();
+  }
+
+  /// Time windows: basic windows are slide-length intervals anchored at the
+  /// earliest tuple seen; a tuple older than the oldest open window is late.
+  Status RouteTime(const Table& in) {
+    const Bat& ts = *in.column(ts_column_);
+    if (!started_) {
+      anchor_ = max_seen_ = MinTs(ts);
+      started_ = true;
+    }
+    const Timestamp open_start = anchor_ + next_window_ * window_.slide;
+    std::map<int64_t, std::vector<size_t>> by_window;
+    int64_t late = 0;
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const Timestamp t = ts.Int64At(i);
+      if (t < open_start) {
+        ++late;
+        continue;
+      }
+      max_seen_ = std::max(max_seen_, t);
+      by_window[(t - anchor_) / window_.slide].push_back(i);
+    }
+    late_dropped_.fetch_add(late, std::memory_order_relaxed);
+    for (const auto& [index, positions] : by_window) {
+      DC_RETURN_NOT_OK(Accumulate(&live_[index].raw, in.Take(positions)));
+    }
+    return Status::OK();
+  }
+
+  /// Number of leading basic windows that are complete: a count window's
+  /// once it holds slide tuples, a time window's once a tuple at or after
+  /// its end has been observed (§3.1).
+  int64_t Complete() const {
+    if (window_.kind == sql::WindowSpec::Kind::kCount) {
+      return static_cast<int64_t>(seen_ / static_cast<size_t>(window_.slide));
+    }
+    return started_ ? (max_seen_ - anchor_) / window_.slide : 0;
+  }
+
+  /// Merges the partial rows of the window starting at basic window
+  /// next_window_ and appends its result to `out`.
+  Status Emit(const ExecContext& ctx, Table* out) {
+    std::vector<TablePtr> parts;
+    for (const auto& [index, basic] : live_) {
+      if (index >= next_window_ + per_window_) break;
+      if (basic.partials != nullptr) parts.push_back(basic.partials);
+    }
+    TablePtr rows = PartialsRowTable(partial_schema_, parts);
+    if (rows->num_rows() == 0) rows = empty_rows_;
+    DC_ASSIGN_OR_RETURN(TablePtr result, merge_.Run(std::span(&rows, 1), ctx));
+    return out->AppendTable(*result);
+  }
+
+  PlanRunner partial_;
+  PlanRunner merge_;
+  sql::WindowSpec window_;
   Schema input_schema_;
+  Schema partial_schema_;
+  Schema output_schema_;
+  int64_t per_window_;  // basic windows per window: size / slide
   size_t ts_column_;
-  int64_t slide_us_;
-  size_t chunks_per_window_;
-  bool started_ = false;
+  TablePtr empty_rows_;
+  // Live basic windows by index; every key is >= next_window_.
+  std::map<int64_t, BasicWindow> live_;
+  int64_t next_window_ = 0;  // first basic window of the oldest open window
+  size_t seen_ = 0;          // count windows: tuples routed so far
+  bool started_ = false;     // time windows: anchor_ is set
   Timestamp anchor_ = 0;
   Timestamp max_seen_ = 0;
-  int64_t next_window_ = 0;  // index of the oldest unemitted window
-  std::map<int64_t, IncrementalCore::ChunkSummary> chunks_;
-  int64_t late_dropped_ = 0;
 };
 
 }  // namespace
 
 Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
     const sql::CompiledQuery& query, WindowMode mode,
-    PlanBindings static_bindings) {
+    PlanBindings static_bindings, bool specialize) {
   if (query.window.kind == sql::WindowSpec::Kind::kNone) {
     return Status::InvalidArgument("query has no window clause");
   }
@@ -460,33 +324,44 @@ Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
     return Status::Unimplemented(
         "windowed queries support exactly one stream input");
   }
-  auto try_incremental =
-      [&]() -> Result<std::unique_ptr<WindowExecutor>> {
-    if (query.window.slide <= 0 || query.window.size % query.window.slide != 0) {
+  auto try_incremental = [&]() -> Result<std::unique_ptr<WindowExecutor>> {
+    if (query.window.slide <= 0 ||
+        query.window.size % query.window.slide != 0) {
       return Status::Unimplemented(
           "incremental evaluation requires slide to divide the window size");
     }
-    DC_ASSIGN_OR_RETURN(
-        AggregateDecomposition decomposition,
-        internal_window::DecomposeAggregatePlan(query.plan));
-    if (query.window.kind == sql::WindowSpec::Kind::kTime) {
-      return std::unique_ptr<WindowExecutor>(new TimeIncrementalWindowExecutor(
-          query, std::move(decomposition), static_bindings));
+    Result<AggregateSplit> split = SplitAggregate(query.plan);
+    if (!split.ok()) {
+      return Status::Unimplemented(
+          "incremental windows require an aggregate-shaped plan");
     }
-    return std::unique_ptr<WindowExecutor>(new IncrementalWindowExecutor(
-        query, std::move(decomposition), static_bindings));
+    // Below the aggregate only Project/Filter over one scan: a join reads a
+    // static table that can grow between basic windows, which would leave
+    // the earlier summaries stale.
+    const PlanNode* below = split->partial->child().get();
+    while (below->kind() == PlanKind::kProject ||
+           below->kind() == PlanKind::kFilter) {
+      below = below->child().get();
+    }
+    if (below->kind() != PlanKind::kScan) {
+      return Status::Unimplemented(
+          "incremental windows require a single-scan pipeline below the "
+          "aggregate");
+    }
+    return IncrementalWindowExecutor::Make(query, std::move(*split),
+                                           static_bindings, specialize);
   };
   switch (mode) {
     case WindowMode::kReEvaluation:
-      return std::unique_ptr<WindowExecutor>(
-          new ReEvalWindowExecutor(query, std::move(static_bindings)));
+      return std::unique_ptr<WindowExecutor>(new ReEvalWindowExecutor(
+          query, std::move(static_bindings), specialize));
     case WindowMode::kIncremental:
       return try_incremental();
     case WindowMode::kAuto: {
       auto inc = try_incremental();
       if (inc.ok()) return inc;
-      return std::unique_ptr<WindowExecutor>(
-          new ReEvalWindowExecutor(query, std::move(static_bindings)));
+      return std::unique_ptr<WindowExecutor>(new ReEvalWindowExecutor(
+          query, std::move(static_bindings), specialize));
     }
   }
   return Status::Internal("bad window mode");

@@ -1615,6 +1615,31 @@ TEST(StateOracleTest, CountWindowMeasuredUnderBound) {
   EXPECT_GT(res->bound_bytes, 0) << res->detail;
 }
 
+// An incremental count window holds one partial row per group and basic
+// window; with a slide of 1 and wide partials (avg splits into sum + count)
+// those rows outweigh the raw rows the window buffer bound counts.
+TEST(StateOracleTest, GroupedCountWindowPartialsUnderBound) {
+  Engine engine(Deterministic());
+  ASSERT_TRUE(engine
+                  .ExecuteSql("create basket s (x int) "
+                              "with (cardinality(x) = 7)")
+                  .ok());
+  auto q = engine.SubmitContinuousQuery(
+      "w", "select x, count(*) as c, sum(x) as s, min(x) as lo, "
+           "max(x) as hi, avg(x) as a from [select * from s] as t "
+           "group by x window size 64 slide 1");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_STREQ((*engine.GetQuery(*q))->factory->window_mode_name(),
+               "incremental");
+  StateOracleOptions oopts;
+  oopts.rows = 400;
+  oopts.batch = 5;
+  auto res = CheckStateBound(engine, *q, oopts);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_TRUE(res->sound) << res->detail;
+  EXPECT_GT(res->measured_bytes, 0u) << res->detail;
+}
+
 TEST(StateOracleTest, HintedGroupByRespectsHintDomain) {
   Engine engine(Deterministic());
   ASSERT_TRUE(engine

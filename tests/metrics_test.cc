@@ -654,5 +654,41 @@ TEST(MetricsGolden, RemovedQueryExportsNoSeries) {
             replica_rows);
 }
 
+TEST(EngineMetrics, WindowLateCountOnlyForWindowedQueries) {
+  EngineOptions opts;
+  opts.use_wall_clock = false;
+  Engine engine(opts);
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+  ASSERT_TRUE(engine
+                  .SubmitContinuousQuery(
+                      "win",
+                      "select count(*) as c from [select * from r] as a "
+                      "window size 2")
+                  .ok());
+  ASSERT_TRUE(
+      engine.SubmitContinuousQuery("sel", "select * from [select * from r] as a")
+          .ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.Ingest("r", {Value::Int64(i)}).ok());
+  }
+  engine.Drain();
+
+  std::string text = engine.MetricsText();
+  EXPECT_NE(text.find("datacell_window_late_dropped_total{query=\"win\"} 0"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("datacell_window_late_dropped_total{query=\"sel\"}"),
+            std::string::npos)
+      << text;
+  std::string report = engine.StatsReport();
+  auto line_of = [&report](const std::string& head) {
+    size_t at = report.find(head);
+    if (at == std::string::npos) return std::string();
+    return report.substr(at, report.find('\n', at) - at);
+  };
+  EXPECT_NE(line_of("  win:").find(" late=0"), std::string::npos) << report;
+  EXPECT_EQ(line_of("  sel:").find("late="), std::string::npos) << report;
+}
+
 }  // namespace
 }  // namespace datacell

@@ -392,6 +392,54 @@ TEST(Profiler, RuntimeToggleAndOffByDefault) {
 
 // Twin engines over an identical workload, one profiled and one not: the
 // profiler must be observation-only.
+TEST(Profiler, WindowedQuerySteps) {
+  // A windowed query profiles the plans its window executor runs: the
+  // re-evaluated plan, or the partial and merge plans of the incremental
+  // mode. Every registered step must be called.
+  const char* kWindows[] = {"window size 4 slide 2",
+                            "window range 4 seconds slide 2 seconds"};
+  for (WindowMode mode : {WindowMode::kReEvaluation, WindowMode::kIncremental}) {
+    for (const char* window : kWindows) {
+      SCOPED_TRACE(std::string(window) +
+                   (mode == WindowMode::kIncremental ? " incremental"
+                                                     : " reeval"));
+      Engine engine(Profiled());
+      ASSERT_TRUE(engine.ExecuteSql("create basket r (k int, v int)").ok());
+      QueryOptions qo;
+      qo.window_mode = mode;
+      auto q = engine.SubmitContinuousQuery(
+          "win",
+          std::string("select k, sum(v) as s from [select * from r] as t "
+                      "group by k ") +
+              window,
+          qo);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      for (int i = 0; i < 16; ++i) {
+        ASSERT_TRUE(
+            engine.Ingest("r", {Value::Int64(i % 3), Value::Int64(i)}).ok());
+        engine.simulated_clock()->Advance(1000000);
+        engine.Drain();
+      }
+      auto info = engine.GetQuery(*q);
+      ASSERT_TRUE(info.ok());
+      const Factory& f = *(*info)->factory;
+      std::string desc = f.PipelineDescription();
+      EXPECT_EQ(desc.find("fallback: windowed"), std::string::npos) << desc;
+      if (mode == WindowMode::kIncremental) {
+        EXPECT_NE(desc.find("partial: specialized pipeline"),
+                  std::string::npos)
+            << desc;
+      }
+      PipelineProfile::Snapshot snap = f.profile().Snap();
+      EXPECT_GE(snap.fires, 1);
+      ASSERT_FALSE(snap.steps.empty());
+      for (const PipelineProfile::StepSnapshot& s : snap.steps) {
+        EXPECT_GE(s.calls, 1) << s.label << "\n" << f.ProfileReport();
+      }
+    }
+  }
+}
+
 TEST(Profiler, ProfiledEngineEmitsIdenticalResults) {
   EngineOptions plain;
   plain.use_wall_clock = false;

@@ -287,15 +287,6 @@ TEST(TopNTest, TruncatesAfterSort) {
   EXPECT_EQ(top10->size(), 4u);
 }
 
-TEST(EncodeRowKeyTest, EqualRowsEqualKeys) {
-  auto t = GroupTable();
-  // rows 0 and 2 share key "a".
-  EXPECT_EQ(EncodeRowKey(*t, {0}, 0), EncodeRowKey(*t, {0}, 2));
-  EXPECT_NE(EncodeRowKey(*t, {0}, 0), EncodeRowKey(*t, {0}, 1));
-  // Full-row keys differ (values differ).
-  EXPECT_NE(EncodeRowKey(*t, {0, 1}, 0), EncodeRowKey(*t, {0, 1}, 2));
-}
-
 // --- Parallel kernel variants: output must equal the scalar path --------
 
 /// Tiny morsels + zero threshold force the fan-out even on small inputs.

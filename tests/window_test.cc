@@ -52,12 +52,14 @@ TEST_F(WindowTest, TumblingCountSum) {
   auto out = (*exec)->Advance(*Batch({{0, 1, 0}, {0, 2, 0}, {0, 3, 0}}));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ((*out)->num_rows(), 0u);  // window incomplete
-  EXPECT_EQ((*exec)->buffered(), 3u);
+  const size_t row_bytes =
+      static_cast<size_t>(q.inputs[0].basket_schema.EstimatedRowBytes(32));
+  EXPECT_EQ((*exec)->StateBytes(32), 3 * row_bytes);
   out = (*exec)->Advance(*Batch({{0, 4, 0}, {0, 5, 0}}));
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 1u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Double(10));  // 1+2+3+4
-  EXPECT_EQ((*exec)->buffered(), 1u);                  // the 5 waits
+  EXPECT_EQ((*exec)->StateBytes(32), row_bytes);       // the 5 waits
 }
 
 TEST_F(WindowTest, SlidingCountWindows) {
@@ -275,18 +277,52 @@ TEST_F(WindowTest, GroupedEmptyWindowEmitsNoRows) {
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Int64(1));
 }
 
+TEST_F(WindowTest, LateTuplesCountedInBothModes) {
+  const int64_t kSec = 1000000;
+  auto q = Compile(
+      "select count(*) as c from [select * from r] as w "
+      "window range 2 seconds slide 2 seconds");
+  for (WindowMode mode : {WindowMode::kReEvaluation, WindowMode::kIncremental}) {
+    auto exec = WindowExecutor::Create(q, mode, {});
+    ASSERT_TRUE(exec.ok());
+    SCOPED_TRACE((*exec)->mode_name());
+    // The tuple at 3s closes [0s, 2s); the tuple at 1s then arrives after
+    // the only window it belongs to was emitted.
+    auto out = (*exec)->Advance(*Batch({{0, 1, 0}, {0, 2, 3 * kSec}}));
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ((*out)->num_rows(), 1u);
+    EXPECT_EQ((*exec)->late_dropped(), 0);
+    out = (*exec)->Advance(*Batch({{0, 3, 1 * kSec}, {0, 4, 5 * kSec}}));
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ((*exec)->late_dropped(), 1);
+    // [2s, 4s) holds only the tuple at 3s.
+    ASSERT_EQ((*out)->num_rows(), 1u);
+    EXPECT_EQ((*out)->GetRow(0)[0], Value::Int64(1));
+  }
+}
+
 TEST_F(WindowTest, CreateRejectsNonWindowed) {
   auto q = Compile("select * from [select * from r] as w");
   EXPECT_FALSE(WindowExecutor::Create(q, WindowMode::kAuto, {}).ok());
 }
 
 // Property: incremental evaluation produces exactly the same window results
-// as re-evaluation — the core §3.1 equivalence.
+// as re-evaluation — the core §3.1 equivalence. Values stay integral, so
+// sums are exact and rows compare with EXPECT_EQ.
+enum class Shape : uint8_t {
+  kOrdered,    // group by k order by k
+  kHaving,     // a filter above the aggregate
+  kTopN,       // order by + limit
+  kStringKey,  // group by a string key: the partial runs on the interpreter
+  kUnordered,  // no order by: both modes emit groups in first-appearance order
+};
+
 struct EquivParam {
   int size;
   int slide;
   int groups;
   bool filtered;
+  Shape shape = Shape::kOrdered;  // in the padding: the struct stays 16 bytes
 };
 
 class WindowEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
@@ -295,18 +331,35 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   const EquivParam p = GetParam();
   Catalog catalog;
   Schema basket_schema({{"k", DataType::kInt64},
+                        {"name", DataType::kString},
                         {"v", DataType::kInt64},
                         {"ts", DataType::kTimestamp}});
   ASSERT_TRUE(
       catalog.CreateRelation("r", basket_schema, RelationKind::kBasket).ok());
-  std::string sql =
-      "select k, count(*) as c, sum(v) as s, min(v) as mn, max(v) as mx, "
-      "avg(v) as a from [select * from r] as w ";
+  const std::string key = p.shape == Shape::kStringKey ? "name" : "k";
+  std::string sql = "select " + key +
+                    ", count(*) as c, sum(v) as s, min(v) as mn, max(v) as "
+                    "mx, avg(v) as a from [select * from r] as w ";
   if (p.filtered) sql += "where v > 10 ";
-  sql += "group by k order by k window size " + std::to_string(p.size) +
-         " slide " + std::to_string(p.slide);
+  sql += "group by " + key + " ";
+  switch (p.shape) {
+    case Shape::kOrdered:
+    case Shape::kStringKey:
+      sql += "order by " + key + " ";
+      break;
+    case Shape::kHaving:
+      sql += "having count(*) > 1 order by k ";
+      break;
+    case Shape::kTopN:
+      sql += "order by s desc, k limit 2 ";
+      break;
+    case Shape::kUnordered:
+      break;
+  }
+  sql += "window size " + std::to_string(p.size) + " slide " +
+         std::to_string(p.slide);
   auto stmt = sql::ParseStatement(sql);
-  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   sql::Planner planner(&catalog);
   auto q = planner.CompileSelect(*stmt->select);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
@@ -315,16 +368,24 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   auto incr = WindowExecutor::Create(*q, WindowMode::kIncremental, {});
   ASSERT_TRUE(reeval.ok());
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+  if (p.shape == Shape::kStringKey) {
+    EXPECT_NE((*incr)->Describe().find("partial: interpreter"),
+              std::string::npos)
+        << (*incr)->Describe();
+  }
 
   Rng rng(p.size * 1000 + p.slide);
   // Feed in random-sized batches so chunk boundaries cross batch boundaries.
   int remaining = 200;
+  size_t windows = 0;
   while (remaining > 0) {
     int batch = static_cast<int>(rng.Uniform(1, 13));
     batch = std::min(batch, remaining);
     auto t = std::make_shared<Table>("", basket_schema);
     for (int i = 0; i < batch; ++i) {
-      ASSERT_TRUE(t->AppendRow({Value::Int64(rng.Uniform(0, p.groups - 1)),
+      const int64_t k = rng.Uniform(0, p.groups - 1);
+      ASSERT_TRUE(t->AppendRow({Value::Int64(k),
+                                Value::String("g" + std::to_string(k)),
                                 Value::Int64(rng.Uniform(0, 100)),
                                 Value::TimestampVal(0)})
                       .ok());
@@ -335,6 +396,7 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ((*a)->num_rows(), (*b)->num_rows());
+    windows += (*a)->num_rows();
     for (size_t row = 0; row < (*a)->num_rows(); ++row) {
       Row ra = (*a)->GetRow(row);
       Row rb = (*b)->GetRow(row);
@@ -345,6 +407,7 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
       }
     }
   }
+  EXPECT_GT(windows, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -353,6 +416,17 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivParam{8, 2, 1, false}, EquivParam{16, 4, 5, true},
                       EquivParam{32, 8, 2, true}, EquivParam{4, 1, 4, false},
                       EquivParam{12, 6, 1, true}));
+
+INSTANTIATE_TEST_SUITE_P(
+    Queries, WindowEquivalenceTest,
+    ::testing::Values(EquivParam{8, 2, 4, false, Shape::kHaving},
+                      EquivParam{12, 4, 5, true, Shape::kHaving},
+                      EquivParam{8, 4, 4, false, Shape::kTopN},
+                      EquivParam{16, 2, 6, true, Shape::kTopN},
+                      EquivParam{8, 2, 3, false, Shape::kStringKey},
+                      EquivParam{6, 3, 4, true, Shape::kStringKey},
+                      EquivParam{8, 2, 4, false, Shape::kUnordered},
+                      EquivParam{4, 4, 3, true, Shape::kUnordered}));
 
 }  // namespace
 }  // namespace datacell
