@@ -1,10 +1,8 @@
 // Pass-3 partition analysis runs once per SubmitContinuousQuery and again on
 // every Engine::Analyze() / metrics refresh, so it sits on the registration
 // and observability paths. These benchmarks keep its cost visible: the
-// dataflow pass itself over representative plan shapes, the full
-// registration path with the pass included, and the split-merge oracle the
-// test suite leans on (not a production path, but its cost bounds how much
-// fuzzing budget each input burns).
+// dataflow pass itself over representative plan shapes and the full
+// registration path with the pass included.
 
 #include <benchmark/benchmark.h>
 
@@ -105,33 +103,6 @@ BENCHMARK_CAPTURE(BM_AnalyzeStateBounds, filter, "filter");
 BENCHMARK_CAPTURE(BM_AnalyzeStateBounds, group_by_key, "group_by_key");
 BENCHMARK_CAPTURE(BM_AnalyzeStateBounds, join_agg, "join_agg");
 BENCHMARK_CAPTURE(BM_AnalyzeStateBounds, scalar_avg, "scalar_avg");
-
-// The soundness oracle over `rows` input tuples across 3 shards.
-void BM_SplitMergeOracle(benchmark::State& state) {
-  Engine engine(bench::BenchEngineOptions());
-  SetUpCatalog(engine);
-  auto q = engine.SubmitContinuousQuery("bm", QueryForShape("group_by_key"));
-  if (!q.ok()) std::abort();
-  auto info = engine.GetQuery(*q);
-  if (!info.ok()) std::abort();
-  const sql::CompiledQuery& cq = (*info)->factory->query();
-  auto table = std::make_shared<Table>("in", cq.inputs[0].basket_schema);
-  const int64_t rows = state.range(0);
-  for (int64_t i = 0; i < rows; ++i) {
-    Status s = table->AppendRow({Value::String("s" + std::to_string(i % 64)),
-                                 Value::Double(0.25 * static_cast<double>(i)),
-                                 Value::Int64(i % 7), Value::TimestampVal(i)});
-    if (!s.ok()) std::abort();
-  }
-  for (auto _ : state) {
-    auto res = analysis::CheckSplitMergeEquivalence(
-        cq, *(*info)->partition, {table}, {}, 3);
-    if (!res.ok() || !res->equivalent) std::abort();
-    benchmark::DoNotOptimize(res);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_SplitMergeOracle)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace datacell

@@ -8,7 +8,8 @@
 // Each input is one SQL statement compiled against a fixed catalog holding
 // every column type. Accepted continuous queries are registered, fed rows
 // and drained; accepted one-time SELECTs are executed. Any TypeError after
-// acceptance aborts.
+// acceptance aborts. (Partition verdicts are checked by fuzz_differential,
+// which runs generated queries on a ShardedEngine.)
 
 #include <cstddef>
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include <string>
 #include <string_view>
 
-#include "analysis/partition_analyzer.h"
 #include "analysis/plan_analyzer.h"
 #include "core/engine.h"
 #include "core/state_oracle.h"
@@ -33,65 +33,6 @@ void Check(bool cond, const char* what, const Status& st) {
   std::fprintf(stderr, "fuzz_analyzer contract violated: %s: %s\n", what,
                st.ToString().c_str());
   std::abort();
-}
-
-// Synthesizes a deterministic value of type `t` for row `i`; small value
-// domains force hash collisions and duplicate groups, the shapes partition
-// verdicts are most likely to get wrong.
-Value SynthValue(DataType t, int i) {
-  switch (t) {
-    case DataType::kInt64:
-      return Value::Int64(i % 5 - 2);
-    case DataType::kDouble:
-      return Value::Double(0.5 * (i % 7) - 1.0);
-    case DataType::kString:
-      return Value::String(std::string("v") + char('a' + i % 3));
-    case DataType::kTimestamp:
-      return Value::TimestampVal(i);
-    case DataType::kBool:
-      return Value::Bool(i % 2 == 0);
-  }
-  return Value::Null();
-}
-
-// Second contract: every non-pinned partition verdict must survive the
-// split-merge oracle. An accepted query whose sharded execution diverges
-// from single-node execution is an unsound verdict — abort.
-void CheckPartitionSoundness(Engine& engine, QueryId id) {
-  auto info = engine.GetQuery(id);
-  if (!info.ok() || (*info)->partition == nullptr) return;
-  const analysis::PartitionReport& rep = *(*info)->partition;
-  if (rep.verdict == analysis::PartitionVerdict::kPinned) return;
-
-  const sql::CompiledQuery& cq = (*info)->factory->query();
-  std::vector<TablePtr> inputs;
-  for (const sql::ContinuousInput& ci : cq.inputs) {
-    auto t = std::make_shared<Table>("fz_in", ci.basket_schema);
-    for (int i = 0; i < 24; ++i) {
-      Row row;
-      for (size_t c = 0; c < ci.basket_schema.num_fields(); ++c) {
-        row.push_back(SynthValue(ci.basket_schema.field(c).type, i + (int)c));
-      }
-      if (!t->AppendRow(row).ok()) return;
-    }
-    inputs.push_back(std::move(t));
-  }
-  // The fixed catalog's one static relation, for plans that join it.
-  auto statics_t = std::make_shared<Table>(
-      "t", Schema({{"k", DataType::kInt64},
-                   {"v", DataType::kDouble},
-                   {"label", DataType::kString}}));
-  (void)statics_t->AppendRow(
-      {Value::Int64(1), Value::Double(0.5), Value::String("a")});
-  (void)statics_t->AppendRow(
-      {Value::Int64(2), Value::Double(1.5), Value::String("b")});
-  PlanBindings statics;
-  statics["t"] = statics_t;
-
-  auto res = analysis::CheckSplitMergeEquivalence(cq, rep, inputs, statics, 3);
-  if (!res.ok()) return;  // oracle could not replay the plan: not a verdict bug
-  Check(res->equivalent, "partition verdict is unsound (split-merge diverges)",
-        Status::Internal(res->detail));
 }
 
 void ExerciseStatement(const std::string& input) {
@@ -136,8 +77,7 @@ void ExerciseStatement(const std::string& input) {
   // sticks, firing over well-typed rows must not produce a TypeError.
   auto q = engine.SubmitContinuousQuery("fz", input);
   if (!q.ok()) return;
-  CheckPartitionSoundness(engine, *q);
-  // Third contract: the pass-4 static state bound must dominate the state
+  // Second contract: the pass-4 static state bound must dominate the state
   // the factory actually accumulates. A measured high-water mark above a
   // numeric bound is an unsound bound — abort. (The oracle ingests into the
   // query's input streams; the well-typed ingest loop below adds more rows

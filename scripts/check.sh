@@ -18,8 +18,8 @@
 #                         goldens, no bounded→unbounded drift)
 #   stage 7  debug-checks full suite with DATACELL_DEBUG_CHECKS=ON
 #                         (lock-order checker + DC_DCHECK invariants live)
-#   stage 8  tsan         concurrency-, metrics-, specialize-, observe- and
-#                         shard-labelled tests under TSan
+#   stage 8  tsan         concurrency-, metrics-, specialize-, observe-,
+#                         shard- and differential-labelled tests under TSan
 #   stage 9  asan+ubsan   full suite under address,undefined
 #
 # Tool-dependent stages (format, tidy, cppcheck) are SKIPPED with a notice
@@ -148,12 +148,13 @@ if [ "${SKIP_SANITIZERS:-0}" = "1" ]; then
 fi
 
 # --- stage 8: TSan on the concurrent paths ----------------------------------
-note "TSan: concurrency + metrics + specialize + observe + shard tests"
+note "TSan: concurrency + metrics + specialize + observe + shard + differential tests"
 cmake -B "$BUILD_ROOT/tsan" -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDATACELL_SANITIZE=thread >/dev/null
 cmake --build "$BUILD_ROOT/tsan" -j "$JOBS"
 ctest --test-dir "$BUILD_ROOT/tsan" -j "$JOBS" \
-      -L 'concurrency|metrics|specialize|observe|shard' --output-on-failure
+      -L 'concurrency|metrics|specialize|observe|shard|differential' \
+      --output-on-failure
 
 # --- stage 9: ASan + UBSan on everything ------------------------------------
 note "ASan+UBSan: full suite"

@@ -38,25 +38,6 @@ Result<std::vector<size_t>> FilterPositions(const PlanNode& n, const Table& in,
   return EvaluatePredicate(*n.predicate(), in);
 }
 
-/// FilterPositions with the filter node's profile step recorded. The fused
-/// select→project and select→aggregate paths bypass Exec() for the filter
-/// child, so its step would otherwise show zero activity on exactly the
-/// plans where the filter matters most.
-Result<std::vector<size_t>> ProfiledFilterPositions(const PlanNode& n,
-                                                    const Table& in,
-                                                    const ExecContext& ctx) {
-  if (ctx.profile == nullptr) return FilterPositions(n, in, ctx);
-  size_t step = ctx.profile->StepForNode(&n);
-  int64_t t0 = ProfileNowNs();
-  Result<std::vector<size_t>> r = FilterPositions(n, in, ctx);
-  if (r.ok() && step != PipelineProfile::kNoStep) {
-    ctx.profile->RecordStep(step, static_cast<int64_t>(in.num_rows()),
-                            static_cast<int64_t>(r->size()),
-                            ProfileNowNs() - t0);
-  }
-  return r;
-}
-
 Result<TablePtr> ExecFilter(const PlanNode& n, const PlanBindings& bindings,
                             const ExecContext& ctx) {
   DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*n.child(), bindings, ctx));
@@ -68,32 +49,7 @@ Result<TablePtr> ExecFilter(const PlanNode& n, const PlanBindings& bindings,
 
 Result<TablePtr> ExecProject(const PlanNode& n, const PlanBindings& bindings,
                              const ExecContext& ctx) {
-  // Fused select→project: when the child is a filter and every projection is
-  // a plain column ref, the selection vector drives a direct gather from the
-  // filter's own input — the intermediate filtered table (all its columns,
-  // projected or not) is never materialised.
-  const PlanNode& child = *n.child();
-  if (child.kind() == PlanKind::kFilter) {
-    bool all_column_refs = true;
-    for (const ExprPtr& e : n.projections()) {
-      if (e->kind() != ExprKind::kColumnRef) {
-        all_column_refs = false;
-        break;
-      }
-    }
-    if (all_column_refs) {
-      DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*child.child(), bindings, ctx));
-      DC_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                          ProfiledFilterPositions(child, *in, ctx));
-      auto out = std::make_shared<Table>("", n.output_schema());
-      for (size_t i = 0; i < n.projections().size(); ++i) {
-        out->column(i)->AppendPositions(
-            *in->column(n.projections()[i]->column_index()), positions);
-      }
-      return out;
-    }
-  }
-  DC_ASSIGN_OR_RETURN(TablePtr in, Exec(child, bindings, ctx));
+  DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*n.child(), bindings, ctx));
   auto out = std::make_shared<Table>("", n.output_schema());
   for (size_t i = 0; i < n.projections().size(); ++i) {
     DC_ASSIGN_OR_RETURN(BatPtr col, EvaluateExpr(*n.projections()[i], *in));
@@ -126,54 +82,6 @@ Result<TablePtr> ExecHashJoin(const PlanNode& n, const PlanBindings& bindings,
 
 Result<TablePtr> ExecAggregate(const PlanNode& n, const PlanBindings& bindings,
                                const ExecContext& ctx) {
-  // Fused select→aggregate (scalar aggregates only): the filter's selection
-  // vector feeds AggregateAll's position-list mode directly; the filtered
-  // table is never materialised and count(*) is just the vector's length.
-  // The planner compiles `select agg(col) .. where ..` as
-  // Aggregate→Project→Filter where the pre-projection only renames columns
-  // (pure column refs), so the fusion sees through such a projection and
-  // reads the aggregate inputs straight from the filter's own input.
-  const PlanNode& agg_child = *n.child();
-  const PlanNode* pre = nullptr;     // column-ref-only projection, if any
-  const PlanNode* filter = nullptr;  // the filter feeding the aggregate
-  if (agg_child.kind() == PlanKind::kFilter) {
-    filter = &agg_child;
-  } else if (agg_child.kind() == PlanKind::kProject &&
-             agg_child.child()->kind() == PlanKind::kFilter) {
-    bool refs_only = true;
-    for (const AggSpec& a : n.aggregates()) {
-      if (!a.count_star && agg_child.projections()[a.input_column]->kind() !=
-                               ExprKind::kColumnRef) {
-        refs_only = false;
-        break;
-      }
-    }
-    if (refs_only) {
-      pre = &agg_child;
-      filter = agg_child.child().get();
-    }
-  }
-  if (n.group_columns().empty() && filter != nullptr) {
-    DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*filter->child(), bindings, ctx));
-    DC_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                        ProfiledFilterPositions(*filter, *in, ctx));
-    auto out = std::make_shared<Table>("", n.output_schema());
-    Row row;
-    for (const AggSpec& a : n.aggregates()) {
-      AggPartial p;
-      if (a.count_star) {
-        p.count = static_cast<int64_t>(positions.size());
-      } else {
-        size_t col = pre != nullptr
-                         ? pre->projections()[a.input_column]->column_index()
-                         : a.input_column;
-        DC_ASSIGN_OR_RETURN(p, AggregateAll(*in->column(col), &positions, ctx));
-      }
-      row.push_back(p.Finalize(a.func));
-    }
-    DC_RETURN_NOT_OK(out->AppendRow(row));
-    return out;
-  }
   DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*n.child(), bindings, ctx));
   auto out = std::make_shared<Table>("", n.output_schema());
   if (n.group_columns().empty()) {

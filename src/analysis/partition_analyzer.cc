@@ -1,13 +1,10 @@
 #include "analysis/partition_analyzer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <set>
 
 #include "algebra/aggregate_split.h"
-#include "common/hash.h"
 
 namespace datacell {
 namespace analysis {
@@ -288,7 +285,9 @@ std::string PartitionReport::ToJson() const {
   out += "],\"broadcast\":[";
   for (size_t i = 0; i < broadcast_relations.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(broadcast_relations[i]) + "\"";
+    out += '"';
+    out += JsonEscape(broadcast_relations[i]);
+    out += '"';
   }
   out += "],\"merge\":\"";
   out += MergeKindName(merge);
@@ -638,196 +637,6 @@ Result<PartitionReport> AnalyzePartitioning(const CompiledQuery& query,
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Split-merge equivalence oracle.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The row-hash lives in common/hash.h (HashValue and the typed helpers):
-// the shard router uses the same function on raw BAT columns, so a verdict
-// this oracle certifies describes exactly the runtime split.
-
-Result<TablePtr> ApplyConsume(const sql::ContinuousInput& in,
-                              const TablePtr& table) {
-  if (in.consume_predicate == nullptr) return table;
-  DC_ASSIGN_OR_RETURN(std::vector<size_t> pos,
-                      EvaluatePredicate(*in.consume_predicate, *table));
-  return TablePtr(table->Take(pos));
-}
-
-/// Total order over values for canonicalizing row multisets.
-int CompareValues(const Value& a, const Value& b) {
-  auto rank = [](const Value& v) -> int {
-    if (v.is_null()) return 0;
-    if (v.is_bool()) return 1;
-    if (v.is_int64() || v.is_timestamp() || v.is_double()) return 2;
-    return 3;
-  };
-  int ra = rank(a), rb = rank(b);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (ra) {
-    case 0:
-      return 0;
-    case 1:
-      return (a.bool_value() ? 1 : 0) - (b.bool_value() ? 1 : 0);
-    case 2: {
-      double x = a.AsDouble(), y = b.AsDouble();
-      if (x < y) return -1;
-      if (x > y) return 1;
-      return 0;
-    }
-    default:
-      return a.string_value().compare(b.string_value());
-  }
-}
-
-bool ValuesClose(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.is_double() || b.is_double()) {
-    if (!(a.is_double() || a.is_int64() || a.is_timestamp())) return false;
-    if (!(b.is_double() || b.is_int64() || b.is_timestamp())) return false;
-    double x = a.AsDouble(), y = b.AsDouble();
-    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) == std::isnan(y);
-    double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= 1e-6 * scale;
-  }
-  return CompareValues(a, b) == 0;
-}
-
-/// Projects `rows` onto `cols` (all columns when empty), sorts
-/// canonically, and compares pairwise with double tolerance.
-bool RowMultisetsMatch(std::vector<Row> a, std::vector<Row> b,
-                       const std::vector<size_t>& cols, std::string* detail) {
-  auto project = [&](std::vector<Row>& rows) {
-    if (cols.empty()) return;
-    for (Row& r : rows) {
-      Row p;
-      for (size_t c : cols) p.push_back(r[c]);
-      r = std::move(p);
-    }
-  };
-  project(a);
-  project(b);
-  auto less = [](const Row& x, const Row& y) {
-    for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
-      int c = CompareValues(x[i], y[i]);
-      if (c != 0) return c < 0;
-    }
-    return x.size() < y.size();
-  };
-  std::sort(a.begin(), a.end(), less);
-  std::sort(b.begin(), b.end(), less);
-  if (a.size() != b.size()) {
-    *detail = "row count mismatch: reference " + std::to_string(a.size()) +
-              " vs merged " + std::to_string(b.size());
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t c = 0; c < a[i].size(); ++c) {
-      if (!ValuesClose(a[i][c], b[i][c])) {
-        *detail = "row " + std::to_string(i) + " column " + std::to_string(c) +
-                  ": reference " + a[i][c].ToString() + " vs merged " +
-                  b[i][c].ToString();
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<SplitMergeResult> CheckSplitMergeEquivalence(
-    const CompiledQuery& query, const PartitionReport& report,
-    const std::vector<TablePtr>& input_tables, const PlanBindings& statics,
-    size_t num_shards) {
-  if (!query.continuous || input_tables.size() != query.inputs.size()) {
-    return Status::InvalidArgument(
-        "oracle needs a continuous query and one table per stream input");
-  }
-  if (report.inputs.size() != query.inputs.size()) {
-    return Status::InvalidArgument("report does not match the query");
-  }
-
-  // Consume-predicate-filtered slices, as the factory would drain them.
-  std::vector<TablePtr> slices;
-  for (size_t i = 0; i < query.inputs.size(); ++i) {
-    DC_ASSIGN_OR_RETURN(TablePtr s,
-                        ApplyConsume(query.inputs[i], input_tables[i]));
-    slices.push_back(std::move(s));
-  }
-
-  // Reference: single-node execution over the full slices.
-  PlanBindings ref = statics;
-  for (size_t i = 0; i < slices.size(); ++i) {
-    ref[query.inputs[i].bind_name] = slices[i];
-  }
-  DC_ASSIGN_OR_RETURN(TablePtr reference, ExecutePlan(*query.plan, ref));
-
-  // Sharded: split per the report, run the partial plan per shard.
-  const PlanNode& partial =
-      report.partial_plan != nullptr ? *report.partial_plan : *query.plan;
-  std::vector<TablePtr> shard_outputs;
-  for (size_t s = 0; s < num_shards; ++s) {
-    PlanBindings bind = statics;
-    for (size_t i = 0; i < slices.size(); ++i) {
-      const ShardKey& k = report.inputs[i];
-      std::vector<size_t> pos;
-      for (size_t r = 0; r < slices[i]->num_rows(); ++r) {
-        size_t dest = 0;
-        switch (k.kind) {
-          case ShardKeyKind::kBroadcast:
-            dest = s;  // every shard takes every row
-            break;
-          case ShardKeyKind::kAnySplit:
-            dest = r % num_shards;
-            break;
-          case ShardKeyKind::kHash:
-            dest = static_cast<size_t>(
-                HashValue(slices[i]->GetRow(r)[k.key_column]) % num_shards);
-            break;
-        }
-        if (dest == s) pos.push_back(r);
-      }
-      bind[query.inputs[i].bind_name] = TablePtr(slices[i]->Take(pos));
-    }
-    DC_ASSIGN_OR_RETURN(TablePtr part, ExecutePlan(partial, bind));
-    shard_outputs.push_back(std::move(part));
-  }
-
-  // Merge: run the merge plan over the partials-basket row, as the frontend
-  // factory does, when one is prescribed; else concatenate.
-  TablePtr result;
-  if (report.merge_plan != nullptr) {
-    PlanBindings bind;
-    bind[kPartialsBinding] =
-        PartialsRowTable(partial.output_schema(), shard_outputs);
-    DC_ASSIGN_OR_RETURN(result, ExecutePlan(*report.merge_plan, bind));
-  } else {
-    auto merged = std::make_shared<Table>("", partial.output_schema());
-    for (const TablePtr& p : shard_outputs) {
-      DC_RETURN_NOT_OK(merged->AppendTable(*p));
-    }
-    result = merged;
-  }
-
-  // LIMIT leaves the tie-break at the cut unspecified: compare row count
-  // and sort-key columns only. Everything else compares full rows.
-  std::vector<size_t> cols;
-  if (query.plan->kind() == PlanKind::kLimit) {
-    const PlanNode& below = *query.plan->child();
-    if (below.kind() == PlanKind::kSort) {
-      for (const SortKey& sk : below.sort_keys()) cols.push_back(sk.column);
-    }
-  }
-
-  SplitMergeResult r;
-  r.equivalent = RowMultisetsMatch(reference->ToRows(), result->ToRows(),
-                                   cols, &r.detail);
-  return r;
 }
 
 }  // namespace analysis

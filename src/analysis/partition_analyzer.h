@@ -19,8 +19,8 @@ namespace analysis {
 /// (key_set.h) bottom-up through the plan. Every verdict other than kPinned
 /// comes with an executable witness: `partial_plan` runs unchanged on each
 /// shard, and `merge_plan` (when present) recombines the per-shard outputs —
-/// the split-merge oracle below replays exactly that recipe against
-/// single-node execution.
+/// the ShardedEngine runs exactly that recipe, and the differential harness
+/// (tests/differential.h) compares it with single-engine execution.
 enum class PartitionVerdict {
   kPartitionable,    // per-shard results concatenate to the global result
   kNeedsFinalMerge,  // per-shard partials + a merge plan reproduce it
@@ -95,26 +95,6 @@ using PartitionKeyMap = std::map<std::string, size_t>;
 Result<PartitionReport> AnalyzePartitioning(const sql::CompiledQuery& query,
                                             const PartitionKeyMap& declared,
                                             AnalysisReport* report);
-
-struct SplitMergeResult {
-  bool equivalent = false;
-  std::string detail;  // mismatch description, empty when equivalent
-};
-
-/// Soundness oracle: executes `query.plan` once over the full inputs, then
-/// splits each stream input across `num_shards` shards per the report's
-/// ShardKeys, runs `partial_plan` per shard, merges per `merge_plan` (or
-/// concatenates), and compares. `input_tables[i]` is a full basket-shaped
-/// table for `query.inputs[i]` (the consume predicate is applied here, as
-/// the factory would); `statics` binds any static relations the plan scans.
-/// For plans ending in LIMIT the comparison covers row count and sort-key
-/// columns only (SQL leaves the cut line's tie-break unspecified); all other
-/// plans compare full row multisets, with tolerance on doubles (per-shard
-/// summation reassociates).
-Result<SplitMergeResult> CheckSplitMergeEquivalence(
-    const sql::CompiledQuery& query, const PartitionReport& report,
-    const std::vector<TablePtr>& input_tables, const PlanBindings& statics,
-    size_t num_shards = 2);
 
 }  // namespace analysis
 }  // namespace datacell

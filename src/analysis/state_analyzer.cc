@@ -199,8 +199,28 @@ struct Walker {
     if (query.window.kind != sql::WindowSpec::Kind::kNone) {
       // Bounded by the window buffer regardless of the key space: the
       // operator only ever sees one window's rows.
-      return WindowScaledBound(per_key_bytes + kPerEntryOverhead,
-                               std::string(what) + " keys within one window");
+      StateBound bound =
+          WindowScaledBound(per_key_bytes + kPerEntryOverhead,
+                            std::string(what) + " keys within one window");
+      if (group_table && bound.numeric()) {
+        // The window's plans keep their group tables between firings: the
+        // re-evaluated plan's, or the partial and the merge plan's. Each
+        // holds at most one window's keys, at most 64 B/key.
+        const int64_t size = query.window.size;
+        if (!CheckedMul(size, 128).has_value() ||
+            bound.bytes > std::numeric_limits<int64_t>::max() - 128 * size) {
+          bound.symbolic = true;
+          bound.detail += "; byte bound overflows";
+        } else {
+          const auto table = static_cast<int64_t>(
+              kernel::Int64GroupTable::EstimatedBytes(
+                  static_cast<size_t>(size)));
+          bound.bytes += 2 * table;
+          bound.detail +=
+              " + 2 x " + std::to_string(table) + " B group tables";
+        }
+      }
+      return bound;
     }
     report->Add(
         DiagCode::kUnboundedKeyState, Severity::kWarning,

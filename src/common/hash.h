@@ -10,14 +10,11 @@ namespace datacell {
 
 /// The engine-wide row-hash: FNV-1a over the value's byte representation.
 ///
-/// This is THE shard placement function — the shard router (core/shard.h)
-/// splits ingest batches with it and the split-merge oracle
-/// (analysis/partition_analyzer.cc) verifies partition recipes against it,
-/// so the two agree byte for byte: a verdict the oracle certified describes
-/// exactly the split the router performs at runtime. Do not change one side
-/// without the other; the hash_test suite locks the concrete values.
+/// This is THE shard placement function: the shard router (core/shard.h)
+/// splits ingest batches with it. The hash_test suite locks the concrete
+/// values.
 ///
-/// Conventions shared by both sides:
+/// Conventions, shared by the Value overload and the typed helpers:
 ///   - nulls hash to 0 (null-key rows co-locate on shard 0),
 ///   - -0.0 folds onto +0.0 before mixing (they compare equal in SQL, so
 ///     they must land on the same shard),

@@ -568,6 +568,15 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
 
   ProcessingStrategy strategy =
       options.strategy.value_or(options_.default_strategy);
+  // A query's output basket is appended to by that query's factory, never
+  // routed like ingest, so a private replica or chain link of it would stay
+  // empty: a query over another query's output reads that basket itself.
+  for (const sql::ContinuousInput& in : query.inputs) {
+    const StreamInfo* stream = FindStream(in.basket);
+    if (stream != nullptr && stream->query_output) {
+      strategy = ProcessingStrategy::kSharedBaskets;
+    }
+  }
   if (strategy == ProcessingStrategy::kChained && query.inputs.size() != 1) {
     return Status::Unimplemented(
         "the chained strategy supports single-input queries");
@@ -593,6 +602,7 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
   // The query's emitter is a permanent reader of its output basket, so the
   // stream is born with a consumer and cannot be dropped.
   FindStream(out_name)->has_consumers = true;
+  FindStream(out_name)->query_output = true;
 
   // Input plumbing per strategy.
   std::vector<BasketPtr> input_baskets;
@@ -609,6 +619,12 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
     }
     switch (strategy) {
       case ProcessingStrategy::kSharedBaskets: {
+        if (stream->chain_head != nullptr) {
+          // Ingest reaches only the chain head, never a shared reader of
+          // the base basket.
+          return Status::Unimplemented(
+              "cannot mix shared and chained strategies on one stream");
+        }
         stream->shared_used = true;
         // §3.2 common-subplan factoring: identical basket expressions share
         // one auxiliary filter transition and its group basket.

@@ -411,6 +411,8 @@ class Engine {
     BasketPtr chain_head;              // first chained basket (ingest target)
     bool shared_used = false;
     bool has_consumers = false;
+    /// A query's `<name>_out`: its factory appends to `base` directly.
+    bool query_output = false;
     std::vector<Receptor*> receptors;
   };
 

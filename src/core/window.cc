@@ -62,7 +62,8 @@ class ReEvalWindowExecutor final : public WindowExecutor {
   size_t StateBytes(int64_t string_bytes) const override {
     return buffer_->num_rows() * static_cast<size_t>(
                                      buffer_->schema().EstimatedRowBytes(
-                                         string_bytes));
+                                         string_bytes)) +
+           runner_.StateBytes(string_bytes);
   }
   const char* mode_name() const override { return "reeval"; }
   std::string Describe() const override {
@@ -179,7 +180,8 @@ class IncrementalWindowExecutor final : public WindowExecutor {
         static_cast<size_t>(input_schema_.EstimatedRowBytes(string_bytes));
     const auto partial_bytes =
         static_cast<size_t>(partial_schema_.EstimatedRowBytes(string_bytes));
-    size_t bytes = 0;
+    size_t bytes =
+        partial_.StateBytes(string_bytes) + merge_.StateBytes(string_bytes);
     for (const auto& [index, basic] : live_) {
       if (basic.raw != nullptr) bytes += basic.raw->num_rows() * raw_bytes;
       if (basic.partials != nullptr) {

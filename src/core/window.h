@@ -46,7 +46,9 @@ class WindowExecutor {
                                    const ExecContext& ctx = ExecContext{}) = 0;
 
   /// Bytes held between firings: raw rows x input row bytes plus partial
-  /// rows x partial row bytes, both priced by Schema::EstimatedRowBytes.
+  /// rows x partial row bytes, both priced by Schema::EstimatedRowBytes,
+  /// plus the hash and group tables of the plans the executor runs
+  /// (PlanRunner::StateBytes).
   virtual size_t StateBytes(int64_t string_bytes) const = 0;
 
   /// Tuples dropped on arrival because their ts is below the start of the

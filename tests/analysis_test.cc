@@ -22,6 +22,7 @@
 #include "core/factory.h"
 #include "core/shard.h"
 #include "core/state_oracle.h"
+#include "differential.h"
 
 namespace datacell {
 namespace {
@@ -986,220 +987,113 @@ TEST(PartitionAnalysisTest, GaugesCountPartitionableQueries) {
       << text;
 }
 
-// --- pass 3 soundness: the split-merge oracle --------------------------------
+// --- pass 3 soundness: the recipes run on a ShardedEngine -------------------
 
-// Builds a basket-shaped table (user columns + ts) for input `i` of `q`.
-TablePtr OracleInput(const sql::CompiledQuery& q, size_t i,
-                     const std::vector<Row>& rows) {
-  auto t = std::make_shared<Table>("oracle_in", q.inputs[i].basket_schema);
-  for (const Row& r : rows) {
-    Status s = t->AppendRow(r);
-    if (!s.ok()) ADD_FAILURE() << s.ToString();
+/// Runs `s` through the differential harness: each ShardedEngine
+/// configuration executes the pass-3 recipe for real and must deliver the
+/// single-engine reference's rows.
+void ExpectShardedMatchesReference(const differential::Scenario& s) {
+  differential::Report r = differential::Run(s);
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  for (const char* c : {"shards=2", "shards=4"}) {
+    EXPECT_TRUE(r.Ran(c)) << c << "\n" << r.ToString();
   }
-  return t;
+  EXPECT_GT(r.total_rows(), 0u);
 }
 
 TEST(SplitMergeOracleTest, PartitionableFilterIsEquivalent) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(
-      engine.ExecuteSql("create basket r (id int, temp double) partition by id")
-          .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "hot", "select id, temp from [select * from r] as s "
-             "where s.temp > 25.0");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket r (id int, temp double) partition by id");
+  s.AddQuery("hot", "select id, temp from [select * from r] as s "
+                    "where s.temp > 25.0");
   std::vector<Row> rows;
   for (int i = 0; i < 40; ++i) {
-    rows.push_back({Value::Int64(i % 7), Value::Double(20.0 + i % 13),
-                    Value::TimestampVal(i)});
+    rows.push_back({Value::Int64(i % 7), Value::Double(20.0 + i % 13)});
   }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition, {OracleInput(cq, 0, rows)}, {}, 3);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
+  s.Ingest("r", rows);
+  ExpectShardedMatchesReference(s);
 }
 
 TEST(SplitMergeOracleTest, KeyedGroupByIsEquivalent) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket t (sym varchar, qty int) "
-                              "partition by sym")
-                  .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "per_sym", "select sym, sum(qty) as total, count(*) as n from "
-                 "[select * from t] as x group by sym");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket t (sym varchar, qty int) partition by sym");
+  s.AddQuery("per_sym", "select sym, sum(qty) as total, count(*) as n from "
+                        "[select * from t] as x group by sym");
   const char* syms[] = {"AAA", "BBB", "CCC", "DDD"};
   std::vector<Row> rows;
   for (int i = 0; i < 32; ++i) {
-    rows.push_back({Value::String(syms[i % 4]), Value::Int64(i),
-                    Value::TimestampVal(i)});
+    rows.push_back({Value::String(syms[i % 4]), Value::Int64(i)});
   }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition, {OracleInput(cq, 0, rows)}, {});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
+  s.Ingest("t", rows);
+  ExpectShardedMatchesReference(s);
 }
 
 TEST(SplitMergeOracleTest, AvgReaggregationIsEquivalent) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(
-      engine.ExecuteSql("create basket r (id int, temp double) partition by id")
-          .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "mean", "select avg(temp) as mean, count(*) as n, min(temp) as lo, "
-              "max(temp) as hi from [select * from r] as s");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket r (id int, temp double) partition by id");
+  s.AddQuery("mean", "select avg(temp) as mean, count(*) as n, min(temp) as "
+                     "lo, max(temp) as hi from [select * from r] as s");
   std::vector<Row> rows;
   for (int i = 0; i < 25; ++i) {
-    rows.push_back({Value::Int64(i), Value::Double(0.1 * i - 1.0),
-                    Value::TimestampVal(i)});
+    rows.push_back({Value::Int64(i), Value::Double(0.1 * i - 1.0)});
   }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition, {OracleInput(cq, 0, rows)}, {}, 4);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
+  s.Ingest("r", rows);
+  ExpectShardedMatchesReference(s);
 }
 
 TEST(SplitMergeOracleTest, CoPartitionedJoinWithForeignGroupBy) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket o (sym varchar, qty int) "
-                              "partition by sym")
-                  .ok());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket q (sym varchar, bid double) "
-                              "partition by sym")
-                  .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "depth", "select q.bid, sum(o.qty) as vol from [select * from o] as o "
-               "join [select * from q] as q on o.sym = q.sym group by q.bid");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  ASSERT_EQ((*info)->partition->verdict,
-            analysis::PartitionVerdict::kNeedsFinalMerge);
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket o (sym varchar, qty int) partition by sym");
+  s.Setup("create basket q (sym varchar, bid double) partition by sym");
+  s.AddQuery("depth",
+             "select q.bid, sum(o.qty) as vol from [select * from o] as o "
+             "join [select * from q] as q on o.sym = q.sym group by q.bid");
   const char* syms[] = {"AAA", "BBB", "CCC"};
   std::vector<Row> orders, quotes;
   for (int i = 0; i < 18; ++i) {
-    orders.push_back({Value::String(syms[i % 3]), Value::Int64(1 + i % 5),
-                      Value::TimestampVal(i)});
+    orders.push_back({Value::String(syms[i % 3]), Value::Int64(1 + i % 5)});
   }
   for (int i = 0; i < 9; ++i) {
-    quotes.push_back({Value::String(syms[i % 3]), Value::Double(10.0 + i % 2),
-                      Value::TimestampVal(i)});
+    quotes.push_back({Value::String(syms[i % 3]), Value::Double(10.0 + i % 2)});
   }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition,
-      {OracleInput(cq, 0, orders), OracleInput(cq, 1, quotes)}, {});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
+  s.Ingest("o", orders);
+  s.Ingest("q", quotes);
+  s.inspect = [](const differential::Instance& inst, size_t) {
+    if (inst.config.name != "reference") return;
+    EXPECT_EQ((*inst.engine->GetQuery(inst.queries[0]))->partition->verdict,
+              analysis::PartitionVerdict::kNeedsFinalMerge);
+  };
+  ExpectShardedMatchesReference(s);
 }
 
 TEST(SplitMergeOracleTest, BroadcastJoinIsEquivalent) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket t (sym varchar, px double) "
-                              "partition by sym")
-                  .ok());
-  ASSERT_TRUE(
-      engine.ExecuteSql("create table dims (sym varchar, sector varchar)")
-          .ok());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("insert into dims values ('AAA', 'tech'), "
-                              "('BBB', 'energy')")
-                  .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "sectors", "select t.sym, d.sector from [select * from t] as t "
-                 "join dims as d on t.sym = d.sym");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket t (sym varchar, px double) partition by sym");
+  s.Setup("create table dims (sym varchar, sector varchar)");
+  s.Setup("insert into dims values ('AAA', 'tech'), ('BBB', 'energy')");
+  s.AddQuery("sectors", "select t.sym, d.sector from [select * from t] as t "
+                        "join dims as d on t.sym = d.sym");
   const char* syms[] = {"AAA", "BBB", "ZZZ"};  // ZZZ has no dim row
   std::vector<Row> rows;
   for (int i = 0; i < 15; ++i) {
-    rows.push_back({Value::String(syms[i % 3]), Value::Double(1.0 * i),
-                    Value::TimestampVal(i)});
+    rows.push_back({Value::String(syms[i % 3]), Value::Double(1.0 * i)});
   }
-  auto dims = std::make_shared<Table>(
-      "dims", Schema({{"sym", DataType::kString},
-                      {"sector", DataType::kString}}));
-  ASSERT_TRUE(
-      dims->AppendRow({Value::String("AAA"), Value::String("tech")}).ok());
-  ASSERT_TRUE(
-      dims->AppendRow({Value::String("BBB"), Value::String("energy")}).ok());
-  PlanBindings statics;
-  statics["dims"] = dims;
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition, {OracleInput(cq, 0, rows)}, statics);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
+  s.Ingest("t", rows);
+  ExpectShardedMatchesReference(s);
 }
 
 TEST(SplitMergeOracleTest, OrderedMergeIsEquivalent) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket s (player varchar, pts double) "
-                              "partition by player")
-                  .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "ranked", "select player, pts from [select * from s] as x "
-                "order by pts desc limit 8");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
+  differential::Scenario s;
+  s.Setup("create basket s (player varchar, pts double) partition by player");
+  s.AddQuery("ranked", "select player, pts from [select * from s] as x "
+                       "order by pts desc limit 8");
   std::vector<Row> rows;
   for (int i = 0; i < 30; ++i) {
     rows.push_back({Value::String("p" + std::to_string(i)),
-                    Value::Double(i % 11 * 1.5), Value::TimestampVal(i)});
+                    Value::Double(i % 11 * 1.5)});
   }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, *(*info)->partition, {OracleInput(cq, 0, rows)}, {}, 3);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->equivalent) << res->detail;
-}
-
-// The oracle must also be able to FAIL: feed it a deliberately unsound
-// recipe (a keyed group-by executed over an arbitrary round-robin split with
-// no merge) and it has to notice the duplicated groups.
-TEST(SplitMergeOracleTest, DetectsUnsoundRecipe) {
-  Engine engine(Deterministic());
-  ASSERT_TRUE(engine
-                  .ExecuteSql("create basket t (sym varchar, qty int) "
-                              "partition by sym")
-                  .ok());
-  auto qid = engine.SubmitContinuousQuery(
-      "per_sym", "select sym, sum(qty) as total from [select * from t] as x "
-                 "group by sym");
-  ASSERT_TRUE(qid.ok());
-  auto info = engine.GetQuery(*qid);
-  ASSERT_TRUE(info.ok());
-  const sql::CompiledQuery& cq = (*info)->factory->query();
-  analysis::PartitionReport bogus = *(*info)->partition;
-  ASSERT_EQ(bogus.inputs.size(), 1u);
-  bogus.inputs[0].kind = analysis::ShardKeyKind::kAnySplit;  // break co-location
-  std::vector<Row> rows;
-  for (int i = 0; i < 10; ++i) {
-    rows.push_back({Value::String("AAA"), Value::Int64(1),
-                    Value::TimestampVal(i)});
-  }
-  auto res = analysis::CheckSplitMergeEquivalence(
-      cq, bogus, {OracleInput(cq, 0, rows)}, {});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_FALSE(res->equivalent);
-  EXPECT_FALSE(res->detail.empty());
+  s.Ingest("s", rows);
+  ExpectShardedMatchesReference(s);
 }
 
 // --- pass 4: the state-bound lattice ----------------------------------------
@@ -1638,6 +1532,28 @@ TEST(StateOracleTest, GroupedCountWindowPartialsUnderBound) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->sound) << res->detail;
   EXPECT_GT(res->measured_bytes, 0u) << res->detail;
+}
+
+// A windowed integer-keyed group-by keeps the group tables of the plans its
+// window runs (here the incremental partial and merge plans); they are
+// metered, and pass 4 prices them.
+TEST(StateOracleTest, WindowedGroupByTablesMeteredUnderBound) {
+  Engine engine(Deterministic());
+  ASSERT_TRUE(engine.ExecuteSql("create basket s (k int)").ok());
+  auto q = engine.SubmitContinuousQuery(
+      "w", "select k, count(*) as c from [select * from s] as t group by k "
+           "window size 2 slide 1");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_STREQ((*engine.GetQuery(*q))->factory->window_mode_name(),
+               "incremental");
+  StateOracleOptions oopts;
+  oopts.rows = 64;
+  oopts.batch = 5;
+  auto res = CheckStateBound(engine, *q, oopts);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_TRUE(res->sound) << res->detail;
+  EXPECT_GE(res->measured_bytes, 2 * kernel::Int64GroupTable::EstimatedBytes(2))
+      << res->detail;
 }
 
 TEST(StateOracleTest, HintedGroupByRespectsHintDomain) {

@@ -522,7 +522,7 @@ TEST(DatapathEquivalenceTest, GeneratorColumnarFillMatchesRowFill) {
   }
 }
 
-// --- equivalence: SIMD kernels and fused plans -----------------------------
+// --- equivalence: SIMD kernels and interpreted plans ------------------------
 
 TEST(DatapathKernelTest, Avx2SelectMatchesScalar) {
   std::vector<int64_t> ints;
@@ -560,6 +560,9 @@ TEST(DatapathKernelTest, Avx2SelectMatchesScalar) {
   EXPECT_EQ(scalar_out, simd_out);
 }
 
+// The interpreter runs Project(Filter(Scan)) and Aggregate over a filter node
+// by node (the fused kernels live in algebra/specialize.h only); these tests
+// keep their names from when it had fused paths of its own.
 class FusedPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -594,7 +597,8 @@ class FusedPlanTest : public ::testing::Test {
 };
 
 TEST_F(FusedPlanTest, FusedProjectMatchesReference) {
-  // Project(Filter(Scan)) with plain column refs takes the fused gather.
+  // Project(Filter(Scan)) with plain column refs: the projection gathers
+  // from the filter node's output.
   auto got = Run("select b, a from t where a >= 10 and a <= 20");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ((*got)->num_rows(), 11u);
@@ -631,7 +635,7 @@ TEST_F(FusedPlanTest, FusedAggregateMatchesReference) {
 }
 
 TEST_F(FusedPlanTest, FusedCountStarSkipsNothing) {
-  // count(*) over a filter counts selected positions, nulls included.
+  // count(*) over a filter counts the rows it passes, nulls included.
   auto got = Run("select count(*), count(b) from t where a = 50");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ((*got)->column(0)->Int64At(0), 2);  // both rows

@@ -276,6 +276,33 @@ TEST_F(EngineTest, MixedStrategiesOnStreamRejected) {
                    .ok());
 }
 
+// A query over another query's output reads that basket shared, and so its
+// other inputs too; a shared reader of a chained stream would never see a
+// row, since ingest reaches only the chain head.
+TEST_F(EngineTest, JoinOfQueryOutputWithChainedStreamRejected) {
+  Sql("create basket r (x int)");
+  Sql("create basket s (x int)");
+  QueryOptions chained;
+  chained.strategy = ProcessingStrategy::kChained;
+  Submit("c1", "select x from [select * from s] as t", chained);
+  Submit("hot", "select x from [select * from r] as t where t.x > 1");
+  auto joined = engine_.SubmitContinuousQuery(
+      "j",
+      "select h.x from [select * from hot_out] as h "
+      "join [select * from s] as t on h.x = t.x",
+      chained);
+  ASSERT_FALSE(joined.ok());
+  EXPECT_EQ(joined.status().code(), StatusCode::kUnimplemented);
+  QueryOptions shared;
+  shared.strategy = ProcessingStrategy::kSharedBaskets;
+  EXPECT_EQ(engine_
+                .SubmitContinuousQuery(
+                    "s1", "select x from [select * from s] as t", shared)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
+}
+
 TEST_F(EngineTest, CascadedQueries) {
   // A network of queries: q2 consumes q1's output basket (§4).
   Sql("create basket r (x int)");

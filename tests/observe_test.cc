@@ -23,6 +23,7 @@
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "core/engine.h"
+#include "differential.h"
 #include "net/observability.h"
 
 namespace datacell {
@@ -327,9 +328,19 @@ TEST(Profiler, InterpreterFallbackSteps) {
       "grp",
       "select name, count(*) from [select * from r] as s group by name");
   ASSERT_TRUE(q.ok());
+  // An interpreted plan with a filter: the filter runs as its own plan node,
+  // so its step records its calls and output rows.
+  auto fq = engine.SubmitContinuousQuery(
+      "grp_a",
+      "select name, count(*) from [select * from r] as s "
+      "where s.name = 'a' group by name");
+  ASSERT_TRUE(fq.ok()) << fq.status().ToString();
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
   ASSERT_FALSE((*info)->factory->is_specialized());
+  auto finfo = engine.GetQuery(*fq);
+  ASSERT_TRUE(finfo.ok());
+  ASSERT_FALSE((*finfo)->factory->is_specialized());
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
         engine.Ingest("r", {Value::String(i % 2 == 0 ? "a" : "b")}).ok());
@@ -346,6 +357,16 @@ TEST(Profiler, InterpreterFallbackSteps) {
     if (s.calls > 0) saw_called_step = true;
   }
   EXPECT_TRUE(saw_called_step) << *report;
+
+  bool saw_filter = false;
+  for (const PipelineProfile::StepSnapshot& s :
+       (*finfo)->factory->profile().Snap().steps) {
+    if (s.label.rfind("Filter(", 0) != 0) continue;
+    saw_filter = true;
+    EXPECT_GE(s.calls, 1) << s.label;
+    EXPECT_EQ(s.rows_out, 3) << s.label;  // the three 'a' rows
+  }
+  EXPECT_TRUE(saw_filter) << *engine.ProfileReport(*fq);
 }
 
 TEST(Profiler, ExportedAsLabeledSeries) {
@@ -390,8 +411,6 @@ TEST(Profiler, RuntimeToggleAndOffByDefault) {
   EXPECT_GE((*info)->factory->profile().Snap().fires, 1);
 }
 
-// Twin engines over an identical workload, one profiled and one not: the
-// profiler must be observation-only.
 TEST(Profiler, WindowedQuerySteps) {
   // A windowed query profiles the plans its window executor runs: the
   // re-evaluated plan, or the partial and merge plans of the incremental
@@ -440,39 +459,30 @@ TEST(Profiler, WindowedQuerySteps) {
   }
 }
 
+// One scenario with profiling off and on, each run on every configuration:
+// the profiler must be observation-only.
 TEST(Profiler, ProfiledEngineEmitsIdenticalResults) {
-  EngineOptions plain;
-  plain.use_wall_clock = false;
-  Engine a(plain);
-  Engine b(Profiled());
-  auto run = [](Engine& e) {
-    ASSERT_TRUE(e.ExecuteSql("create basket r (x int, label string)").ok());
-    ASSERT_TRUE(e.SubmitContinuousQuery(
-                     "sel",
-                     "select x, label from [select * from r] as s "
-                     "where s.x > 3 and s.x < 40")
-                    .ok());
-  };
-  run(a);
-  run(b);
-  auto qa = a.GetQuery(0);
-  auto qb = b.GetQuery(0);
-  ASSERT_TRUE(qa.ok() && qb.ok());
-  auto sink_a = std::make_shared<CollectingSink>();
-  auto sink_b = std::make_shared<CollectingSink>();
-  ASSERT_TRUE(a.Subscribe(0, sink_a).ok());
-  ASSERT_TRUE(b.Subscribe(0, sink_b).ok());
+  differential::Scenario s;
+  s.Setup("create basket r (x int, label string)");
+  s.AddQuery("sel",
+             "select x, label from [select * from r] as s "
+             "where s.x > 3 and s.x < 40");
   for (int i = 0; i < 64; ++i) {
-    Row row{Value::Int64(i), Value::String("v" + std::to_string(i))};
-    ASSERT_TRUE(a.Ingest("r", row).ok());
-    ASSERT_TRUE(b.Ingest("r", row).ok());
-    a.simulated_clock()->Advance(500);
-    b.simulated_clock()->Advance(500);
+    s.Ingest("r", {{Value::Int64(i), Value::String("v" + std::to_string(i))}});
   }
-  a.Drain();
-  b.Drain();
-  std::vector<Row> ra = sink_a->TakeRows();
-  std::vector<Row> rb = sink_b->TakeRows();
+  s.Drain();
+  differential::Report plain = differential::Run(s);
+  s.options.profile_queries = true;
+  int64_t fires = 0;
+  s.inspect = [&fires](const differential::Instance& inst, size_t) {
+    if (inst.config.name != "reference") return;
+    fires = (*inst.engine->GetQuery(0))->factory->profile().Snap().fires;
+  };
+  differential::Report profiled = differential::Run(s);
+  ASSERT_TRUE(plain.ok()) << plain.ToString();
+  ASSERT_TRUE(profiled.ok()) << profiled.ToString();
+  const std::vector<Row>& ra = plain.rows(0, 0);
+  const std::vector<Row>& rb = profiled.rows(0, 0);
   ASSERT_EQ(ra.size(), rb.size());
   ASSERT_GE(ra.size(), 1u);
   for (size_t i = 0; i < ra.size(); ++i) {
@@ -481,8 +491,8 @@ TEST(Profiler, ProfiledEngineEmitsIdenticalResults) {
       EXPECT_TRUE(ra[i][c] == rb[i][c]) << "row " << i << " col " << c;
     }
   }
-  // And the profiled twin actually collected something.
-  EXPECT_GE((*b.GetQuery(0))->factory->profile().Snap().fires, 1);
+  // And the profiled run actually collected something.
+  EXPECT_GE(fires, 1);
 }
 
 // --- trace toggle and metrics prefix filter ------------------------------

@@ -1,13 +1,14 @@
-// Sharded multi-engine execution (core/shard.h): twin-engine equivalence —
-// the same queries over the same tuples through a single reference engine
-// and through ShardedEngine with N in {1,2,4} must produce identical result
-// multisets for every partition verdict — plus routing-lattice conflict
-// tests and a concurrent-ingest stress shape for the TSan job.
+// Sharded multi-engine execution (core/shard.h): equivalence — the same
+// queries over the same tuples through the differential harness's reference
+// engine and every other configuration, ShardedEngine with N in {1,2,4}
+// among them, must produce identical result multisets for every partition
+// verdict — plus routing-lattice conflict tests and a concurrent-ingest
+// stress shape for the TSan job.
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "adapters/sink.h"
 #include "core/engine.h"
 #include "core/shard.h"
+#include "differential.h"
 
 namespace datacell {
 namespace {
@@ -27,67 +29,43 @@ EngineOptions Deterministic() {
   return o;
 }
 
-std::multiset<std::string> Multiset(const std::vector<Row>& rows) {
-  std::multiset<std::string> out;
-  for (const Row& row : rows) {
-    std::string s;
-    for (const Value& v : row) {
-      s += v.ToString();
-      s += '|';
-    }
-    out.insert(std::move(s));
-  }
-  return out;
+/// `setup` and one continuous query as a differential scenario: one batch of
+/// `rows` into `stream`, then a drain.
+differential::Scenario OneBatch(const std::string& setup,
+                                const std::string& qname,
+                                const std::string& qsql,
+                                const std::string& stream,
+                                std::vector<Row> rows) {
+  differential::Scenario s;
+  s.setup = setup;
+  s.AddQuery(qname, qsql);
+  s.Ingest(stream, std::move(rows));
+  s.Drain();
+  return s;
 }
 
-struct TwinRun {
-  std::multiset<std::string> reference;
-  std::multiset<std::string> sharded;
-  analysis::PartitionVerdict verdict = analysis::PartitionVerdict::kPinned;
-  std::string placement;
-  bool merged = false;
-  int home_shard = -1;
+struct ShardRun {
+  differential::Report report;
+  /// The last query's placement in each `shards=N` variant, by N.
+  std::map<size_t, ShardedEngine::QueryPlacement> placement;
 };
 
-/// Runs `setup` + the continuous query on a single reference engine and on a
-/// ShardedEngine with `num_shards`, ingests `rows` into `stream` as one
-/// batch, drains both, and returns the collected result multisets.
-TwinRun RunTwin(const std::string& setup, const std::string& qname,
-                const std::string& qsql, const std::string& stream,
-                const std::vector<Row>& rows, size_t num_shards) {
-  TwinRun out;
-
-  Engine ref(Deterministic());
-  EXPECT_TRUE(ref.ExecuteScript(setup).ok());
-  auto ref_q = ref.SubmitContinuousQuery(qname, qsql);
-  EXPECT_TRUE(ref_q.ok()) << ref_q.status().message();
-  if (!ref_q.ok()) return out;
-  auto ref_sink = std::make_shared<CollectingSink>();
-  EXPECT_TRUE(ref.Subscribe(*ref_q, ref_sink).ok());
-  EXPECT_TRUE(ref.IngestBatch(stream, rows).ok());
-  ref.Drain();
-  out.reference = Multiset(ref_sink->TakeRows());
-
-  ShardedEngineOptions so;
-  so.num_shards = num_shards;
-  so.engine = Deterministic();
-  ShardedEngine se(so);
-  EXPECT_TRUE(se.ExecuteScript(setup).ok());
-  auto sh_q = se.SubmitContinuousQuery(qname, qsql);
-  EXPECT_TRUE(sh_q.ok()) << sh_q.status().message();
-  if (!sh_q.ok()) return out;
-  auto sh_sink = std::make_shared<CollectingSink>();
-  EXPECT_TRUE(se.Subscribe(*sh_q, sh_sink).ok());
-  EXPECT_TRUE(se.IngestBatch(stream, rows).ok());
-  se.Drain();
-  out.sharded = Multiset(sh_sink->TakeRows());
-  auto placement = se.GetPlacement(*sh_q);
-  EXPECT_TRUE(placement.ok());
-  if (placement.ok()) {
-    out.verdict = (*placement)->verdict;
-    out.placement = (*placement)->placement;
-    out.merged = (*placement)->merged;
-    out.home_shard = (*placement)->home_shard;
+/// Runs `s` on every execution configuration (differential.h), the sharded
+/// engines among them, and keeps what each shards=N variant placed.
+ShardRun RunSharded(differential::Scenario s) {
+  ShardRun out;
+  s.inspect = [&out](const differential::Instance& inst, size_t) {
+    if (inst.config.name != "shards=" + std::to_string(inst.config.shards)) {
+      return;
+    }
+    auto p = inst.sharded->GetPlacement(inst.queries.back());
+    EXPECT_TRUE(p.ok());
+    if (p.ok()) out.placement[inst.config.shards] = **p;
+  };
+  out.report = differential::Run(s);
+  for (size_t n : {1u, 2u, 4u}) {
+    EXPECT_EQ(out.placement.count(n), 1u) << "num_shards=" << n << "\n"
+                                          << out.report.ToString();
   }
   return out;
 }
@@ -103,18 +81,21 @@ std::vector<Row> SensorRows(int n) {
   return rows;
 }
 
-// --- twin-engine equivalence, one test per verdict --------------------------
+// --- differential equivalence, one test per verdict ------------------------
 
 TEST(ShardEquivalenceTest, PartitionableFilterAllShardCounts) {
   const std::string setup = "create basket sensors (id int, temp double)";
   const std::string q =
       "select id, temp from [select * from sensors] as s where s.temp > 30.0";
+  ShardRun r =
+      RunSharded(OneBatch(setup, "hot", q, "sensors", SensorRows(200)));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "hot", q, "sensors", SensorRows(200), n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kPartitionable);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_FALSE(r.reference.empty());
+    EXPECT_EQ(r.placement[n].verdict,
+              analysis::PartitionVerdict::kPartitionable)
+        << "num_shards=" << n;
   }
+  EXPECT_FALSE(r.report.rows(0, 0).empty());
 }
 
 TEST(ShardEquivalenceTest, DeclaredKeyGroupByConcatenates) {
@@ -123,12 +104,15 @@ TEST(ShardEquivalenceTest, DeclaredKeyGroupByConcatenates) {
   const std::string q =
       "select id, sum(temp) as total from [select * from sensors] as s "
       "group by id";
+  ShardRun r =
+      RunSharded(OneBatch(setup, "per_id", q, "sensors", SensorRows(200)));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "per_id", q, "sensors", SensorRows(200), n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kPartitionable);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_EQ(r.reference.size(), 17u);
+    EXPECT_EQ(r.placement[n].verdict,
+              analysis::PartitionVerdict::kPartitionable)
+        << "num_shards=" << n;
   }
+  EXPECT_EQ(r.report.rows(0, 0).size(), 17u);
 }
 
 TEST(ShardEquivalenceTest, AvgReDivisionMergesExactly) {
@@ -136,13 +120,16 @@ TEST(ShardEquivalenceTest, AvgReDivisionMergesExactly) {
       "create basket sensors (id int, temp double) partition by id";
   const std::string q =
       "select avg(temp) as mean from [select * from sensors] as s";
+  ShardRun r =
+      RunSharded(OneBatch(setup, "mean", q, "sensors", SensorRows(200)));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "mean", q, "sensors", SensorRows(200), n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kNeedsFinalMerge);
-    EXPECT_TRUE(r.merged);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_EQ(r.reference.size(), 1u);
+    EXPECT_EQ(r.placement[n].verdict,
+              analysis::PartitionVerdict::kNeedsFinalMerge)
+        << "num_shards=" << n;
+    EXPECT_TRUE(r.placement[n].merged) << "num_shards=" << n;
   }
+  EXPECT_EQ(r.report.rows(0, 0).size(), 1u);
 }
 
 // The shards forward partials straight into the frontend's partials basket,
@@ -183,13 +170,15 @@ TEST(ShardEquivalenceTest, OrderedTopKMergesAcrossShards) {
     rows.push_back(
         {Value::String("p" + std::to_string(i % 23)), Value::Double(i * 3.0)});
   }
+  ShardRun r = RunSharded(OneBatch(setup, "ranked", q, "scores", rows));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "ranked", q, "scores", rows, n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kNeedsFinalMerge);
-    EXPECT_TRUE(r.merged);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_EQ(r.sharded.size(), 10u);
+    EXPECT_EQ(r.placement[n].verdict,
+              analysis::PartitionVerdict::kNeedsFinalMerge)
+        << "num_shards=" << n;
+    EXPECT_TRUE(r.placement[n].merged) << "num_shards=" << n;
   }
+  EXPECT_EQ(r.report.rows(0, 0).size(), 10u);
 }
 
 TEST(ShardEquivalenceTest, BroadcastJoinReplicatesStaticSide) {
@@ -206,12 +195,14 @@ TEST(ShardEquivalenceTest, BroadcastJoinReplicatesStaticSide) {
     const char* syms[] = {"aa", "bb", "cc"};
     rows.push_back({Value::String(syms[i % 3]), Value::Double(double(i))});
   }
+  ShardRun r = RunSharded(OneBatch(setup, "sectors", q, "trades", rows));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "sectors", q, "trades", rows, n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kNeedsBroadcast);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_EQ(r.sharded.size(), 90u);
+    EXPECT_EQ(r.placement[n].verdict,
+              analysis::PartitionVerdict::kNeedsBroadcast)
+        << "num_shards=" << n;
   }
+  EXPECT_EQ(r.report.rows(0, 0).size(), 90u);
 }
 
 TEST(ShardEquivalenceTest, PinnedLimitRunsWholeOnOneShard) {
@@ -219,52 +210,48 @@ TEST(ShardEquivalenceTest, PinnedLimitRunsWholeOnOneShard) {
       "create basket events (x int, y double) partition by x";
   // LIMIT without ORDER BY is arrival-order dependent: pinned.
   const std::string q = "select x from [select * from events] as t limit 5";
+  ShardRun r =
+      RunSharded(OneBatch(setup, "first5", q, "events", SensorRows(40)));
+  EXPECT_TRUE(r.report.ok()) << r.report.ToString();
   for (size_t n : {1u, 2u, 4u}) {
-    TwinRun r = RunTwin(setup, "first5", q, "events", SensorRows(40), n);
-    EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kPinned);
-    EXPECT_GE(r.home_shard, 0);
-    EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
-    EXPECT_EQ(r.sharded.size(), 5u);
+    EXPECT_EQ(r.placement[n].verdict, analysis::PartitionVerdict::kPinned)
+        << "num_shards=" << n;
+    EXPECT_GE(r.placement[n].home_shard, 0) << "num_shards=" << n;
   }
+  EXPECT_EQ(r.report.rows(0, 0).size(), 5u);
 }
 
 // --- ingest paths -----------------------------------------------------------
 
 TEST(ShardRouterTest, ColumnarIngestMatchesRowIngest) {
+  // The harness's columns and corner configurations feed IngestColumns, the
+  // corner into a ShardedEngine of 4; both must match the row-ingest
+  // reference.
+  differential::Report r = differential::Run(OneBatch(
+      "create basket sensors (id int, temp double) partition by id", "per_id",
+      "select id, sum(temp) as total from [select * from sensors] as s "
+      "group by id",
+      "sensors", SensorRows(120)));
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  for (const char* c : {"columns", "shards=2", "corner"}) {
+    EXPECT_TRUE(r.Ran(c)) << c << "\n" << r.ToString();
+  }
+
+  ShardedEngineOptions so;
+  so.num_shards = 3;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
   Schema schema;
   schema.AddField(Field{"id", DataType::kInt64});
   schema.AddField(Field{"temp", DataType::kDouble});
-  std::vector<Row> rows = SensorRows(120);
-
-  auto run = [&](bool columnar) {
-    ShardedEngineOptions so;
-    so.num_shards = 3;
-    so.engine = Deterministic();
-    ShardedEngine se(so);
-    EXPECT_TRUE(se.CreateStream("sensors", schema, "id").ok());
-    auto q = se.SubmitContinuousQuery(
-        "per_id",
-        "select id, sum(temp) as total from [select * from sensors] as s "
-        "group by id");
-    EXPECT_TRUE(q.ok()) << q.status().message();
-    auto sink = std::make_shared<CollectingSink>();
-    EXPECT_TRUE(se.Subscribe(*q, sink).ok());
-    if (columnar) {
-      ColumnBatch batch(schema);
-      for (const Row& row : rows) batch.AppendRowUnchecked(row);
-      EXPECT_TRUE(se.IngestColumns("sensors", std::move(batch)).ok());
-      // The batch hands its buffers to a shard basket and comes back with
-      // the swapped-out empties: ready to refill without allocating.
-      EXPECT_EQ(batch.num_rows(), 0u);
-    } else {
-      EXPECT_TRUE(se.IngestBatch("sensors", rows).ok());
-    }
-    se.Drain();
-    EXPECT_EQ(se.routed_tuples(), 120);
-    return Multiset(sink->TakeRows());
-  };
-
-  EXPECT_EQ(run(false), run(true));
+  ASSERT_TRUE(se.CreateStream("sensors", schema, "id").ok());
+  ColumnBatch batch(schema);
+  for (const Row& row : SensorRows(120)) batch.AppendRowUnchecked(row);
+  EXPECT_TRUE(se.IngestColumns("sensors", std::move(batch)).ok());
+  // The batch hands its buffers to a shard basket and comes back with the
+  // swapped-out empties: ready to refill without allocating.
+  EXPECT_EQ(batch.num_rows(), 0u);
+  EXPECT_EQ(se.routed_tuples(), 120);
 }
 
 TEST(ShardRouterTest, HashRouteSendsEqualKeysToOneShard) {
@@ -568,51 +555,22 @@ TEST(ShardScriptTest, ParseErrorRejectsWholeScript) {
 TEST(ShardCascadeTest, QueryOverPartitionedOutputStream) {
   // hot's output inherits the declared key, so chained consumption stays
   // shard-local; the cascade's end-to-end result matches the reference.
-  const size_t kShards = 2;
-  auto run = [&](bool sharded_mode) {
-    std::multiset<std::string> got;
-    const std::string setup =
-        "create basket sensors (id int, temp double) partition by id";
-    const std::string q1 =
-        "select id, temp from [select * from sensors] as s "
-        "where s.temp > 10.0";
-    const std::string q2 =
-        "select id, count(*) as n from [select * from hot_out] as h "
-        "group by id";
-    if (sharded_mode) {
-      ShardedEngineOptions so;
-      so.num_shards = kShards;
-      so.engine = Deterministic();
-      ShardedEngine se(so);
-      EXPECT_TRUE(se.ExecuteScript(setup).ok());
-      EXPECT_TRUE(se.SubmitContinuousQuery("hot", q1).ok());
-      auto q = se.SubmitContinuousQuery("hot_counts", q2);
-      EXPECT_TRUE(q.ok()) << q.status().message();
-      if (!q.ok()) return got;
-      auto sink = std::make_shared<CollectingSink>();
-      EXPECT_TRUE(se.Subscribe(*q, sink).ok());
-      EXPECT_TRUE(se.IngestBatch("sensors", SensorRows(200)).ok());
-      se.Drain();
-      got = Multiset(sink->TakeRows());
-    } else {
-      Engine ref(Deterministic());
-      EXPECT_TRUE(ref.ExecuteScript(setup).ok());
-      EXPECT_TRUE(ref.SubmitContinuousQuery("hot", q1).ok());
-      auto q = ref.SubmitContinuousQuery("hot_counts", q2);
-      EXPECT_TRUE(q.ok()) << q.status().message();
-      if (!q.ok()) return got;
-      auto sink = std::make_shared<CollectingSink>();
-      EXPECT_TRUE(ref.Subscribe(*q, sink).ok());
-      EXPECT_TRUE(ref.IngestBatch("sensors", SensorRows(200)).ok());
-      ref.Drain();
-      got = Multiset(sink->TakeRows());
-    }
-    return got;
-  };
-  auto reference = run(false);
-  auto sharded = run(true);
-  EXPECT_EQ(reference, sharded);
-  EXPECT_FALSE(reference.empty());
+  differential::Scenario s;
+  s.Setup("create basket sensors (id int, temp double) partition by id");
+  s.AddQuery("hot",
+             "select id, temp from [select * from sensors] as s "
+             "where s.temp > 10.0");
+  s.AddQuery("hot_counts",
+             "select id, count(*) as n from [select * from hot_out] as h "
+             "group by id");
+  s.Ingest("sensors", SensorRows(200));
+  s.Drain();
+  differential::Report r = differential::Run(s);
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  for (const char* c : {"shards=2", "shards=4"}) {
+    EXPECT_TRUE(r.Ran(c)) << c << "\n" << r.ToString();
+  }
+  EXPECT_FALSE(r.rows(1, 0).empty());
 }
 
 TEST(ShardCascadeTest, MergedOutputIsNotConsumablePerShard) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/random.h"
 #include "core/window.h"
+#include "differential.h"
 #include "sql/parser.h"
 
 namespace datacell {
@@ -307,8 +310,9 @@ TEST_F(WindowTest, CreateRejectsNonWindowed) {
 }
 
 // Property: incremental evaluation produces exactly the same window results
-// as re-evaluation — the core §3.1 equivalence. Values stay integral, so
-// sums are exact and rows compare with EXPECT_EQ.
+// as re-evaluation — the core §3.1 equivalence — and so does every other
+// execution configuration of the differential harness. Values stay
+// integral, so sums are exact and rows compare value for value.
 enum class Shape : uint8_t {
   kOrdered,    // group by k order by k
   kHaving,     // a filter above the aggregate
@@ -329,13 +333,6 @@ class WindowEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   const EquivParam p = GetParam();
-  Catalog catalog;
-  Schema basket_schema({{"k", DataType::kInt64},
-                        {"name", DataType::kString},
-                        {"v", DataType::kInt64},
-                        {"ts", DataType::kTimestamp}});
-  ASSERT_TRUE(
-      catalog.CreateRelation("r", basket_schema, RelationKind::kBasket).ok());
   const std::string key = p.shape == Shape::kStringKey ? "name" : "k";
   std::string sql = "select " + key +
                     ", count(*) as c, sum(v) as s, min(v) as mn, max(v) as "
@@ -358,56 +355,48 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   }
   sql += "window size " + std::to_string(p.size) + " slide " +
          std::to_string(p.slide);
-  auto stmt = sql::ParseStatement(sql);
-  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  sql::Planner planner(&catalog);
-  auto q = planner.CompileSelect(*stmt->select);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-
-  auto reeval = WindowExecutor::Create(*q, WindowMode::kReEvaluation, {});
-  auto incr = WindowExecutor::Create(*q, WindowMode::kIncremental, {});
-  ASSERT_TRUE(reeval.ok());
-  ASSERT_TRUE(incr.ok()) << incr.status().ToString();
-  if (p.shape == Shape::kStringKey) {
-    EXPECT_NE((*incr)->Describe().find("partial: interpreter"),
-              std::string::npos)
-        << (*incr)->Describe();
-  }
+  differential::Scenario s;
+  s.Setup("create basket r (k int, name varchar, v int)");
+  s.AddQuery("w", sql);
 
   Rng rng(p.size * 1000 + p.slide);
   // Feed in random-sized batches so chunk boundaries cross batch boundaries.
   int remaining = 200;
-  size_t windows = 0;
   while (remaining > 0) {
     int batch = static_cast<int>(rng.Uniform(1, 13));
     batch = std::min(batch, remaining);
-    auto t = std::make_shared<Table>("", basket_schema);
+    std::vector<Row> rows;
     for (int i = 0; i < batch; ++i) {
       const int64_t k = rng.Uniform(0, p.groups - 1);
-      ASSERT_TRUE(t->AppendRow({Value::Int64(k),
-                                Value::String("g" + std::to_string(k)),
-                                Value::Int64(rng.Uniform(0, 100)),
-                                Value::TimestampVal(0)})
-                      .ok());
+      rows.push_back({Value::Int64(k), Value::String("g" + std::to_string(k)),
+                      Value::Int64(rng.Uniform(0, 100))});
     }
     remaining -= batch;
-    auto a = (*reeval)->Advance(*t);
-    auto b = (*incr)->Advance(*t);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ((*a)->num_rows(), (*b)->num_rows());
-    windows += (*a)->num_rows();
-    for (size_t row = 0; row < (*a)->num_rows(); ++row) {
-      Row ra = (*a)->GetRow(row);
-      Row rb = (*b)->GetRow(row);
-      ASSERT_EQ(ra.size(), rb.size());
-      for (size_t col = 0; col < ra.size(); ++col) {
-        EXPECT_EQ(ra[col], rb[col])
-            << "window row " << row << " col " << col;
-      }
-    }
+    s.Ingest("r", std::move(rows));
+    s.Drain();
   }
-  EXPECT_GT(windows, 0u);
+  // The incremental configurations, interpreted and specialized (the
+  // engine's default), must really run the basic-window model, in lockstep
+  // with the re-evaluating reference.
+  std::map<std::string, std::string> mode, describe;  // by config
+  s.inspect = [&](const differential::Instance& inst, size_t) {
+    if (inst.config.name != "incremental" && inst.config.name != "default") {
+      return;
+    }
+    const Factory& f = *(*inst.engine->GetQuery(inst.queries[0]))->factory;
+    mode[inst.config.name] = f.window_mode_name();
+    describe[inst.config.name] = f.window()->Describe();
+  };
+  differential::Report r = differential::Run(s);
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  EXPECT_EQ(mode["incremental"], "incremental");
+  EXPECT_EQ(mode["default"], "incremental");
+  if (p.shape == Shape::kStringKey) {
+    EXPECT_NE(describe["default"].find("partial: interpreter"),
+              std::string::npos)
+        << describe["default"];
+  }
+  EXPECT_GT(r.total_rows(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
