@@ -1,7 +1,7 @@
 // Observability overhead (docs/ARCHITECTURE.md "Observability"): the
 // instrumentation budget is < 2% on the end-to-end pipeline. This file
 // measures the primitives (atomic counter increments, wait-free histogram
-// observes, registry lookups, snapshots) and the full pipeline with event
+// observes, snapshots) and the full pipeline with event
 // tracing enabled — compare BM_PipelineSelectionTraced against
 // bench_pipeline's BM_PipelineSelection (identical workload, tracing off)
 // to see the tracing cost in isolation.
@@ -37,21 +37,6 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-/// Registration-path cost: Get* with a label set takes the registry mutex
-/// and builds a map key. Hot paths must hold the returned pointer instead —
-/// this bench documents why.
-void BM_RegistryLookup(benchmark::State& state) {
-  MetricsRegistry registry;
-  for (auto _ : state) {
-    Counter* c = registry.GetCounter("datacell_bench_lookups_total",
-                                     {{"kind", "labelled"}});
-    c->Inc();
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistryLookup);
-
 void BM_TraceRecordComplete(benchmark::State& state) {
   TraceRing ring(1 << 16);
   Timestamp t = 0;
@@ -68,19 +53,25 @@ BENCHMARK(BM_TraceRecordComplete);
 void BM_MetricsSnapshotAndText(benchmark::State& state) {
   MetricsRegistry registry;
   int instances = static_cast<int>(state.range(0));
-  // Histograms live in their owners and are read by the collector.
+  // Counters and histograms live in their owners and are read by the
+  // collector.
+  static constexpr MetricSeries kFires{"datacell_transition_fires_total",
+                                       MetricKind::kCounter, {"transition"},
+                                       nullptr};
   static constexpr MetricSeries kLatency{
       "datacell_transition_fire_latency_us", MetricKind::kHistogram,
       {"transition"}, nullptr};
+  std::vector<Counter> fires(static_cast<size_t>(instances));
   std::vector<Histogram> owned(static_cast<size_t>(instances));
   for (int i = 0; i < instances; ++i) {
-    MetricLabels labels{{"transition", "t" + std::to_string(i)}};
-    registry.GetCounter("datacell_transition_fires_total", labels)->Inc(i);
+    fires[static_cast<size_t>(i)].Inc(i);
     for (int v = 1; v < 1000; v *= 3) owned[static_cast<size_t>(i)].Observe(v);
   }
-  registry.SetCollector([&owned](MetricsSnapshotData& out) {
+  registry.SetCollector([&fires, &owned](MetricsSnapshotData& out) {
     for (size_t i = 0; i < owned.size(); ++i) {
-      out.Add(kLatency, {"t" + std::to_string(i)}, owned[i].Snapshot());
+      const std::string t = "t" + std::to_string(i);
+      out.Add(kFires, {t}, fires[i].value());
+      out.Add(kLatency, {t}, owned[i].Snapshot());
     }
   });
   for (auto _ : state) {

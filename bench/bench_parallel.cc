@@ -1,137 +1,19 @@
 // Ablation for the multi-threaded architecture (§2.3: "every single
-// component is an independent thread"), in two dimensions:
-//
-//  * BM_SchedulerWorkers — inter-factory parallelism: wall-clock time for a
-//    fixed work volume (four independent streams, each a heavy aggregation
-//    query) as scheduler workers increase.
-//
-//  * BM_ParallelSelect* / BM_ParallelAggregate — intra-factory parallelism:
-//    one selection-heavy (resp. aggregation) plan over a 1M-tuple basket as
-//    the morsel kernel pool grows. Arg 0 is the scalar baseline.
+// component is an independent thread"): wall-clock time for a fixed work
+// volume (four independent streams, each a heavy aggregation query) as
+// scheduler workers increase. Independent factories fire side by side, so
+// wall time should fall until workers reach the factory count.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
+#include <thread>
 
-#include "algebra/plan.h"
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 
 namespace datacell {
 namespace {
-
-constexpr size_t kParallelRows = 1u << 20;  // 1M-tuple basket
-
-/// Selection-heavy plan: Filter(100000 <= x AND x <= 500000) over Scan.
-/// The interpreter lowers the predicate to the (morsel-parallel)
-/// SelectRangeInt64 kernel.
-PlanPtr MakeSelectPlan(const Schema& schema) {
-  auto scan = MakeScan("batch", schema);
-  if (!scan.ok()) return nullptr;
-  ExprPtr x = Expr::Column(0, "x", DataType::kInt64);
-  ExprPtr pred = Expr::And(
-      Expr::Binary(BinaryOp::kGe, x, Expr::Int(100000)),
-      Expr::Binary(BinaryOp::kLe, x, Expr::Int(500000)));
-  auto filter = MakeFilter(*scan, pred);
-  return filter.ok() ? *filter : nullptr;
-}
-
-/// Runs `plan` over a pool of `threads` workers (0 = scalar path).
-void BM_ParallelSelectPlan(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TablePtr batch = bench::IntBatchTable(kParallelRows);
-  PlanPtr plan = MakeSelectPlan(batch->schema());
-  if (plan == nullptr) {
-    state.SkipWithError("plan construction failed");
-    return;
-  }
-  PlanBindings bindings;
-  bindings["batch"] = batch;
-  // The pool lives outside the timing loop, as it does in the engine.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx;
-  ctx.pool = pool.get();
-  for (auto _ : state) {
-    auto r = ExecutePlan(*plan, bindings, ctx);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize((*r)->num_rows());
-  }
-  bench::ReportTuplesPerSecond(
-      state, state.iterations() * static_cast<int64_t>(kParallelRows));
-}
-BENCHMARK(BM_ParallelSelectPlan)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// The raw kernel without plan overhead: SelectRangeInt64 over 1M values.
-void BM_ParallelSelectKernel(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TablePtr batch = bench::IntBatchTable(kParallelRows);
-  const Bat& column = *batch->column(0);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx;
-  ctx.pool = pool.get();
-  for (auto _ : state) {
-    auto positions = SelectRangeInt64(column, 100000, 500000, ctx);
-    benchmark::DoNotOptimize(positions.data());
-  }
-  bench::ReportTuplesPerSecond(
-      state, state.iterations() * static_cast<int64_t>(kParallelRows));
-}
-BENCHMARK(BM_ParallelSelectKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// Grouped aggregation over 1M tuples, 512 groups: per-morsel partials
-/// merged pairwise.
-void BM_ParallelAggregate(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TablePtr batch = bench::GroupedBatchTable(kParallelRows, 512);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx;
-  ctx.pool = pool.get();
-  // Grouping stays serial (and outside the loop): the measured kernel is
-  // the per-group partial accumulation.
-  auto grouping = GroupBy(*batch, {0});
-  if (!grouping.ok()) {
-    state.SkipWithError(grouping.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    auto r = AggregateByGroup(*batch->column(1), *grouping, ctx);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(r->size());
-  }
-  bench::ReportTuplesPerSecond(
-      state, state.iterations() * static_cast<int64_t>(kParallelRows));
-}
-BENCHMARK(BM_ParallelAggregate)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_SchedulerWorkers(benchmark::State& state) {
   size_t workers = static_cast<size_t>(state.range(0));

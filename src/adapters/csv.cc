@@ -328,8 +328,9 @@ std::string FormatCsvRow(const Row& row) {
 
 void FormatCsvLine(const ColumnBatch& batch, size_t row, std::string* out) {
   out->clear();
-  // Numeric rendering matches Value::ToString exactly (%lld / %.6g), so a
-  // columnar-formatted line is byte-identical to the row path's.
+  // Numeric rendering matches Value::ToString exactly (%lld / shortest
+  // round-trip to_chars), so a columnar-formatted line is byte-identical to
+  // the row path's.
   char buf[32];
   for (size_t c = 0; c < batch.num_columns(); ++c) {
     if (c > 0) out->push_back(',');
@@ -343,8 +344,9 @@ void FormatCsvLine(const ColumnBatch& batch, size_t row, std::string* out) {
         *out += buf;
         break;
       case DataType::kDouble:
-        std::snprintf(buf, sizeof(buf), "%.6g", col.DoubleAt(row));
-        *out += buf;
+        out->append(buf,
+                    std::to_chars(buf, buf + sizeof(buf), col.DoubleAt(row))
+                        .ptr);
         break;
       case DataType::kBool:
         *out += col.BoolAt(row) ? "true" : "false";

@@ -30,10 +30,10 @@ Result<TablePtr> ExecScan(const PlanNode& n, const PlanBindings& bindings) {
 /// The selection vector of `n` (a filter node) over `in`: lowered kernel
 /// path when the predicate fits (rules shared with the plan specializer in
 /// lowering.h), generic evaluation otherwise.
-Result<std::vector<size_t>> FilterPositions(const PlanNode& n, const Table& in,
-                                            const ExecContext& ctx) {
+Result<std::vector<size_t>> FilterPositions(const PlanNode& n,
+                                            const Table& in) {
   if (auto lowered = TryLowerSelect(*n.predicate(), in.schema())) {
-    return RunLoweredSelect(*lowered, in, ctx);
+    return RunLoweredSelect(*lowered, in);
   }
   return EvaluatePredicate(*n.predicate(), in);
 }
@@ -42,7 +42,7 @@ Result<TablePtr> ExecFilter(const PlanNode& n, const PlanBindings& bindings,
                             const ExecContext& ctx) {
   DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*n.child(), bindings, ctx));
   DC_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                      FilterPositions(n, *in, ctx));
+                      FilterPositions(n, *in));
   if (positions.size() == in->num_rows()) return in;  // nothing filtered out
   return TablePtr(in->Take(positions));
 }
@@ -67,7 +67,7 @@ Result<TablePtr> ExecHashJoin(const PlanNode& n, const PlanBindings& bindings,
   DC_ASSIGN_OR_RETURN(TablePtr right, Exec(*n.child(1), bindings, ctx));
   DC_ASSIGN_OR_RETURN(JoinResult jr,
                       HashJoin(*left->column(n.left_key()),
-                               *right->column(n.right_key()), ctx));
+                               *right->column(n.right_key())));
   auto out = std::make_shared<Table>("", n.output_schema());
   size_t lcols = left->num_columns();
   for (size_t c = 0; c < lcols; ++c) {
@@ -94,7 +94,7 @@ Result<TablePtr> ExecAggregate(const PlanNode& n, const PlanBindings& bindings,
         // sum/min/max not meaningful for count(*); Finalize(kCount) is used.
       } else {
         DC_ASSIGN_OR_RETURN(
-            p, AggregateAll(*in->column(a.input_column), nullptr, ctx));
+            p, AggregateAll(*in->column(a.input_column), nullptr));
       }
       row.push_back(p.Finalize(a.func));
     }
@@ -118,7 +118,7 @@ Result<TablePtr> ExecAggregate(const PlanNode& n, const PlanBindings& bindings,
     } else {
       DC_ASSIGN_OR_RETURN(
           std::vector<AggPartial> partials,
-          AggregateByGroup(*in->column(a.input_column), grouping, ctx));
+          AggregateByGroup(*in->column(a.input_column), grouping));
       for (const AggPartial& p : partials) {
         DC_RETURN_NOT_OK(dst->AppendValue(p.Finalize(a.func)));
       }

@@ -78,8 +78,7 @@ size_t FilterValuesDouble(const double* data, double l, double h, size_t n,
 // (a0+a1)+(a2+a3) at the end, so the scalar and AVX2 variants are
 // bit-identical to each other. The lane sums associate differently from the
 // sequential generic aggregator, so the *sum* may differ from the
-// interpreter's in the last ulp for values not exactly representable — the
-// same caveat the morsel-parallel aggregation already carries (operators.h).
+// interpreter's in the last ulp for values not exactly representable.
 // min/max use `v < min` / `v > max` compare-updates: NaN values are counted
 // and poison the sum but never become min/max, matching AggPartial.
 struct FilterAggResult {

@@ -153,15 +153,14 @@ std::optional<LoweredSelect> TryLowerSelect(const Expr& e,
 }
 
 std::vector<size_t> RunLoweredSelect(const LoweredSelect& sel,
-                                     const Table& input,
-                                     const ExecContext& ctx) {
+                                     const Table& input) {
   if (sel.empty) return {};
   const Bat& col = *input.column(sel.column);
-  if (sel.is_string) return SelectEqString(col, sel.str_value, ctx);
+  if (sel.is_string) return SelectEqString(col, sel.str_value);
   if (col.type() == DataType::kDouble) {
-    return SelectRangeDouble(col, sel.dlo, sel.dhi, ctx);
+    return SelectRangeDouble(col, sel.dlo, sel.dhi);
   }
-  return SelectRangeInt64(col, sel.ilo, sel.ihi, ctx);
+  return SelectRangeInt64(col, sel.ilo, sel.ihi);
 }
 
 }  // namespace datacell

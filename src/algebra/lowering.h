@@ -58,11 +58,9 @@ void IntersectBounds(LoweredSelect* into, const LoweredSelect& other);
 std::optional<LoweredSelect> TryLowerSelect(const Expr& e, const Schema& input);
 
 /// Executes a lowered selection over `input`, returning qualifying
-/// positions. Dispatches to the null-aware Select* kernels (morsel-parallel
-/// with a pool in `ctx`).
+/// positions. Dispatches to the null-aware Select* kernels.
 std::vector<size_t> RunLoweredSelect(const LoweredSelect& sel,
-                                     const Table& input,
-                                     const ExecContext& ctx);
+                                     const Table& input);
 
 }  // namespace datacell
 

@@ -11,121 +11,66 @@ namespace datacell {
 
 namespace {
 
-/// Concatenates per-morsel position lists in morsel order, so the merged
-/// list is identical to what one serial scan would have produced.
-std::vector<size_t> MergePositionParts(std::vector<std::vector<size_t>> parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<size_t> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
-/// Branch-light range scan over [begin, end): the qualifying position is
-/// written unconditionally and the cursor advances by the predicate result,
-/// so the inner loop carries no hard-to-predict branch. `out` must have room
-/// for end - begin entries; returns how many were written.
+/// Branch-light range scan: the qualifying position is written
+/// unconditionally and the cursor advances by the predicate result, so the
+/// inner loop carries no hard-to-predict branch.
 template <typename T>
-size_t SelectRangeMorsel(const T* data, const Bat& b, T l, T h, size_t begin,
-                         size_t end, size_t* out) {
+std::vector<size_t> SelectRangeImpl(const Bat& b, const T* data, size_t n,
+                                    T l, T h) {
+  std::vector<size_t> out(n);  // one exact allocation, no push_back growth
   size_t k = 0;
   if (!b.has_nulls()) {
     // Null-free columns hit the raw-buffer kernels, which pick the AVX2
     // variant at runtime when the CPU has it.
     if constexpr (std::is_same_v<T, int64_t>) {
-      return kernel::SelectRangeInt64(data, l, h, begin, end, out);
-    } else if constexpr (std::is_same_v<T, double>) {
-      return kernel::SelectRangeDouble(data, l, h, begin, end, out);
+      k = kernel::SelectRangeInt64(data, l, h, 0, n, out.data());
     } else {
-      for (size_t i = begin; i < end; ++i) {
-        out[k] = i;
-        k += static_cast<size_t>((data[i] >= l) & (data[i] <= h));
-      }
+      k = kernel::SelectRangeDouble(data, l, h, 0, n, out.data());
     }
   } else {
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       out[k] = i;
       k += static_cast<size_t>(!b.IsNull(i) && data[i] >= l && data[i] <= h);
     }
   }
-  return k;
-}
-
-template <typename T>
-std::vector<size_t> SelectRangeImpl(const Bat& b, const T* data, size_t n,
-                                    T l, T h, const ExecContext& ctx) {
-  std::vector<size_t> out;
-  if (!ctx.ShouldParallelize(n)) {
-    out.resize(n);  // one exact allocation instead of push_back growth
-    out.resize(SelectRangeMorsel(data, b, l, h, 0, n, out.data()));
-    return out;
-  }
-  size_t morsels = ctx.NumMorsels(n);
-  ctx.CountMorsels(morsels);
-  std::vector<std::vector<size_t>> parts(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * ctx.morsel_size;
-    size_t end = std::min(n, begin + ctx.morsel_size);
-    parts[m].resize(end - begin);
-    parts[m].resize(SelectRangeMorsel(data, b, l, h, begin, end,
-                                      parts[m].data()));
-  });
-  return MergePositionParts(std::move(parts));
+  out.resize(k);
+  return out;
 }
 
 }  // namespace
 
 std::vector<size_t> SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
-                                     std::optional<int64_t> hi,
-                                     const ExecContext& ctx) {
+                                     std::optional<int64_t> hi) {
   DC_CHECK(IsIntegerBacked(b.type()));
   const auto& data = b.int64_data();
   return SelectRangeImpl<int64_t>(
       b, data.data(), data.size(),
       lo.value_or(std::numeric_limits<int64_t>::min()),
-      hi.value_or(std::numeric_limits<int64_t>::max()), ctx);
+      hi.value_or(std::numeric_limits<int64_t>::max()));
 }
 
 std::vector<size_t> SelectRangeDouble(const Bat& b, std::optional<double> lo,
-                                      std::optional<double> hi,
-                                      const ExecContext& ctx) {
+                                      std::optional<double> hi) {
   DC_CHECK(b.type() == DataType::kDouble);
   const auto& data = b.double_data();
   return SelectRangeImpl<double>(
       b, data.data(), data.size(),
       lo.value_or(-std::numeric_limits<double>::infinity()),
-      hi.value_or(std::numeric_limits<double>::infinity()), ctx);
+      hi.value_or(std::numeric_limits<double>::infinity()));
 }
 
-std::vector<size_t> SelectEqString(const Bat& b, const std::string& v,
-                                   const ExecContext& ctx) {
+std::vector<size_t> SelectEqString(const Bat& b, const std::string& v) {
   DC_CHECK(b.type() == DataType::kString);
   const auto& data = b.string_data();
   size_t n = data.size();
-  auto scan = [&](size_t begin, size_t end, std::vector<size_t>* out) {
-    for (size_t i = begin; i < end; ++i) {
-      if (!b.IsNull(i) && data[i] == v) out->push_back(i);
-    }
-  };
-  if (!ctx.ShouldParallelize(n)) {
-    std::vector<size_t> out;
-    // Equality on strings is usually selective; a modest reservation avoids
-    // the early doubling copies without committing n * 8 bytes up front.
-    out.reserve(n / 8 + 16);
-    scan(0, n, &out);
-    return out;
+  std::vector<size_t> out;
+  // Equality on strings is usually selective; a modest reservation avoids
+  // the early doubling copies without committing n * 8 bytes up front.
+  out.reserve(n / 8 + 16);
+  for (size_t i = 0; i < n; ++i) {
+    if (!b.IsNull(i) && data[i] == v) out.push_back(i);
   }
-  size_t morsels = ctx.NumMorsels(n);
-  ctx.CountMorsels(morsels);
-  std::vector<std::vector<size_t>> parts(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * ctx.morsel_size;
-    size_t end = std::min(n, begin + ctx.morsel_size);
-    parts[m].reserve((end - begin) / 8 + 16);
-    scan(begin, end, &parts[m]);
-  });
-  return MergePositionParts(std::move(parts));
+  return out;
 }
 
 std::vector<size_t> IntersectPositions(const std::vector<size_t>& a,
@@ -199,37 +144,12 @@ void AppendKeyBytes(const Bat& b, size_t i, std::string* key) {
 
 }  // namespace
 
-namespace {
-
-/// Probes [begin, end) of `left_key` against the read-only build table.
-void ProbeMorsel(const Bat& left_key,
-                 const std::unordered_map<std::string, std::vector<size_t>>&
-                     build,
-                 size_t begin, size_t end, JoinResult* out) {
-  std::string key;
-  for (size_t i = begin; i < end; ++i) {
-    if (left_key.IsNull(i)) continue;
-    key.clear();
-    AppendKeyBytes(left_key, i, &key);
-    auto it = build.find(key);
-    if (it == build.end()) continue;
-    for (size_t r : it->second) {
-      out->left_positions.push_back(i);
-      out->right_positions.push_back(r);
-    }
-  }
-}
-
-}  // namespace
-
-Result<JoinResult> HashJoin(const Bat& left_key, const Bat& right_key,
-                            const ExecContext& ctx) {
+Result<JoinResult> HashJoin(const Bat& left_key, const Bat& right_key) {
   if (left_key.type() != right_key.type() &&
       !(IsIntegerBacked(left_key.type()) && IsIntegerBacked(right_key.type()))) {
     return Status::TypeError("join key type mismatch");
   }
-  // Build on the right side (serial: the hash table is written here, read
-  // everywhere below).
+  // Build on the right side, probe with the left.
   std::unordered_map<std::string, std::vector<size_t>> build;
   build.reserve(right_key.size());
   std::string key;
@@ -239,32 +159,18 @@ Result<JoinResult> HashJoin(const Bat& left_key, const Bat& right_key,
     AppendKeyBytes(right_key, i, &key);
     build[key].push_back(i);
   }
-  size_t n = left_key.size();
-  if (!ctx.ShouldParallelize(n)) {
-    JoinResult out;
-    ProbeMorsel(left_key, build, 0, n, &out);
-    return out;
-  }
-  size_t morsels = ctx.NumMorsels(n);
-  ctx.CountMorsels(morsels);
-  std::vector<JoinResult> parts(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * ctx.morsel_size;
-    size_t end = std::min(n, begin + ctx.morsel_size);
-    ProbeMorsel(left_key, build, begin, end, &parts[m]);
-  });
-  size_t total = 0;
-  for (const JoinResult& p : parts) total += p.left_positions.size();
   JoinResult out;
-  out.left_positions.reserve(total);
-  out.right_positions.reserve(total);
-  for (JoinResult& p : parts) {
-    out.left_positions.insert(out.left_positions.end(),
-                              p.left_positions.begin(),
-                              p.left_positions.end());
-    out.right_positions.insert(out.right_positions.end(),
-                               p.right_positions.begin(),
-                               p.right_positions.end());
+  const size_t n = left_key.size();  // out-of-line: read once, not per row
+  for (size_t i = 0; i < n; ++i) {
+    if (left_key.IsNull(i)) continue;
+    key.clear();
+    AppendKeyBytes(left_key, i, &key);
+    auto it = build.find(key);
+    if (it == build.end()) continue;
+    for (size_t r : it->second) {
+      out.left_positions.push_back(i);
+      out.right_positions.push_back(r);
+    }
   }
   return out;
 }
@@ -359,80 +265,34 @@ inline double AggValueAt(const Bat& b, size_t i) {
 }  // namespace
 
 Result<std::vector<AggPartial>> AggregateByGroup(const Bat& values,
-                                                 const Grouping& grouping,
-                                                 const ExecContext& ctx) {
+                                                 const Grouping& grouping) {
   DC_RETURN_NOT_OK(CheckAggregatable(values));
   if (values.size() != grouping.group_ids.size()) {
     return Status::Internal("aggregate input cardinality mismatch");
   }
-  size_t n = values.size();
-  auto accumulate = [&](size_t begin, size_t end,
-                        std::vector<AggPartial>* partials) {
-    for (size_t i = begin; i < end; ++i) {
-      if (values.IsNull(i)) continue;
-      (*partials)[grouping.group_ids[i]].AddValue(AggValueAt(values, i));
-    }
-  };
-  // Per-morsel private partial vectors cost num_groups * morsels entries;
-  // with very many groups the merge (and its memory) would swamp the scan,
-  // so high-cardinality groupings stay serial.
-  bool parallel = ctx.ShouldParallelize(n) &&
-                  grouping.num_groups * ctx.NumMorsels(n) <= (1u << 22);
-  if (!parallel) {
-    std::vector<AggPartial> partials(grouping.num_groups);
-    accumulate(0, n, &partials);
-    return partials;
-  }
-  size_t morsels = ctx.NumMorsels(n);
-  ctx.CountMorsels(morsels);
-  std::vector<std::vector<AggPartial>> parts(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * ctx.morsel_size;
-    size_t end = std::min(n, begin + ctx.morsel_size);
-    parts[m].resize(grouping.num_groups);
-    accumulate(begin, end, &parts[m]);
-  });
-  std::vector<AggPartial> partials = std::move(parts[0]);
-  for (size_t m = 1; m < morsels; ++m) {
-    for (size_t g = 0; g < grouping.num_groups; ++g) {
-      partials[g].Merge(parts[m][g]);
-    }
+  std::vector<AggPartial> partials(grouping.num_groups);
+  const size_t n = values.size();  // out-of-line: read once, not per row
+  for (size_t i = 0; i < n; ++i) {
+    if (values.IsNull(i)) continue;
+    partials[grouping.group_ids[i]].AddValue(AggValueAt(values, i));
   }
   return partials;
 }
 
 Result<AggPartial> AggregateAll(const Bat& values,
-                                const std::vector<size_t>* positions,
-                                const ExecContext& ctx) {
+                                const std::vector<size_t>* positions) {
   DC_RETURN_NOT_OK(CheckAggregatable(values));
-  size_t n = positions == nullptr ? values.size() : positions->size();
-  auto accumulate = [&](size_t begin, size_t end, AggPartial* p) {
-    if (positions == nullptr) {
-      for (size_t i = begin; i < end; ++i) {
-        if (!values.IsNull(i)) p->AddValue(AggValueAt(values, i));
-      }
-    } else {
-      for (size_t k = begin; k < end; ++k) {
-        size_t i = (*positions)[k];
-        if (!values.IsNull(i)) p->AddValue(AggValueAt(values, i));
-      }
+  AggPartial p;
+  if (positions == nullptr) {
+    const size_t n = values.size();  // out-of-line: read once, not per row
+    for (size_t i = 0; i < n; ++i) {
+      if (!values.IsNull(i)) p.AddValue(AggValueAt(values, i));
     }
-  };
-  if (!ctx.ShouldParallelize(n)) {
-    AggPartial p;
-    accumulate(0, n, &p);
-    return p;
+  } else {
+    for (size_t i : *positions) {
+      if (!values.IsNull(i)) p.AddValue(AggValueAt(values, i));
+    }
   }
-  size_t morsels = ctx.NumMorsels(n);
-  ctx.CountMorsels(morsels);
-  std::vector<AggPartial> parts(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * ctx.morsel_size;
-    size_t end = std::min(n, begin + ctx.morsel_size);
-    accumulate(begin, end, &parts[m]);
-  });
-  AggPartial p = parts[0];
-  for (size_t m = 1; m < morsels; ++m) p.Merge(parts[m]);
   return p;
 }
 

@@ -132,14 +132,21 @@ Result<PlanPtr> MakeUnion(PlanPtr left, PlanPtr right);
 /// Input relations bound at execution time (baskets or tables).
 using PlanBindings = std::map<std::string, TablePtr>;
 
+/// Per-run state threaded from the factory into plan execution.
+struct ExecContext {
+  /// Per-step pipeline profiler (algebra/profile.h). Null — the default —
+  /// disables profiling: executors pay one pointer test per step. The
+  /// factory points this at its profile while profiling is on.
+  class PipelineProfile* profile = nullptr;
+};
+
 /// Executes `plan` against `bindings`; returns a fresh result table. Pure:
 /// never mutates the inputs (consumption is the *factory's* job, per the
 /// paper's separation between plan execution and basket management).
-/// `ctx` carries the intra-operator parallelism knobs (see ExecContext);
-/// the default context runs everything scalar. Filter predicates of the
-/// form `column <cmp> literal` (and conjunctions of two such on one column)
-/// are lowered to the Select* kernels, which both skips the generic
-/// expression evaluator and picks up morsel parallelism.
+/// `ctx` carries the optional step profiler. Filter predicates of the form
+/// `column <cmp> literal` (and conjunctions of two such on one column) are
+/// lowered to the Select* kernels, which skips the generic expression
+/// evaluator.
 Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings,
                              const ExecContext& ctx);
 Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings);

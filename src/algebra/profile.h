@@ -33,9 +33,8 @@ inline int64_t ProfileNowNs() {
 /// refresh, the HTTP /queries endpoint) may run concurrently on other
 /// threads, which relaxed atomics over an immutable structure make safe.
 ///
-/// Gating follows the morsel-counter precedent (operators.h): execution code
-/// sees only a nullable pointer in the ExecContext, so a disabled profiler
-/// costs one pointer test per firing.
+/// Execution code sees only a nullable pointer in the ExecContext (plan.h),
+/// so a disabled profiler costs one pointer test per firing.
 class PipelineProfile {
  public:
   static constexpr size_t kNoStep = static_cast<size_t>(-1);

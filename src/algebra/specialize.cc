@@ -572,7 +572,6 @@ void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
 }
 
 void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
-                                   const ExecContext& ctx,
                                    std::vector<size_t>* out) const {
   size_t n = in.num_rows();
   out->clear();
@@ -582,8 +581,8 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
       if (l.empty) return;
       const Bat& col = *in.column(l.column);
       // Null-free numeric selects skip the generic wrapper's allocation and
-      // dispatch; parallel-sized inputs keep the morsel path.
-      if (!l.is_string && !col.has_nulls() && !ctx.ShouldParallelize(n)) {
+      // dispatch.
+      if (!l.is_string && !col.has_nulls()) {
         out->resize(n);
         size_t k;
         if (col.type() == DataType::kDouble) {
@@ -596,11 +595,11 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
         out->resize(k);
         return;
       }
-      *out = RunLoweredSelect(l, in, ctx);
+      *out = RunLoweredSelect(l, in);
       return;
     }
     case Pred::Kind::kNotEqual: {
-      std::vector<size_t> eq = RunLoweredSelect(p.lowered, in, ctx);
+      std::vector<size_t> eq = RunLoweredSelect(p.lowered, in);
       std::vector<size_t> comp = ComplementPositions(eq, n);
       const Bat& col = *in.column(p.lowered.column);
       if (!col.has_nulls()) {
@@ -655,15 +654,15 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
       // NOT over null-as-false evaluates true at nulls, so the plain
       // complement (which keeps null positions) is exactly right.
       std::vector<size_t> c;
-      EvalPred(p.children[0], in, ctx, &c);
+      EvalPred(p.children[0], in, &c);
       *out = ComplementPositions(c, n);
       return;
     }
     case Pred::Kind::kAnd:
     case Pred::Kind::kOr: {
       std::vector<size_t> a, b;
-      EvalPred(p.children[0], in, ctx, &a);
-      EvalPred(p.children[1], in, ctx, &b);
+      EvalPred(p.children[0], in, &a);
+      EvalPred(p.children[1], in, &b);
       *out = p.kind == Pred::Kind::kAnd ? IntersectPositions(a, b)
                                         : UnionPositions(a, b);
       return;
@@ -799,7 +798,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
   auto positions = [&]() {
     if (!have_positions) {
       int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-      EvalPred(*f, in, ctx, &sel_);
+      EvalPred(*f, in, &sel_);
       if (prof != nullptr) filter_ns = ProfileNowNs() - ft0;
       have_positions = true;
     }
@@ -826,8 +825,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
       if (g.count_star) {
         p.count = static_cast<int64_t>(n);
       } else {
-        DC_ASSIGN_OR_RETURN(p, AggregateAll(*in.column(g.column), nullptr,
-                                            ctx));
+        DC_ASSIGN_OR_RETURN(p, AggregateAll(*in.column(g.column), nullptr));
       }
     } else if (range != nullptr && fusable(g)) {
       const Bat& fcol = *in.column(range->column);
@@ -861,8 +859,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
         p.count = static_cast<int64_t>(positions()->size());
       } else {
         DC_ASSIGN_OR_RETURN(p,
-                            AggregateAll(*in.column(g.column), positions(),
-                                         ctx));
+                            AggregateAll(*in.column(g.column), positions()));
       }
     }
     row.push_back(p.Finalize(g.func));
@@ -907,28 +904,10 @@ Result<TablePtr> SpecializedPipeline::RunPostProjections(
 
 Status SpecializedPipeline::AccumulateGroups(const Agg& g, const Table& in,
                                              const std::vector<size_t>* rows,
-                                             size_t groups,
-                                             const ExecContext& ctx, Bat* out) {
+                                             size_t groups, Bat* out) {
   size_t n = group_ids_.size();
   const uint32_t* gid = group_ids_.data();
   const size_t* pos = rows != nullptr ? rows->data() : nullptr;
-  if (!g.count_star && ctx.ShouldParallelize(n)) {
-    // Parallel-sized batches keep the interpreter's morsel-parallel kernel:
-    // same partials, same merge order, so the same rounding.
-    Grouping grouping;
-    grouping.group_ids.assign(group_ids_.begin(), group_ids_.end());
-    grouping.num_groups = groups;
-    const Bat& col = *in.column(g.column);
-    Bat gathered(col.type());
-    if (rows != nullptr) gathered.AppendPositions(col, *rows);
-    DC_ASSIGN_OR_RETURN(
-        std::vector<AggPartial> partials,
-        AggregateByGroup(rows != nullptr ? gathered : col, grouping, ctx));
-    for (const AggPartial& p : partials) {
-      DC_RETURN_NOT_OK(out->AppendValue(p.Finalize(g.func)));
-    }
-    return Status::OK();
-  }
   const Bat* col = g.count_star ? nullptr : in.column(g.column).get();
   const uint8_t* valid = col != nullptr ? col->validity_data() : nullptr;
   // Visits the aggregated rows in input order, skipping null values.
@@ -1018,7 +997,7 @@ Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
   if (always_false_ || filter_) {
     int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
     sel_.clear();
-    if (filter_) EvalPred(*filter_, in, ctx, &sel_);
+    if (filter_) EvalPred(*filter_, in, &sel_);
     rows = &sel_;
     if (prof != nullptr) {
       prof->RecordStep(filter_step_, static_cast<int64_t>(n),
@@ -1039,7 +1018,7 @@ Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
   agg_out->column(0)->AppendPositions(key, group_reps_);
   const std::vector<Agg>& aggs = *aggregates_;
   for (size_t i = 0; i < aggs.size(); ++i) {
-    DC_RETURN_NOT_OK(AccumulateGroups(aggs[i], in, rows, groups, ctx,
+    DC_RETURN_NOT_OK(AccumulateGroups(aggs[i], in, rows, groups,
                                       agg_out->column(i + 1).get()));
   }
   if (prof != nullptr) {
@@ -1090,8 +1069,7 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
   // Fused filter→project: a single range filter over a null-free numeric
   // column whose values are the only thing projected compresses qualifying
   // values straight into the output — no selection vector at all.
-  if (f.kind == Pred::Kind::kLowered && !f.lowered.is_string &&
-      !ctx.ShouldParallelize(n)) {
+  if (f.kind == Pred::Kind::kLowered && !f.lowered.is_string) {
     const Bat& fcol = *in.column(f.lowered.column);
     if (!fcol.has_nulls()) {
       bool compress;
@@ -1139,7 +1117,7 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
     }
   }
   int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-  EvalPred(f, in, ctx, &sel_);
+  EvalPred(f, in, &sel_);
   if (prof != nullptr) {
     prof->RecordStep(filter_step_, static_cast<int64_t>(n),
                      static_cast<int64_t>(sel_.size()), ProfileNowNs() - ft0);

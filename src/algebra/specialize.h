@@ -55,7 +55,7 @@ namespace datacell {
 /// identical to the interpreter's, with one documented exception: fused
 /// filter+aggregate sums associate in four lanes, so floating-point sums
 /// over values not exactly representable in double can differ in the last
-/// ulp (the same caveat morsel-parallel aggregation carries, operators.h).
+/// ulp.
 class SpecializedPipeline {
  public:
   /// Executes the compiled chain over one drained input batch. Not
@@ -145,14 +145,14 @@ class SpecializedPipeline {
     kernel::Int64GroupTable table;
   };
 
-  void EvalPred(const Pred& p, const Table& in, const ExecContext& ctx,
+  void EvalPred(const Pred& p, const Table& in,
                 std::vector<size_t>* out) const;
   Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx);
   Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx);
   Result<TablePtr> RunGroupAggregate(const Table& in, const ExecContext& ctx);
   Status AccumulateGroups(const Agg& g, const Table& in,
                           const std::vector<size_t>* rows, size_t groups,
-                          const ExecContext& ctx, Bat* out);
+                          Bat* out);
   Result<TablePtr> RunPostProjections(TablePtr agg_out,
                                       PipelineProfile* prof) const;
   Status RunProjection(const Proj& p, const Table& in,

@@ -8,7 +8,7 @@
 
 /// Debug-build lock-order checker: a dynamic detector for *potential*
 /// deadlocks. Every annotated mutex belongs to a named lock class ("basket",
-/// "scheduler_wake", "pool_queue", ...). Each thread keeps a stack of the
+/// "scheduler_wake", "channel", ...). Each thread keeps a stack of the
 /// annotated locks it currently holds; acquiring lock class B while holding
 /// class A records the directed edge A -> B in a global acquisition-order
 /// graph. The first acquisition that would close a cycle in that graph — or
@@ -22,14 +22,12 @@
 ///
 /// The canonical acquisition order (documented in docs/ARCHITECTURE.md):
 ///
-///   scheduler_transitions < channel < basket < { trace_ring,
-///     metrics_registry }
+///   scheduler_transitions < channel < basket < trace_ring
 ///     (Scheduler::Step holds the transition table while polling
 ///     Backlog()/Ready(), which lock channels and baskets.)
 ///   wake_hub < scheduler_wake (Engine::WakeHub::Notify forwards to
 ///     Scheduler::NotifyWork under the hub lock)
 ///   scheduler_wake, scheduler_error: leaf locks
-///   pool_queue, pool_idle, pool_for: leaf locks of the kernel thread pool
 ///
 /// Wake callbacks (Basket/Channel -> Scheduler::NotifyWork) are invoked
 /// *outside* the producer's lock precisely so no basket/channel -> scheduler

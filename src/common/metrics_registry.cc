@@ -1,7 +1,6 @@
 #include "common/metrics_registry.h"
 
 #include "common/check.h"
-#include "common/lock_order.h"
 
 #include <algorithm>
 #include <bit>
@@ -173,25 +172,8 @@ std::string RenderMetricName(const std::string& name,
   return name + RenderLabels(labels, "", "");
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                     MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-  auto& slot = counters_[Key{name, std::move(labels)}];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
 MetricsSnapshotData MetricsRegistry::Snapshot() const {
   MetricsSnapshotData out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DC_LOCK_ORDER(&mu_, "metrics_registry", "metrics_registry");
-    for (const auto& [key, c] : counters_) {
-      out.counters.push_back(
-          CounterSnapshot{key.first, key.second, c->value()});
-    }
-  }
   if (collector_) collector_(out);
   // Same-name series must be adjacent for PrometheusText's # TYPE headers.
   auto by_key = [](const auto& a, const auto& b) {

@@ -6,9 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,10 +43,6 @@ class Counter {
  public:
   void Inc(int64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// The underlying cell, for layers that must not depend on this header's
-  /// types (e.g. the kernel ExecContext counts morsels through a raw
-  /// atomic pointer).
-  std::atomic<int64_t>& cell() { return value_; }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -153,28 +146,23 @@ struct MetricsSnapshotData {
       const std::string& name, const std::string& label_value = "") const;
 };
 
-/// Owns the counters no other object owns, and renders those together with
-/// the samples (counters, gauges, histograms) a collector reads from their
-/// owners. GetCounter registers a cell on first use and returns a stable
-/// pointer: registration takes a mutex (cold — cells are created at wiring
-/// time), updates through the returned pointer are lock-free. One registry
-/// per engine; tests may create their own.
+/// Renders the samples (counters, gauges, histograms) a collector reads
+/// from the objects that own the values. The registry owns no cell of its
+/// own. One registry per engine; tests may create their own.
 class MetricsRegistry {
  public:
   /// Appends samples read from their owning objects; runs inside every
-  /// Snapshot(), outside the registry mutex.
+  /// Snapshot().
   using Collector = std::function<void(MetricsSnapshotData&)>;
 
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* GetCounter(const std::string& name, MetricLabels labels = {});
   /// Set once at wiring time, before any concurrent Snapshot().
   void SetCollector(Collector collector) { collector_ = std::move(collector); }
 
-  /// The registry's cells plus the collector's samples, each kind ordered
-  /// by (name, labels).
+  /// The collector's samples, each kind ordered by (name, labels).
   MetricsSnapshotData Snapshot() const;
   /// Prometheus text exposition (version 0.0.4): `# TYPE` comments, one
   /// sample line per metric, histograms as cumulative `_bucket{le=...}`
@@ -183,10 +171,6 @@ class MetricsRegistry {
   std::string PrometheusText(const std::string& prefix = "") const;
 
  private:
-  using Key = std::pair<std::string, MetricLabels>;
-
-  mutable std::mutex mu_;  // guards map shape only, never cell updates
-  std::map<Key, std::unique_ptr<Counter>> counters_;
   Collector collector_;
 };
 

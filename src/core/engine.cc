@@ -70,9 +70,6 @@ Engine::Engine(EngineOptions options)
     owned_clock_ = std::move(sim);
     clock_ = owned_clock_.get();
   }
-  if (options_.kernel_threads > 0) {
-    kernel_pool_ = std::make_unique<ThreadPool>(options_.kernel_threads);
-  }
   if (kTraceCompiled && options_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRing>(options_.trace_capacity);
     trace_->SetEnabled(options_.trace_enabled);
@@ -702,10 +699,6 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
   foptions.exclusive_private_inputs =
       strategy == ProcessingStrategy::kSeparateBaskets;
   foptions.output_carries_ts = output_carries_ts;
-  foptions.exec.pool = kernel_pool_.get();
-  foptions.exec.parallel_threshold = options_.parallel_threshold;
-  foptions.exec.morsel_counter =
-      &metrics_.GetCounter(series::kKernelMorsels.name)->cell();
   foptions.specialize = options_.specialize_plans;
   foptions.state_string_bytes = options_.state_string_bytes;
   DC_ASSIGN_OR_RETURN(

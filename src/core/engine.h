@@ -2,6 +2,7 @@
 #define DATACELL_CORE_ENGINE_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,7 +17,6 @@
 #include "analysis/state_analyzer.h"
 #include "common/clock.h"
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/emitter.h"
 #include "core/factory.h"
@@ -57,15 +57,6 @@ struct EngineOptions {
   /// then sheds by `drop_policy` instead of growing without bound (§1).
   size_t max_basket_tuples = 0;
   Basket::DropPolicy drop_policy = Basket::DropPolicy::kDropOldest;
-  /// Intra-factory parallelism: size of the shared kernel thread pool the
-  /// engine hands every factory through its ExecContext. 0 (the default)
-  /// keeps all kernels scalar — the right choice when the scheduler already
-  /// runs one worker per core. Set >0 when few fat queries must each use
-  /// the whole machine (morsel-driven parallel selection/join/aggregation).
-  size_t kernel_threads = 0;
-  /// Minimum input size (values) before a kernel fans out over the pool;
-  /// smaller baskets stay on the scalar path, whose latency is lower.
-  size_t parallel_threshold = 128 * 1024;
   /// Compile each submitted plan into a fused, type-specialized pipeline at
   /// registration (algebra/specialize.h); plans outside the supported shape
   /// fall back to the tree interpreter per query. Off forces the
@@ -315,6 +306,8 @@ class Engine {
   /// tear. `reason` (optional) receives the pin explanation.
   analysis::PartitionVerdict EffectivePartitionVerdict(
       const QueryInfo& q, std::string* reason = nullptr) const;
+  /// The pointer stays valid for the engine's lifetime: later
+  /// registrations never move a QueryInfo.
   Result<const QueryInfo*> GetQuery(QueryId id) const;
   size_t num_queries() const { return queries_.size(); }
   /// Records where the sharded executor placed query `id` (see
@@ -353,7 +346,7 @@ class Engine {
   /// scheduler, each transition, basket, receptor, factory and emitter —
   /// so live objects export and removed ones do not. See
   /// docs/ARCHITECTURE.md ("Observability").
-  MetricsRegistry& metrics() const { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
   /// Typed point-in-time view of every series. Safe to call while the
   /// scheduler runs.
   MetricsSnapshotData MetricsSnapshot() const { return metrics_.Snapshot(); }
@@ -484,15 +477,13 @@ class Engine {
   Clock* clock_;
   SimulatedClock* sim_clock_ = nullptr;
   Scheduler scheduler_;
-  /// Shared by all factories' ExecContexts; null when kernel_threads == 0.
-  std::unique_ptr<ThreadPool> kernel_pool_;
   /// All wake callbacks route through this hub; disarmed in the destructor.
   std::shared_ptr<WakeHub> wake_hub_;
   /// Live engine-created baskets (stream bases, private replicas, outputs):
   /// kept for per-basket metrics and for trace detachment in the destructor.
   std::vector<BasketPtr> wired_baskets_;
   std::map<std::string, StreamInfo> streams_;  // key: lower-cased name
-  std::vector<QueryInfo> queries_;
+  std::deque<QueryInfo> queries_;  // a deque: GetQuery pointers stay valid
   std::vector<std::unique_ptr<Channel>> owned_channels_;
   std::vector<std::shared_ptr<Receptor>> receptors_;
   /// Self-observation transition (adapters/monitor.h); null when
@@ -507,9 +498,8 @@ class Engine {
   // Atomic: receptors and application threads ingest concurrently.
   std::atomic<int64_t> tuples_ingested_{0};
   int64_t specialized_queries_ = 0;  // registrations, never decremented
-  // Observability: holds the morsel counter and collects every other series
-  // from its owner at snapshot time. Mutable because GetCounter registers.
-  mutable MetricsRegistry metrics_;
+  // Observability: collects every series from its owner at snapshot time.
+  MetricsRegistry metrics_;
   std::unique_ptr<TraceRing> trace_;
 };
 

@@ -9,7 +9,7 @@
 /// source file spells a series name. The values live in the objects that
 /// produce them (scheduler, transitions, baskets, receptors, factories,
 /// emitters, the shard router) and are read from there while a snapshot
-/// runs; only the morsel counter is a registry-owned cell. Prometheus text,
+/// runs; the registry owns none of them. Prometheus text,
 /// StatsReport, the sys.* monitor and the sharded frontend all render from
 /// that one snapshot.
 namespace datacell::series {
@@ -32,7 +32,6 @@ inline constexpr MetricSeries
     kSchedulerWakesTimeout{"datacell_scheduler_wakes_timeout_total", C, {},
                            "wakes_timeout"},
     kIngestedTuples{"datacell_ingested_tuples_total", C, {}, "ingested"},
-    kKernelMorsels{"datacell_kernel_morsels_total", C, {}, "morsels"},
     kSpecializedQueries{"datacell_specialized_queries", C, {}, nullptr},
     kPartitionableQueries{"datacell_partitionable_queries", G, {}, nullptr},
     kShardableQueries{"datacell_shardable_queries", G, {}, nullptr},
@@ -71,7 +70,7 @@ inline constexpr MetricSeries
 inline constexpr const MetricSeries* kAll[] = {
     &kSchedulerSweeps,     &kSchedulerFirings,     &kSchedulerErrors,
     &kSchedulerIdleWaits,  &kSchedulerWakesNotified, &kSchedulerWakesTimeout,
-    &kIngestedTuples,      &kKernelMorsels,        &kSpecializedQueries,
+    &kIngestedTuples,      &kSpecializedQueries,
     &kPartitionableQueries, &kShardableQueries,    &kReceptorMalformed,
     &kTransitionFires,     &kTransitionFireLatency, &kTransitionTuples,
     &kQueryE2eLatency,     &kQueryStateBound,      &kQueryState,

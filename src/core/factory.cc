@@ -248,11 +248,11 @@ Result<int64_t> Factory::Fire() {
 #endif
   if (!Ready()) return 0;
   Timestamp start = clock_->Now();
-  // Profiling threads the profile through a per-fire copy of the exec
-  // context; the disabled path keeps options_.exec untouched (null profile,
-  // one pointer test per step inside the executors).
+  // Profiling threads the profile through the per-fire exec context; the
+  // disabled path leaves it null (one pointer test per step inside the
+  // executors).
   const bool profiling = profiling_.load(std::memory_order_relaxed);
-  ExecContext exec = options_.exec;
+  ExecContext exec;
   if (profiling) exec.profile = profile_.get();
   int64_t fire_t0 = profiling ? ProfileNowNs() : 0;
   // Algorithm 1: read-and-consume each input basket (each TakeSlice call is

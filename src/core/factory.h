@@ -52,10 +52,6 @@ struct FactoryOptions {
   /// it as its implicit timestamp — arrival times flow through unchanged —
   /// instead of stamping result-production time.
   bool output_carries_ts = false;
-  /// Execution context handed to every plan run this factory performs. When
-  /// `exec.pool` is set, large input slices are processed by the parallel
-  /// kernel variants; small slices stay on the scalar path.
-  ExecContext exec;
   /// Attempt registration-time plan specialization (algebra/specialize.h).
   /// When the plan compiles, Fire() drives the fused pipeline instead of the
   /// tree interpreter; otherwise the interpreter runs and the fallback

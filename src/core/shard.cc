@@ -86,7 +86,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   // The frontend engine runs the merge queries. It takes the shard template
   // with these fixed values.
   EngineOptions fo = options_.engine;
-  fo.kernel_threads = 0;     // a merge reads one row per group and shard
   fo.monitor_tick_us = 0;    // sys.* telemetry describes the shards' nets
   fo.max_basket_tuples = 0;  // partial rows are results: never shed
   // The shards already ran the pass-4 admission gate on the whole query.

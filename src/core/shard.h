@@ -17,8 +17,8 @@ struct ShardedEngineOptions {
   /// Number of internal engine shards (>= 1).
   size_t num_shards = 2;
   /// Template applied to every shard's engine; `shard_index` is overridden
-  /// per shard. Each shard gets its own Petri net, baskets, scheduler and
-  /// kernel pool from this template.
+  /// per shard. Each shard gets its own Petri net, baskets and scheduler
+  /// from this template.
   EngineOptions engine;
 };
 
@@ -158,7 +158,7 @@ class ShardedEngine {
   /// Router registry: its snapshot reads the per-shard routed and the
   /// broadcast counts (see core/engine_metrics.h). Each shard's and the
   /// frontend engine's series live in that engine's own registry.
-  MetricsRegistry& metrics() const { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
   int64_t routed_tuples() const;
   int64_t broadcast_tuples() const { return broadcast_.value(); }
 
@@ -249,7 +249,7 @@ class ShardedEngine {
   std::map<std::string, InternalStream> internal_;    // lower-cased stream
   std::vector<QueryPlacement> placements_;
   size_t next_pinned_shard_ = 0;
-  mutable MetricsRegistry metrics_;
+  MetricsRegistry metrics_;
   std::unique_ptr<Counter[]> routed_;  // tuples routed to each shard
   Counter broadcast_;  // tuples copied to every shard, counted per copy
 };

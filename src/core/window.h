@@ -41,7 +41,7 @@ class WindowExecutor {
   virtual ~WindowExecutor() = default;
 
   /// `ctx` reaches every plan run: its profile records the steps
-  /// RegisterProfileSteps added, and its pool serves the kernels.
+  /// RegisterProfileSteps added.
   virtual Result<TablePtr> Advance(const Table& new_tuples,
                                    const ExecContext& ctx = ExecContext{}) = 0;
 

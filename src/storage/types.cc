@@ -1,5 +1,6 @@
 #include "storage/types.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,8 +78,8 @@ std::string Value::ToString() const {
   }
   if (is_double()) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", double_value());
-    return buf;
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf),
+                                          double_value()).ptr);
   }
   return string_value();
 }

@@ -84,7 +84,8 @@ class Value {
   DataType type() const;
 
   /// Renders for the textual tuple interchange format (CSV): null -> "",
-  /// bool -> "true"/"false", numbers via printf, strings verbatim.
+  /// bool -> "true"/"false", integers in decimal, doubles as the shortest
+  /// text that parses back to the same value, strings verbatim.
   std::string ToString() const;
 
   /// Parses `text` as a value of type `t`. Empty text yields null.

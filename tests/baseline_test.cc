@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/row_eval.h"
 #include "baseline/tuple_engine.h"
 #include "common/random.h"
@@ -132,6 +134,24 @@ TEST(TuplePipelineTest, WindowAggregateSlidingGrouped) {
   }
   // Windows [1..4] and [3..6]; 2 groups each -> 4 result rows.
   EXPECT_EQ(sink->count(), 4);
+}
+
+// Double group keys that agree to six significant digits are still two
+// groups: the key holds the value's lossless text.
+TEST(TuplePipelineTest, WindowAggregateKeepsCloseDoubleKeysApart) {
+  TuplePipeline pipe;
+  pipe.Add(std::make_unique<WindowAggregateOp>(
+      std::vector<size_t>{0}, std::vector<size_t>{1},
+      std::vector<AggFunc>{AggFunc::kSum}, 2, 2));
+  auto* sink = static_cast<SinkOp*>(
+      pipe.Add(std::make_unique<SinkOp>(/*collect=*/true)));
+  ASSERT_TRUE(pipe.Push({Value::Double(1.0000001), Value::Int64(1)}).ok());
+  ASSERT_TRUE(pipe.Push({Value::Double(1.0000002), Value::Int64(2)}).ok());
+  ASSERT_EQ(sink->count(), 2);
+  std::vector<double> sums = {sink->rows()[0][1].AsDouble(),
+                              sink->rows()[1][1].AsDouble()};
+  std::sort(sums.begin(), sums.end());
+  EXPECT_EQ(sums, (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(TupleEngineTest, FanOutToAllPipelines) {

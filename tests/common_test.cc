@@ -255,30 +255,28 @@ TEST(SampleStatsTest, AddAfterPercentileStillSorts) {
 // these tests pin the concrete FNV-1a values: a change here means every
 // committed partition verdict was certified against a different split.
 
-TEST(HashTest, TypedHelpersMatchValueOverload) {
-  EXPECT_EQ(HashInt64(42), HashValue(Value::Int64(42)));
-  EXPECT_EQ(HashDouble(3.5), HashValue(Value::Double(3.5)));
-  EXPECT_EQ(HashBool(true), HashValue(Value::Bool(true)));
-  EXPECT_EQ(HashBool(false), HashValue(Value::Bool(false)));
-  EXPECT_EQ(HashString("sensor-7"), HashValue(Value::String("sensor-7")));
-  // Timestamps are integer-backed and hash as their int64 value.
-  EXPECT_EQ(HashInt64(1234567), HashValue(Value::TimestampVal(1234567)));
-}
-
-TEST(HashTest, NullHashesToZero) {
-  // Null-key rows co-locate on shard 0 by convention.
-  EXPECT_EQ(HashValue(Value::Null()), 0u);
+TEST(HashTest, TypedHelpersMixTheValueBytes) {
+  const int64_t i = 42;
+  EXPECT_EQ(HashInt64(i), FnvMixBytes(kFnvOffsetBasis, &i, sizeof(i)));
+  const double d = 3.5;
+  EXPECT_EQ(HashDouble(d), FnvMixBytes(kFnvOffsetBasis, &d, sizeof(d)));
+  const unsigned char t = 1;
+  const unsigned char f = 0;
+  EXPECT_EQ(HashBool(true), FnvMixBytes(kFnvOffsetBasis, &t, 1));
+  EXPECT_EQ(HashBool(false), FnvMixBytes(kFnvOffsetBasis, &f, 1));
+  EXPECT_EQ(HashString("sensor-7"),
+            FnvMixBytes(kFnvOffsetBasis, "sensor-7", 8));
 }
 
 TEST(HashTest, NegativeZeroFoldsOntoPositiveZero) {
   EXPECT_EQ(HashDouble(-0.0), HashDouble(0.0));
-  EXPECT_EQ(HashValue(Value::Double(-0.0)), HashValue(Value::Double(0.0)));
 }
 
 TEST(HashTest, EmptyInputsHashToOffsetBasis) {
-  // Zero bytes mixed => the FNV offset basis (distinct from the null hash).
+  // Zero bytes mixed => the FNV offset basis, distinct from the router's
+  // null hash 0.
   EXPECT_EQ(HashString(""), kFnvOffsetBasis);
-  EXPECT_NE(HashString(""), HashValue(Value::Null()));
+  EXPECT_NE(HashString(""), 0u);
 }
 
 TEST(HashTest, DistinctValuesSpread) {

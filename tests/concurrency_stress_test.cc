@@ -16,7 +16,6 @@
 
 #include "adapters/channel.h"
 #include "adapters/sink.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 
 namespace datacell {
@@ -290,12 +289,9 @@ TEST(ConcurrencyStress, MixedPushKindsDeliverEveryTupleOnceInOrder) {
 }
 
 TEST(ConcurrencyStress, ParallelKernelsInsideThreadedScheduler) {
-  // Factories running parallel kernels while scheduler workers race: the
-  // kernel pool is shared engine-wide and must not corrupt results.
-  EngineOptions opts;
-  opts.kernel_threads = 4;
-  opts.parallel_threshold = 1024;  // force the parallel path
-  Engine engine(opts);
+  // Batches of thousands of rows through a filter while two scheduler
+  // workers race ingest: every qualifying row arrives exactly once.
+  Engine engine;
   ASSERT_TRUE(engine.ExecuteSql("create basket s (x int)").ok());
   auto q = engine.SubmitContinuousQuery(
       "q", "select x from [select * from s] as a where a.x >= 500");
@@ -305,7 +301,7 @@ TEST(ConcurrencyStress, ParallelKernelsInsideThreadedScheduler) {
   ASSERT_TRUE(engine.Start(2).ok());
 
   constexpr int kBatches = 20;
-  constexpr int kRows = 5000;  // above threshold => morsel path
+  constexpr int kRows = 5000;
   for (int b = 0; b < kBatches; ++b) {
     std::vector<Row> rows;
     rows.reserve(kRows);
@@ -326,7 +322,7 @@ TEST(ConcurrencyStress, ParallelKernelsInsideThreadedScheduler) {
 /// Regression for the observability layer's thread-safety: the engine's
 /// counters used to be plain int64_t fields written by scheduler workers and
 /// read by reporting threads — a data race TSan flags. Every metric now
-/// lives in atomic registry cells; this test scrapes MetricsSnapshot,
+/// lives in atomic cells its owner keeps; this test scrapes MetricsSnapshot,
 /// MetricsText and StatsReport continuously while producers and scheduler
 /// workers hammer the pipeline, and must stay clean under
 /// -DDATACELL_SANITIZE=thread.
@@ -396,23 +392,6 @@ TEST(ConcurrencyStress, MetricsScrapeWhilePipelineRuns) {
                 ->count,
             static_cast<uint64_t>(kTotal));
   EXPECT_EQ(engine.scheduler().error_count(), 0);
-}
-
-TEST(ConcurrencyStress, ThreadPoolParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-  // Nested submissions while ParallelFor runs elsewhere.
-  std::atomic<int> count{0};
-  pool.ParallelFor(100, [&](size_t) {
-    count.fetch_add(1);
-  });
-  EXPECT_EQ(count.load(), 100);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "differential.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -17,24 +16,11 @@ namespace {
 constexpr Timestamp kClockStep = 1000;  // µs between ingest batches
 using DrainFn = std::function<void(size_t, std::vector<std::vector<Row>>)>;
 
-/// CSV lines denoting `rows` exactly: doubles in their shortest round-trip
-/// form, every other value as the receptor's codec writes it.
+/// CSV lines denoting `rows` exactly: FormatCsvRow writes every value,
+/// doubles included, as text that parses back to the same value.
 std::string TextOf(const std::vector<Row>& rows) {
   std::string text;
-  for (const Row& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) text.push_back(',');
-      if (row[i].is_double()) {
-        char buf[32];
-        text.append(buf, std::to_chars(buf, buf + sizeof(buf),
-                                       row[i].double_value())
-                             .ptr);
-      } else {
-        text += FormatCsvRow({row[i]});
-      }
-    }
-    text.push_back('\n');
-  }
+  for (const Row& row : rows) text += FormatCsvRow(row) + '\n';
   return text;
 }
 

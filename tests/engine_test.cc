@@ -468,6 +468,28 @@ TEST(EngineLifetimeTest, ChannelMayDieBeforeEngine) {
      // destroyed, which must not reach into the dead channel.
 }
 
+// Regression (found by ASan): GetQuery's pointer dangled once a later
+// registration grew the engine's query list.
+TEST(EngineLifetimeTest, GetQueryPointerSurvivesLaterSubmissions) {
+  Engine engine(DeterministicOptions());
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+  auto first = engine.SubmitContinuousQuery(
+      "first", "select x from [select * from r] as s");
+  ASSERT_TRUE(first.ok());
+  auto info = engine.GetQuery(*first);
+  ASSERT_TRUE(info.ok());
+  const Engine::QueryInfo* q = *info;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(engine
+                    .SubmitContinuousQuery(
+                        "later" + std::to_string(i),
+                        "select x from [select * from r] as s")
+                    .ok());
+  }
+  EXPECT_EQ(q->name, "first");
+  EXPECT_EQ(q->factory, (*engine.GetQuery(*first))->factory);
+}
+
 TEST_F(EngineTest, EmitterToChannel) {
   Sql("create basket r (x int)");
   QueryId q = Submit("big", "select x from [select * from r] as s "

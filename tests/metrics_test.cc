@@ -99,20 +99,26 @@ TEST(Histogram, PercentilesBoundedByBucketsAndMax) {
   EXPECT_DOUBLE_EQ(empty.Snapshot().Percentile(0.5), 0.0);
 }
 
-TEST(MetricsRegistry, StablePointersAndLabelIdentity) {
+TEST(MetricsRegistry, CollectorReadsOwnersPerLabel) {
   MetricsRegistry reg;
-  Counter* a = reg.GetCounter("datacell_x_total", {{"k", "1"}});
-  Counter* b = reg.GetCounter("datacell_x_total", {{"k", "1"}});
-  Counter* c = reg.GetCounter("datacell_x_total", {{"k", "2"}});
-  EXPECT_EQ(a, b);   // same (name, labels) -> same instance
-  EXPECT_NE(a, c);   // distinct labels -> distinct series
-  a->Inc(3);
-  c->Inc(5);
+  static constexpr MetricSeries kX{"datacell_x_total", MetricKind::kCounter,
+                                   {"k"}, nullptr};
+  Counter a;  // the objects that own the counts
+  Counter c;
+  reg.SetCollector([&](MetricsSnapshotData& out) {
+    out.Add(kX, {"1"}, a.value());
+    out.Add(kX, {"2"}, c.value());
+  });
+  a.Inc(3);
+  c.Inc(5);
   MetricsSnapshotData snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters.size(), 2u);  // distinct labels, distinct series
   EXPECT_EQ(snap.FindCounter("datacell_x_total", "1")->value, 3);
   EXPECT_EQ(snap.FindCounter("datacell_x_total", "2")->value, 5);
   EXPECT_EQ(snap.FindCounter("datacell_missing"), nullptr);
+  // Every snapshot reads the owners afresh.
+  a.Inc();
+  EXPECT_EQ(reg.Snapshot().FindCounter("datacell_x_total", "1")->value, 4);
 }
 
 TEST(MetricsRegistry, RenderMetricNameEscapesValues) {
@@ -125,8 +131,9 @@ TEST(MetricsRegistry, RenderMetricNameEscapesValues) {
 
 TEST(MetricsRegistry, PrometheusTextGolden) {
   MetricsRegistry reg;
-  reg.GetCounter("datacell_test_events_total")->Inc(3);
-  // Gauges and histograms live in their owners; a collector reads them.
+  // Every value lives in its owner; a collector reads it.
+  constexpr MetricSeries kEvents{"datacell_test_events_total",
+                                 MetricKind::kCounter, {}, nullptr};
   constexpr MetricSeries kDepth{"datacell_test_depth", MetricKind::kGauge,
                                 {}, nullptr};
   constexpr MetricSeries kTuples{"datacell_test_tuples_total",
@@ -140,7 +147,8 @@ TEST(MetricsRegistry, PrometheusTextGolden) {
   reg.SetCollector([&](MetricsSnapshotData& out) {
     out.Add(kLatency, {}, h.Snapshot());
     out.Add(kDepth, {}, 5);
-    out.Add(kTuples, {"q1"}, 7);  // sorts in among the registry's counters
+    out.Add(kTuples, {"q1"}, 7);  // sorted in after the events counter
+    out.Add(kEvents, {}, 3);
   });
   EXPECT_EQ(reg.PrometheusText(),
             "# TYPE datacell_test_events_total counter\n"
@@ -163,11 +171,16 @@ TEST(MetricsRegistry, SnapshotConsistentUnderConcurrentObserve) {
   MetricsRegistry reg;
   Histogram owned;
   Histogram* h = &owned;
+  Counter counter;
+  Counter* c = &counter;
   static constexpr MetricSeries kRace{"datacell_race_us",
                                       MetricKind::kHistogram, {}, nullptr};
-  reg.SetCollector(
-      [h](MetricsSnapshotData& out) { out.Add(kRace, {}, h->Snapshot()); });
-  Counter* c = reg.GetCounter("datacell_race_total");
+  static constexpr MetricSeries kRaceTotal{"datacell_race_total",
+                                           MetricKind::kCounter, {}, nullptr};
+  reg.SetCollector([h, c](MetricsSnapshotData& out) {
+    out.Add(kRace, {}, h->Snapshot());
+    out.Add(kRaceTotal, {}, c->value());
+  });
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
   std::atomic<bool> stop{false};
@@ -484,8 +497,6 @@ datacell_basket_shed_total{basket="s__q2"} 0
 datacell_basket_shed_total{basket="sep_out"} 0
 # TYPE datacell_ingested_tuples_total counter
 datacell_ingested_tuples_total 2
-# TYPE datacell_kernel_morsels_total counter
-datacell_kernel_morsels_total 0
 # TYPE datacell_receptor_malformed_total counter
 datacell_receptor_malformed_total{receptor="receptor_s_0"} 1
 # TYPE datacell_scheduler_errors_total counter

@@ -533,11 +533,17 @@ TEST(TraceToggle, EngineOptionAndRuntimeSwitch) {
 
 TEST(MetricsFilter, PrefixSelectsSeries) {
   MetricsRegistry reg;
-  reg.GetCounter("datacell_alpha_total")->Inc();
-  reg.GetCounter("datacell_beta_total")->Inc();
+  static constexpr MetricSeries kAlpha{"datacell_alpha_total",
+                                       MetricKind::kCounter, {}, nullptr};
+  static constexpr MetricSeries kBeta{"datacell_beta_total",
+                                      MetricKind::kCounter, {}, nullptr};
   static constexpr MetricSeries kDepth{"datacell_alpha_depth",
                                        MetricKind::kGauge, {}, nullptr};
-  reg.SetCollector([](MetricsSnapshotData& out) { out.Add(kDepth, {}, 3); });
+  reg.SetCollector([](MetricsSnapshotData& out) {
+    out.Add(kAlpha, {}, 1);
+    out.Add(kBeta, {}, 1);
+    out.Add(kDepth, {}, 3);
+  });
   std::string all = reg.PrometheusText();
   EXPECT_NE(all.find("datacell_alpha_total"), std::string::npos);
   EXPECT_NE(all.find("datacell_beta_total"), std::string::npos);

@@ -287,103 +287,5 @@ TEST(TopNTest, TruncatesAfterSort) {
   EXPECT_EQ(top10->size(), 4u);
 }
 
-// --- Parallel kernel variants: output must equal the scalar path --------
-
-/// Tiny morsels + zero threshold force the fan-out even on small inputs.
-ExecContext ForcedParallelCtx(ThreadPool* pool) {
-  ExecContext ctx;
-  ctx.pool = pool;
-  ctx.parallel_threshold = 1;
-  ctx.morsel_size = 128;
-  return ctx;
-}
-
-TEST(ParallelKernelTest, SelectRangeMatchesScalar) {
-  Rng rng(7);
-  Bat b(DataType::kInt64);
-  for (int i = 0; i < 10000; ++i) {
-    if (i % 97 == 0) {
-      b.AppendNull();
-    } else {
-      b.AppendInt64(rng.Uniform(0, 999));
-    }
-  }
-  ThreadPool pool(3);
-  ExecContext ctx = ForcedParallelCtx(&pool);
-  EXPECT_EQ(SelectRangeInt64(b, 100, 700, ctx), SelectRangeInt64(b, 100, 700));
-  EXPECT_EQ(SelectRangeInt64(b, std::nullopt, 50, ctx),
-            SelectRangeInt64(b, std::nullopt, 50));
-  EXPECT_EQ(SelectRangeInt64(b, 990, std::nullopt, ctx),
-            SelectRangeInt64(b, 990, std::nullopt));
-}
-
-TEST(ParallelKernelTest, SelectDoubleAndStringMatchScalar) {
-  Rng rng(11);
-  Bat d(DataType::kDouble);
-  Bat s(DataType::kString);
-  for (int i = 0; i < 5000; ++i) {
-    d.AppendDouble(static_cast<double>(rng.Uniform(0, 999)) / 10.0);
-    s.AppendString(rng.Uniform(0, 1) == 0 ? "hit" : "miss");
-  }
-  ThreadPool pool(3);
-  ExecContext ctx = ForcedParallelCtx(&pool);
-  EXPECT_EQ(SelectRangeDouble(d, 10.0, 60.0, ctx),
-            SelectRangeDouble(d, 10.0, 60.0));
-  EXPECT_EQ(SelectEqString(s, "hit", ctx), SelectEqString(s, "hit"));
-}
-
-TEST(ParallelKernelTest, HashJoinProbeMatchesScalar) {
-  Rng rng(13);
-  Bat l(DataType::kInt64);
-  Bat r(DataType::kInt64);
-  for (int i = 0; i < 8000; ++i) l.AppendInt64(rng.Uniform(0, 499));
-  for (int i = 0; i < 300; ++i) r.AppendInt64(rng.Uniform(0, 499));
-  ThreadPool pool(3);
-  ExecContext ctx = ForcedParallelCtx(&pool);
-  auto par = HashJoin(l, r, ctx);
-  auto ser = HashJoin(l, r);
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE(ser.ok());
-  EXPECT_EQ(par->left_positions, ser->left_positions);
-  EXPECT_EQ(par->right_positions, ser->right_positions);
-}
-
-TEST(ParallelKernelTest, AggregatesMatchScalar) {
-  Rng rng(17);
-  auto t = std::make_shared<Table>(
-      "t", Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}));
-  for (int i = 0; i < 6000; ++i) {
-    ASSERT_TRUE(t->AppendRow({Value::Int64(rng.Uniform(0, 31)),
-                              Value::Int64(rng.Uniform(0, 100000))})
-                    .ok());
-  }
-  auto g = GroupBy(*t, {0});
-  ASSERT_TRUE(g.ok());
-  ThreadPool pool(3);
-  ExecContext ctx = ForcedParallelCtx(&pool);
-  auto par = AggregateByGroup(*t->column(1), *g, ctx);
-  auto ser = AggregateByGroup(*t->column(1), *g);
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE(ser.ok());
-  ASSERT_EQ(par->size(), ser->size());
-  for (size_t i = 0; i < par->size(); ++i) {
-    // Integer-valued data: partial sums are exact in double whatever the
-    // association order, so equality is exact here.
-    EXPECT_EQ((*par)[i].count, (*ser)[i].count) << "group " << i;
-    EXPECT_EQ((*par)[i].sum, (*ser)[i].sum) << "group " << i;
-    EXPECT_EQ((*par)[i].min, (*ser)[i].min) << "group " << i;
-    EXPECT_EQ((*par)[i].max, (*ser)[i].max) << "group " << i;
-  }
-
-  auto par_all = AggregateAll(*t->column(1), nullptr, ctx);
-  auto ser_all = AggregateAll(*t->column(1), nullptr);
-  ASSERT_TRUE(par_all.ok());
-  ASSERT_TRUE(ser_all.ok());
-  EXPECT_EQ(par_all->count, ser_all->count);
-  EXPECT_EQ(par_all->sum, ser_all->sum);
-  EXPECT_EQ(par_all->min, ser_all->min);
-  EXPECT_EQ(par_all->max, ser_all->max);
-}
-
 }  // namespace
 }  // namespace datacell

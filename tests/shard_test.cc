@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "adapters/sink.h"
+#include "common/hash.h"
 #include "core/engine.h"
 #include "core/shard.h"
 #include "differential.h"
@@ -280,6 +281,25 @@ TEST(ShardRouterTest, HashRouteSendsEqualKeysToOneShard) {
   EXPECT_EQ(shards_with_rows, 1);
   EXPECT_EQ(se.routed_tuples(), 40);
   EXPECT_EQ(se.broadcast_tuples(), 0);
+}
+
+// The router hashes a null key to 0, so null-key rows co-locate on shard 0;
+// an empty string is a value and hashes elsewhere.
+TEST(ShardRouterTest, NullKeysRouteToShardZero) {
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (tag varchar, v int) partition by tag")
+          .ok());
+  std::vector<Row> rows(10, Row{Value::Null(), Value::Int64(1)});
+  ASSERT_TRUE(se.IngestBatch("s", rows).ok());
+  EXPECT_EQ(se.shard(0).tuples_ingested(), 10);
+  // HashString("") is the FNV offset basis, which lands on shard 3.
+  ASSERT_TRUE(se.IngestBatch("s", {{Value::String(""), Value::Int64(1)}}).ok());
+  EXPECT_EQ(se.shard(HashString("") % 4).tuples_ingested(), 1);
+  EXPECT_EQ(se.shard(0).tuples_ingested(), 10);
 }
 
 TEST(ShardRouterTest, InsertStatementsRouteAndTablesReplicate) {
