@@ -1,9 +1,10 @@
 // Experiment E15: registration-time plan specialization vs the tuple
 // interpreter, same query and data, second argument selects the backend
-// (1 = specialized pipeline, 0 = interpreter). The specialized path fuses
-// filter->project and filter->aggregate into single type-specialized kernel
-// passes; the gap between the /1 and /0 rows is what specialization buys at
-// each batch size.
+// (1 = specialized pipeline, 0 = interpreter). Both run the same bulk
+// kernels per step (a select yields positions, the next step reads them);
+// the specialized pipeline binds and type-resolves those steps once at
+// registration instead of walking the plan tree per firing. The gap between
+// the /1 and /0 rows is what specialization buys at each batch size.
 
 #include <benchmark/benchmark.h>
 
@@ -19,8 +20,8 @@ EngineOptions BackendOptions(bool specialize) {
   return opts;
 }
 
-/// Filter + project: the fused value-compress kernel vs interpreted
-/// select-then-project.
+/// Filter + project: a range select into a position list, then a gather
+/// of the projected column, on both backends.
 void BM_SpecializeSelection(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
   Engine engine(BackendOptions(state.range(1) != 0));
@@ -44,8 +45,8 @@ BENCHMARK(BM_SpecializeSelection)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Filter + scalar aggregate: the fused one-pass filter->aggregate kernel
-/// vs interpreted select-positions-then-aggregate.
+/// Filter + scalar aggregate: a range select into a position list, then
+/// one aggregate pass per spec over those positions, on both backends.
 void BM_SpecializeFilterAggregate(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
   Engine engine(BackendOptions(state.range(1) != 0));

@@ -1,6 +1,7 @@
 #include "algebra/kernels.h"
 
 #include <cstdlib>
+#include <limits>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -16,67 +17,6 @@ bool Avx2DisabledByEnv() {
   const char* env = std::getenv("DATACELL_DISABLE_AVX2");
   return env != nullptr && env[0] != '\0' &&
          !(env[0] == '0' && env[1] == '\0');
-}
-
-/// Four independent accumulator lanes — the shared structure of every
-/// FilterAgg variant. The scalar kernels drive it element-wise with
-/// lane = i & 3; the AVX2 kernels keep it in ymm registers and spill into
-/// it for the tail. Because both variants fold lanes in the same fixed
-/// order, their results are bit-identical.
-struct AggLanes {
-  double sum[4] = {0.0, 0.0, 0.0, 0.0};
-  double mn[4] = {std::numeric_limits<double>::infinity(),
-                  std::numeric_limits<double>::infinity(),
-                  std::numeric_limits<double>::infinity(),
-                  std::numeric_limits<double>::infinity()};
-  double mx[4] = {-std::numeric_limits<double>::infinity(),
-                  -std::numeric_limits<double>::infinity(),
-                  -std::numeric_limits<double>::infinity(),
-                  -std::numeric_limits<double>::infinity()};
-  int64_t count = 0;
-
-  /// Masked accumulate: dropped elements add +0.0 to the sum lane (a no-op
-  /// for every reachable accumulator value) and never touch min/max —
-  /// mirroring the AVX2 and-mask / blend sequence exactly.
-  void Add(size_t lane, bool keep, double v) {
-    sum[lane] += keep ? v : 0.0;
-    if (keep && v < mn[lane]) mn[lane] = v;
-    if (keep && v > mx[lane]) mx[lane] = v;
-    count += static_cast<int64_t>(keep);
-  }
-
-  void Finish(FilterAggResult* out) const {
-    out->count = count;
-    out->sum = (sum[0] + sum[1]) + (sum[2] + sum[3]);
-    double lo = mn[0], hi = mx[0];
-    for (int j = 1; j < 4; ++j) {
-      if (mn[j] < lo) lo = mn[j];
-      if (mx[j] > hi) hi = mx[j];
-    }
-    out->min = lo;
-    out->max = hi;
-  }
-};
-
-template <typename F, typename V>
-void FilterAggScalarImpl(const F* fdata, F l, F h, const V* values, size_t n,
-                         FilterAggResult* out) {
-  AggLanes lanes;
-  for (size_t i = 0; i < n; ++i) {
-    bool keep = (fdata[i] >= l) & (fdata[i] <= h);
-    lanes.Add(i & 3, keep, static_cast<double>(values[i]));
-  }
-  lanes.Finish(out);
-}
-
-template <typename F, typename V>
-size_t FilterValuesScalarImpl(const F* data, F l, F h, size_t n, V* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    out[k] = data[i];
-    k += static_cast<size_t>((data[i] >= l) & (data[i] <= h));
-  }
-  return k;
 }
 
 }  // namespace
@@ -101,40 +41,6 @@ size_t SelectRangeDoubleScalar(const double* data, double l, double h,
   return k;
 }
 
-size_t FilterValuesInt64Scalar(const int64_t* data, int64_t l, int64_t h,
-                               size_t n, int64_t* out) {
-  return FilterValuesScalarImpl(data, l, h, n, out);
-}
-
-size_t FilterValuesDoubleScalar(const double* data, double l, double h,
-                                size_t n, double* out) {
-  return FilterValuesScalarImpl(data, l, h, n, out);
-}
-
-void FilterAggInt64Int64Scalar(const int64_t* fdata, int64_t l, int64_t h,
-                               const int64_t* values, size_t n,
-                               FilterAggResult* out) {
-  FilterAggScalarImpl(fdata, l, h, values, n, out);
-}
-
-void FilterAggInt64DoubleScalar(const int64_t* fdata, int64_t l, int64_t h,
-                                const double* values, size_t n,
-                                FilterAggResult* out) {
-  FilterAggScalarImpl(fdata, l, h, values, n, out);
-}
-
-void FilterAggDoubleInt64Scalar(const double* fdata, double l, double h,
-                                const int64_t* values, size_t n,
-                                FilterAggResult* out) {
-  FilterAggScalarImpl(fdata, l, h, values, n, out);
-}
-
-void FilterAggDoubleDoubleScalar(const double* fdata, double l, double h,
-                                 const double* values, size_t n,
-                                 FilterAggResult* out) {
-  FilterAggScalarImpl(fdata, l, h, values, n, out);
-}
-
 #if defined(__x86_64__)
 
 namespace {
@@ -149,23 +55,6 @@ constexpr LaneLut kLanes[16] = {
     {{2, 0, 0, 0}}, {{0, 2, 0, 0}}, {{1, 2, 0, 0}}, {{0, 1, 2, 0}},
     {{3, 0, 0, 0}}, {{0, 3, 0, 0}}, {{1, 3, 0, 0}}, {{0, 1, 3, 0}},
     {{2, 3, 0, 0}}, {{0, 2, 3, 0}}, {{1, 2, 3, 0}}, {{0, 1, 2, 3}},
-};
-
-/// For each 4-bit keep mask over 64-bit lanes, the vpermd selector packing
-/// the kept lanes' 32-bit halves LSB-first (padding lanes repeat 0 and are
-/// overwritten by later stores).
-struct Perm64Lut {
-  int32_t idx[8];
-};
-constexpr Perm64Lut kPerm64[16] = {
-    {{0, 1, 2, 3, 4, 5, 6, 7}}, {{0, 1, 0, 0, 0, 0, 0, 0}},
-    {{2, 3, 0, 0, 0, 0, 0, 0}}, {{0, 1, 2, 3, 0, 0, 0, 0}},
-    {{4, 5, 0, 0, 0, 0, 0, 0}}, {{0, 1, 4, 5, 0, 0, 0, 0}},
-    {{2, 3, 4, 5, 0, 0, 0, 0}}, {{0, 1, 2, 3, 4, 5, 0, 0}},
-    {{6, 7, 0, 0, 0, 0, 0, 0}}, {{0, 1, 6, 7, 0, 0, 0, 0}},
-    {{2, 3, 6, 7, 0, 0, 0, 0}}, {{0, 1, 2, 3, 6, 7, 0, 0}},
-    {{4, 5, 6, 7, 0, 0, 0, 0}}, {{0, 1, 4, 5, 6, 7, 0, 0}},
-    {{2, 3, 4, 5, 6, 7, 0, 0}}, {{0, 1, 2, 3, 4, 5, 6, 7}},
 };
 
 /// Emits one 4-lane block: four unconditional stores, cursor advances by
@@ -227,205 +116,6 @@ __attribute__((target("avx2"))) size_t SelectRangeDoubleAvx2(
   return k;
 }
 
-__attribute__((target("avx2"))) size_t FilterValuesInt64Avx2(
-    const int64_t* data, int64_t l, int64_t h, size_t n, int64_t* out) {
-  size_t k = 0;
-  size_t i = 0;
-  const __m256i vlo = _mm256_set1_epi64x(l);
-  const __m256i vhi = _mm256_set1_epi64x(h);
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    __m256i lt = _mm256_cmpgt_epi64(vlo, v);
-    __m256i gt = _mm256_cmpgt_epi64(v, vhi);
-    int drop = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(lt, gt)));
-    int keep = ~drop & 0xF;
-    // Compress the kept 64-bit lanes to the front via their 32-bit halves
-    // (AVX2 has no 64-bit variable permute), one unconditional store.
-    __m256i perm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kPerm64[keep].idx));
-    __m256i packed = _mm256_permutevar8x32_epi32(v, perm);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), packed);
-    k += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(keep)));
-  }
-  for (; i < n; ++i) {
-    out[k] = data[i];
-    k += static_cast<size_t>((data[i] >= l) & (data[i] <= h));
-  }
-  return k;
-}
-
-__attribute__((target("avx2"))) size_t FilterValuesDoubleAvx2(
-    const double* data, double l, double h, size_t n, double* out) {
-  size_t k = 0;
-  size_t i = 0;
-  const __m256d vlo = _mm256_set1_pd(l);
-  const __m256d vhi = _mm256_set1_pd(h);
-  for (; i + 4 <= n; i += 4) {
-    __m256d v = _mm256_loadu_pd(data + i);
-    __m256d ge = _mm256_cmp_pd(v, vlo, _CMP_GE_OQ);
-    __m256d le = _mm256_cmp_pd(v, vhi, _CMP_LE_OQ);
-    int keep = _mm256_movemask_pd(_mm256_and_pd(ge, le));
-    __m256i perm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kPerm64[keep].idx));
-    __m256d packed = _mm256_castsi256_pd(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), perm));
-    _mm256_storeu_pd(out + k, packed);
-    k += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(keep)));
-  }
-  for (; i < n; ++i) {
-    out[k] = data[i];
-    k += static_cast<size_t>((data[i] >= l) & (data[i] <= h));
-  }
-  return k;
-}
-
-namespace {
-
-/// Vector accumulator mirror of AggLanes: masked add, compare+blend
-/// min/max. Must stay in lockstep with AggLanes::Add.
-struct AggVecs {
-  __m256d sum, mn, mx;
-  int64_t count;
-};
-
-__attribute__((target("avx2"))) inline void AggVecsInit(AggVecs* a) {
-  a->sum = _mm256_setzero_pd();
-  a->mn = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  a->mx = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  a->count = 0;
-}
-
-__attribute__((target("avx2"))) inline void AggVecsStep(AggVecs* a,
-                                                        __m256d mask,
-                                                        __m256d v) {
-  a->sum = _mm256_add_pd(a->sum, _mm256_and_pd(v, mask));
-  __m256d lt = _mm256_and_pd(_mm256_cmp_pd(v, a->mn, _CMP_LT_OQ), mask);
-  a->mn = _mm256_blendv_pd(a->mn, v, lt);
-  __m256d gt = _mm256_and_pd(_mm256_cmp_pd(v, a->mx, _CMP_GT_OQ), mask);
-  a->mx = _mm256_blendv_pd(a->mx, v, gt);
-  a->count += __builtin_popcount(
-      static_cast<unsigned>(_mm256_movemask_pd(mask)));
-}
-
-/// Spills the vector lanes into AggLanes so the (shared) tail loop and lane
-/// fold run identically to the scalar kernel.
-__attribute__((target("avx2"))) inline void AggVecsSpill(const AggVecs& a,
-                                                         AggLanes* lanes) {
-  _mm256_storeu_pd(lanes->sum, a.sum);
-  _mm256_storeu_pd(lanes->mn, a.mn);
-  _mm256_storeu_pd(lanes->mx, a.mx);
-  lanes->count = a.count;
-}
-
-/// (double)values[i..i+4) for int64 values — AVX2 has no packed int64→double
-/// convert, so the casts are scalar; the accumulate stays vectorised.
-__attribute__((target("avx2"))) inline __m256d LoadInt64AsDouble(
-    const int64_t* values, size_t i) {
-  return _mm256_set_pd(static_cast<double>(values[i + 3]),
-                       static_cast<double>(values[i + 2]),
-                       static_cast<double>(values[i + 1]),
-                       static_cast<double>(values[i]));
-}
-
-__attribute__((target("avx2"))) inline __m256d MaskInt64Range(
-    const int64_t* fdata, size_t i, __m256i vlo, __m256i vhi) {
-  __m256i f =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fdata + i));
-  __m256i lt = _mm256_cmpgt_epi64(vlo, f);
-  __m256i gt = _mm256_cmpgt_epi64(f, vhi);
-  // keep = ~(lt | gt); all-ones lanes for kept elements.
-  return _mm256_castsi256_pd(_mm256_xor_si256(_mm256_or_si256(lt, gt),
-                                              _mm256_set1_epi64x(-1)));
-}
-
-__attribute__((target("avx2"))) inline __m256d MaskDoubleRange(
-    const double* fdata, size_t i, __m256d vlo, __m256d vhi) {
-  __m256d f = _mm256_loadu_pd(fdata + i);
-  return _mm256_and_pd(_mm256_cmp_pd(f, vlo, _CMP_GE_OQ),
-                       _mm256_cmp_pd(f, vhi, _CMP_LE_OQ));
-}
-
-template <typename F, typename V>
-void FilterAggTail(const F* fdata, F l, F h, const V* values, size_t i,
-                   size_t n, AggLanes* lanes, FilterAggResult* out) {
-  for (; i < n; ++i) {
-    bool keep = (fdata[i] >= l) & (fdata[i] <= h);
-    lanes->Add(i & 3, keep, static_cast<double>(values[i]));
-  }
-  lanes->Finish(out);
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void FilterAggInt64Int64Avx2(
-    const int64_t* fdata, int64_t l, int64_t h, const int64_t* values,
-    size_t n, FilterAggResult* out) {
-  AggVecs acc;
-  AggVecsInit(&acc);
-  const __m256i vlo = _mm256_set1_epi64x(l);
-  const __m256i vhi = _mm256_set1_epi64x(h);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    AggVecsStep(&acc, MaskInt64Range(fdata, i, vlo, vhi),
-                LoadInt64AsDouble(values, i));
-  }
-  AggLanes lanes;
-  AggVecsSpill(acc, &lanes);
-  FilterAggTail(fdata, l, h, values, i, n, &lanes, out);
-}
-
-__attribute__((target("avx2"))) void FilterAggInt64DoubleAvx2(
-    const int64_t* fdata, int64_t l, int64_t h, const double* values,
-    size_t n, FilterAggResult* out) {
-  AggVecs acc;
-  AggVecsInit(&acc);
-  const __m256i vlo = _mm256_set1_epi64x(l);
-  const __m256i vhi = _mm256_set1_epi64x(h);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    AggVecsStep(&acc, MaskInt64Range(fdata, i, vlo, vhi),
-                _mm256_loadu_pd(values + i));
-  }
-  AggLanes lanes;
-  AggVecsSpill(acc, &lanes);
-  FilterAggTail(fdata, l, h, values, i, n, &lanes, out);
-}
-
-__attribute__((target("avx2"))) void FilterAggDoubleInt64Avx2(
-    const double* fdata, double l, double h, const int64_t* values, size_t n,
-    FilterAggResult* out) {
-  AggVecs acc;
-  AggVecsInit(&acc);
-  const __m256d vlo = _mm256_set1_pd(l);
-  const __m256d vhi = _mm256_set1_pd(h);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    AggVecsStep(&acc, MaskDoubleRange(fdata, i, vlo, vhi),
-                LoadInt64AsDouble(values, i));
-  }
-  AggLanes lanes;
-  AggVecsSpill(acc, &lanes);
-  FilterAggTail(fdata, l, h, values, i, n, &lanes, out);
-}
-
-__attribute__((target("avx2"))) void FilterAggDoubleDoubleAvx2(
-    const double* fdata, double l, double h, const double* values, size_t n,
-    FilterAggResult* out) {
-  AggVecs acc;
-  AggVecsInit(&acc);
-  const __m256d vlo = _mm256_set1_pd(l);
-  const __m256d vhi = _mm256_set1_pd(h);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    AggVecsStep(&acc, MaskDoubleRange(fdata, i, vlo, vhi),
-                _mm256_loadu_pd(values + i));
-  }
-  AggLanes lanes;
-  AggVecsSpill(acc, &lanes);
-  FilterAggTail(fdata, l, h, values, i, n, &lanes, out);
-}
-
 bool HasAvx2() {
   static const bool has =
       !Avx2DisabledByEnv() && __builtin_cpu_supports("avx2") != 0;
@@ -444,40 +134,6 @@ size_t SelectRangeDoubleAvx2(const double* data, double l, double h,
   return SelectRangeDoubleScalar(data, l, h, begin, end, out);
 }
 
-size_t FilterValuesInt64Avx2(const int64_t* data, int64_t l, int64_t h,
-                             size_t n, int64_t* out) {
-  return FilterValuesInt64Scalar(data, l, h, n, out);
-}
-
-size_t FilterValuesDoubleAvx2(const double* data, double l, double h,
-                              size_t n, double* out) {
-  return FilterValuesDoubleScalar(data, l, h, n, out);
-}
-
-void FilterAggInt64Int64Avx2(const int64_t* fdata, int64_t l, int64_t h,
-                             const int64_t* values, size_t n,
-                             FilterAggResult* out) {
-  FilterAggInt64Int64Scalar(fdata, l, h, values, n, out);
-}
-
-void FilterAggInt64DoubleAvx2(const int64_t* fdata, int64_t l, int64_t h,
-                              const double* values, size_t n,
-                              FilterAggResult* out) {
-  FilterAggInt64DoubleScalar(fdata, l, h, values, n, out);
-}
-
-void FilterAggDoubleInt64Avx2(const double* fdata, double l, double h,
-                              const int64_t* values, size_t n,
-                              FilterAggResult* out) {
-  FilterAggDoubleInt64Scalar(fdata, l, h, values, n, out);
-}
-
-void FilterAggDoubleDoubleAvx2(const double* fdata, double l, double h,
-                               const double* values, size_t n,
-                               FilterAggResult* out) {
-  FilterAggDoubleDoubleScalar(fdata, l, h, values, n, out);
-}
-
 bool HasAvx2() { return false; }
 
 #endif  // defined(__x86_64__)
@@ -492,58 +148,6 @@ size_t SelectRangeDouble(const double* data, double l, double h, size_t begin,
                          size_t end, size_t* out) {
   return HasAvx2() ? SelectRangeDoubleAvx2(data, l, h, begin, end, out)
                    : SelectRangeDoubleScalar(data, l, h, begin, end, out);
-}
-
-size_t FilterValuesInt64(const int64_t* data, int64_t l, int64_t h, size_t n,
-                         int64_t* out) {
-  return HasAvx2() ? FilterValuesInt64Avx2(data, l, h, n, out)
-                   : FilterValuesInt64Scalar(data, l, h, n, out);
-}
-
-size_t FilterValuesDouble(const double* data, double l, double h, size_t n,
-                          double* out) {
-  return HasAvx2() ? FilterValuesDoubleAvx2(data, l, h, n, out)
-                   : FilterValuesDoubleScalar(data, l, h, n, out);
-}
-
-void FilterAggInt64Int64(const int64_t* fdata, int64_t l, int64_t h,
-                         const int64_t* values, size_t n,
-                         FilterAggResult* out) {
-  if (HasAvx2()) {
-    FilterAggInt64Int64Avx2(fdata, l, h, values, n, out);
-  } else {
-    FilterAggInt64Int64Scalar(fdata, l, h, values, n, out);
-  }
-}
-
-void FilterAggInt64Double(const int64_t* fdata, int64_t l, int64_t h,
-                          const double* values, size_t n,
-                          FilterAggResult* out) {
-  if (HasAvx2()) {
-    FilterAggInt64DoubleAvx2(fdata, l, h, values, n, out);
-  } else {
-    FilterAggInt64DoubleScalar(fdata, l, h, values, n, out);
-  }
-}
-
-void FilterAggDoubleInt64(const double* fdata, double l, double h,
-                          const int64_t* values, size_t n,
-                          FilterAggResult* out) {
-  if (HasAvx2()) {
-    FilterAggDoubleInt64Avx2(fdata, l, h, values, n, out);
-  } else {
-    FilterAggDoubleInt64Scalar(fdata, l, h, values, n, out);
-  }
-}
-
-void FilterAggDoubleDouble(const double* fdata, double l, double h,
-                           const double* values, size_t n,
-                           FilterAggResult* out) {
-  if (HasAvx2()) {
-    FilterAggDoubleDoubleAvx2(fdata, l, h, values, n, out);
-  } else {
-    FilterAggDoubleDoubleScalar(fdata, l, h, values, n, out);
-  }
 }
 
 // --- Int64HashIndex ------------------------------------------------------

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace datacell {
@@ -44,88 +43,6 @@ size_t SelectRangeDoubleAvx2(const double* data, double l, double h,
                              size_t begin, size_t end, size_t* out);
 size_t SelectRangeDouble(const double* data, double l, double h, size_t begin,
                          size_t end, size_t* out);
-
-// --- Fused filter→project (value compress) -----------------------------
-//
-// Writes the qualifying *values* (l <= data[i] <= h, positions in order)
-// directly into `out` instead of materialising a position list first — the
-// specialized pipeline's one-pass select+gather for `select x .. where
-// x <op> literal`. `out` must have room for n values; returns the count.
-// All variants of one type produce identical output.
-
-size_t FilterValuesInt64Scalar(const int64_t* data, int64_t l, int64_t h,
-                               size_t n, int64_t* out);
-size_t FilterValuesInt64Avx2(const int64_t* data, int64_t l, int64_t h,
-                             size_t n, int64_t* out);
-size_t FilterValuesInt64(const int64_t* data, int64_t l, int64_t h, size_t n,
-                         int64_t* out);
-
-size_t FilterValuesDoubleScalar(const double* data, double l, double h,
-                                size_t n, double* out);
-size_t FilterValuesDoubleAvx2(const double* data, double l, double h, size_t n,
-                              double* out);
-size_t FilterValuesDouble(const double* data, double l, double h, size_t n,
-                          double* out);
-
-// --- Fused filter→aggregate --------------------------------------------
-//
-// One pass over the filter column computing count/sum/min/max of the value
-// column restricted to l <= fdata[i] <= h, without materialising the
-// selection. The value column is read as double (int64 inputs are cast per
-// element, exactly like the generic aggregator).
-//
-// All variants keep four independent accumulator lanes merged as
-// (a0+a1)+(a2+a3) at the end, so the scalar and AVX2 variants are
-// bit-identical to each other. The lane sums associate differently from the
-// sequential generic aggregator, so the *sum* may differ from the
-// interpreter's in the last ulp for values not exactly representable.
-// min/max use `v < min` / `v > max` compare-updates: NaN values are counted
-// and poison the sum but never become min/max, matching AggPartial.
-struct FilterAggResult {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-};
-
-void FilterAggInt64Int64Scalar(const int64_t* fdata, int64_t l, int64_t h,
-                               const int64_t* values, size_t n,
-                               FilterAggResult* out);
-void FilterAggInt64Int64Avx2(const int64_t* fdata, int64_t l, int64_t h,
-                             const int64_t* values, size_t n,
-                             FilterAggResult* out);
-void FilterAggInt64Int64(const int64_t* fdata, int64_t l, int64_t h,
-                         const int64_t* values, size_t n, FilterAggResult* out);
-
-void FilterAggInt64DoubleScalar(const int64_t* fdata, int64_t l, int64_t h,
-                                const double* values, size_t n,
-                                FilterAggResult* out);
-void FilterAggInt64DoubleAvx2(const int64_t* fdata, int64_t l, int64_t h,
-                              const double* values, size_t n,
-                              FilterAggResult* out);
-void FilterAggInt64Double(const int64_t* fdata, int64_t l, int64_t h,
-                          const double* values, size_t n,
-                          FilterAggResult* out);
-
-void FilterAggDoubleInt64Scalar(const double* fdata, double l, double h,
-                                const int64_t* values, size_t n,
-                                FilterAggResult* out);
-void FilterAggDoubleInt64Avx2(const double* fdata, double l, double h,
-                              const int64_t* values, size_t n,
-                              FilterAggResult* out);
-void FilterAggDoubleInt64(const double* fdata, double l, double h,
-                          const int64_t* values, size_t n,
-                          FilterAggResult* out);
-
-void FilterAggDoubleDoubleScalar(const double* fdata, double l, double h,
-                                 const double* values, size_t n,
-                                 FilterAggResult* out);
-void FilterAggDoubleDoubleAvx2(const double* fdata, double l, double h,
-                               const double* values, size_t n,
-                               FilterAggResult* out);
-void FilterAggDoubleDouble(const double* fdata, double l, double h,
-                           const double* values, size_t n,
-                           FilterAggResult* out);
 
 // --- Specialized hash-join probe ---------------------------------------
 

@@ -65,12 +65,11 @@ enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
 const char* AggFuncToString(AggFunc f);
 
-/// Decomposable aggregate state: mergeable partials, the basis of the
-/// incremental (basic-window) evaluation mode of §3.1. Covers count, sum,
-/// avg (= sum/count); min/max are kept but are only *insert*-decomposable —
-/// merging is fine, subtracting an expired sub-window is not, which is
-/// exactly why the basic-window model re-combines per-sub-window summaries
-/// instead of subtracting.
+/// Aggregate state of one group: count, sum, min and max of its non-null
+/// inputs, accumulated in input row order; Finalize reads any AggFunc off
+/// it. Incremental windows and shard merges combine partial results by
+/// re-aggregating them through merge plans (algebra/aggregate_split.h), not
+/// through this struct.
 struct AggPartial {
   int64_t count = 0;    // non-null inputs
   double sum = 0.0;
@@ -82,12 +81,6 @@ struct AggPartial {
     sum += v;
     if (v < min) min = v;
     if (v > max) max = v;
-  }
-  void Merge(const AggPartial& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.min < min) min = o.min;
-    if (o.max > max) max = o.max;
   }
   /// Extracts the final value for `f`; returns null for empty input
   /// (except count, which is 0).

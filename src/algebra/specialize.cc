@@ -298,9 +298,9 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     aggnode = n;
     n = n->child().get();
     if (n->kind() == PlanKind::kProject) {
-      // Mirror the interpreter's fusion rule: aggregate inputs (and the
-      // group key) must be plain column refs through the pre-projection so
-      // they can be read straight from the projection's input.
+      // Aggregate inputs (and the group key) must be plain column refs
+      // through the pre-projection so they can be read straight from the
+      // projection's input.
       for (const AggSpec& a : aggnode->aggregates()) {
         if (!a.count_star && n->projections()[a.input_column]->kind() !=
                                  ExprKind::kColumnRef) {
@@ -495,8 +495,7 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
   }
   if (pipe->filter_ && pipe->filter_->kind == Pred::Kind::kLowered &&
       !pipe->filter_->lowered.is_string) {
-    d += "       [kernel range select; fuses with a same-column projection "
-         "or aggregate on null-free columns]\n";
+    d += "       [kernel range select]\n";
   }
   if (projectnode != nullptr) {
     std::string cols;
@@ -783,98 +782,35 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
   PipelineProfile* prof = ctx.profile;
   int64_t t_start = prof != nullptr ? ProfileNowNs() : 0;
   int64_t filter_ns = 0;
-  const std::vector<Agg>& aggs = *aggregates_;
-  const Pred* f = filter_ ? &*filter_ : nullptr;
-  const LoweredSelect* range = nullptr;  // single fusable range filter
-  bool empty_sel = always_false_;
-  if (f != nullptr && f->kind == Pred::Kind::kLowered) {
-    if (f->lowered.empty) {
-      empty_sel = true;
-    } else if (!f->lowered.is_string) {
-      range = &f->lowered;
+  // The aggregates read every row, or the filter's positions (none when
+  // the filter folded to false).
+  const std::vector<size_t>* positions = nullptr;
+  if (filter_ || always_false_) {
+    sel_.clear();
+    if (filter_) EvalPred(*filter_, in, &sel_);
+    positions = &sel_;
+    if (prof != nullptr) {
+      filter_ns = ProfileNowNs() - t_start;
+      prof->RecordStep(filter_step_, static_cast<int64_t>(n),
+                       static_cast<int64_t>(sel_.size()), filter_ns);
     }
   }
-  bool have_positions = false;
-  auto positions = [&]() {
-    if (!have_positions) {
-      int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-      EvalPred(*f, in, &sel_);
-      if (prof != nullptr) filter_ns = ProfileNowNs() - ft0;
-      have_positions = true;
-    }
-    return &sel_;
-  };
-  // The fused kernel needs raw null-free numeric buffers on both the filter
-  // and the value column.
-  auto fusable = [&](const Agg& g) {
-    const Bat& fcol = *in.column(range->column);
-    if (fcol.has_nulls()) return false;
-    if (g.count_star) return true;
-    const Bat& vcol = *in.column(g.column);
-    return !vcol.has_nulls() && NumericColumn(vcol.type());
-  };
+  size_t agg_in = positions != nullptr ? positions->size() : n;
   auto out = std::make_shared<Table>("", agg_schema_);
   Row row;
-  row.reserve(aggs.size());
-  for (const Agg& g : aggs) {
+  row.reserve(aggregates_->size());
+  for (const Agg& g : *aggregates_) {
     AggPartial p;
-    if (empty_sel) {
-      // No qualifying rows: count 0, sum/min/max at their identities, which
-      // Finalize turns into 0 / null exactly like the interpreter.
-    } else if (f == nullptr) {
-      if (g.count_star) {
-        p.count = static_cast<int64_t>(n);
-      } else {
-        DC_ASSIGN_OR_RETURN(p, AggregateAll(*in.column(g.column), nullptr));
-      }
-    } else if (range != nullptr && fusable(g)) {
-      const Bat& fcol = *in.column(range->column);
-      const Bat& vcol = g.count_star ? fcol : *in.column(g.column);
-      kernel::FilterAggResult r;
-      if (fcol.type() == DataType::kDouble) {
-        if (vcol.type() == DataType::kDouble) {
-          kernel::FilterAggDoubleDouble(fcol.double_data().data(), DLo(*range),
-                                        DHi(*range), vcol.double_data().data(),
-                                        n, &r);
-        } else {
-          kernel::FilterAggDoubleInt64(fcol.double_data().data(), DLo(*range),
-                                       DHi(*range), vcol.int64_data().data(),
-                                       n, &r);
-        }
-      } else if (vcol.type() == DataType::kDouble) {
-        kernel::FilterAggInt64Double(fcol.int64_data().data(), ILo(*range),
-                                     IHi(*range), vcol.double_data().data(), n,
-                                     &r);
-      } else {
-        kernel::FilterAggInt64Int64(fcol.int64_data().data(), ILo(*range),
-                                    IHi(*range), vcol.int64_data().data(), n,
-                                    &r);
-      }
-      p.count = r.count;
-      p.sum = r.sum;
-      p.min = r.min;
-      p.max = r.max;
+    if (g.count_star) {
+      p.count = static_cast<int64_t>(agg_in);
     } else {
-      if (g.count_star) {
-        p.count = static_cast<int64_t>(positions()->size());
-      } else {
-        DC_ASSIGN_OR_RETURN(p,
-                            AggregateAll(*in.column(g.column), positions()));
-      }
+      DC_ASSIGN_OR_RETURN(p, AggregateAll(*in.column(g.column), positions));
     }
     row.push_back(p.Finalize(g.func));
   }
   if (prof != nullptr) {
-    // Fused filter+aggregate firings never materialize a selection; their
-    // whole span lands on the aggregate step, mirroring RunStages' fused
-    // attribution. Explicit EvalPred time goes to the filter step.
-    if (have_positions) {
-      prof->RecordStep(filter_step_, static_cast<int64_t>(n),
-                       static_cast<int64_t>(sel_.size()), filter_ns);
-    }
-    int64_t agg_in = have_positions ? static_cast<int64_t>(sel_.size())
-                                    : static_cast<int64_t>(n);
-    prof->RecordStep(agg_step_, agg_in, 1, ProfileNowNs() - t_start - filter_ns);
+    prof->RecordStep(agg_step_, static_cast<int64_t>(agg_in), 1,
+                     ProfileNowNs() - t_start - filter_ns);
   }
   DC_RETURN_NOT_OK(out->AppendRow(row));
   return RunPostProjections(std::move(out), prof);
@@ -1065,56 +1001,6 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
       prof->RecordStep(filter_step_, static_cast<int64_t>(n), 0, 0);
     }
     return out;
-  }
-  // Fused filter→project: a single range filter over a null-free numeric
-  // column whose values are the only thing projected compresses qualifying
-  // values straight into the output — no selection vector at all.
-  if (f.kind == Pred::Kind::kLowered && !f.lowered.is_string) {
-    const Bat& fcol = *in.column(f.lowered.column);
-    if (!fcol.has_nulls()) {
-      bool compress;
-      size_t ncols;
-      if (project_) {
-        compress = true;
-        for (const Proj& p : *project_) {
-          if (p.kind != Proj::Kind::kColumn || p.column != f.lowered.column) {
-            compress = false;
-            break;
-          }
-        }
-        ncols = project_->size();
-      } else {
-        compress = in.num_columns() == 1 && f.lowered.column == 0;
-        ncols = in.num_columns();
-      }
-      if (compress) {
-        int64_t t0 = prof != nullptr ? ProfileNowNs() : 0;
-        for (size_t i = 0; i < ncols; ++i) {
-          Bat* oc = out->column(i).get();
-          size_t k;
-          if (fcol.type() == DataType::kDouble) {
-            double* dst = oc->AppendUninitializedDouble(n);
-            k = kernel::FilterValuesDouble(fcol.double_data().data(),
-                                           DLo(f.lowered), DHi(f.lowered), n,
-                                           dst);
-          } else {
-            int64_t* dst = oc->AppendUninitializedInt64(n);
-            k = kernel::FilterValuesInt64(fcol.int64_data().data(),
-                                          ILo(f.lowered), IHi(f.lowered), n,
-                                          dst);
-          }
-          oc->Truncate(k);
-        }
-        if (prof != nullptr) {
-          // The fused kernel filters and projects in one pass; the whole
-          // span lands on the filter step (see RegisterProfileSteps).
-          prof->RecordStep(filter_step_, static_cast<int64_t>(n),
-                           static_cast<int64_t>(out->num_rows()),
-                           ProfileNowNs() - t0);
-        }
-        return out;
-      }
-    }
   }
   int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
   EvalPred(f, in, &sel_);

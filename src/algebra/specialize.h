@@ -51,11 +51,9 @@ namespace datacell {
 /// sort/distinct/limit/union, computed predicates the rules above
 /// can't express, ...) falls back to the interpreter with a human-readable
 /// reason, surfaced per query via the shell's \explain and counted by the
-/// engine's metrics. Results are
-/// identical to the interpreter's, with one documented exception: fused
-/// filter+aggregate sums associate in four lanes, so floating-point sums
-/// over values not exactly representable in double can differ in the last
-/// ulp.
+/// engine's metrics. Each step runs the same bulk kernel the interpreter
+/// uses (a select yields positions; projection and aggregation work on
+/// them), so results are identical to the interpreter's, bit for bit.
 class SpecializedPipeline {
  public:
   /// Executes the compiled chain over one drained input batch. Not
@@ -75,9 +73,8 @@ class SpecializedPipeline {
   /// Registers this pipeline's stages as profile steps (one per present
   /// stage, in execution order) and remembers their indices; Run() then
   /// accumulates per-stage rows and time whenever the ExecContext carries
-  /// that profile. Fused firings attribute their whole span to the filter
-  /// step — that is where the fused kernel does its work — so stage times
-  /// always sum to the measured work. Call once, at factory creation.
+  /// that profile. Each stage records its own span, so stage times sum to
+  /// the measured work. Call once, at factory creation.
   void RegisterProfileSteps(PipelineProfile* profile);
 
  private:

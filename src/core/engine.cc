@@ -72,7 +72,6 @@ Engine::Engine(EngineOptions options)
   }
   if (kTraceCompiled && options_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRing>(options_.trace_capacity);
-    trace_->SetEnabled(options_.trace_enabled);
   }
   scheduler_.SetTrace(trace_.get(), clock_);
   scheduler_.SetIdleFallbackUs(options_.idle_tick_us);

@@ -57,7 +57,7 @@ struct EngineOptions {
   /// then sheds by `drop_policy` instead of growing without bound (§1).
   size_t max_basket_tuples = 0;
   Basket::DropPolicy drop_policy = Basket::DropPolicy::kDropOldest;
-  /// Compile each submitted plan into a fused, type-specialized pipeline at
+  /// Compile each submitted plan into a flat, type-specialized pipeline at
   /// registration (algebra/specialize.h); plans outside the supported shape
   /// fall back to the tree interpreter per query. Off forces the
   /// interpreter everywhere (the equivalence tests' reference engine).
@@ -68,12 +68,9 @@ struct EngineOptions {
   /// effect only in builds configured with -DDATACELL_TRACE=ON (the option
   /// defaults OFF, which compiles the hooks out entirely). The ring keeps
   /// the most recent `trace_capacity` scheduler sweeps, transition firings
-  /// and basket lock waits; export with Engine::TraceJson().
+  /// and basket lock waits; export with Engine::TraceJson(). The ring
+  /// starts recording; Engine::SetTraceEnabled pauses it.
   size_t trace_capacity = 0;
-  /// Whether the trace ring starts recording (only meaningful with
-  /// trace_capacity > 0). Engine::SetTraceEnabled and the shell's
-  /// `\trace on|off` flip it at runtime without losing captured events.
-  bool trace_enabled = true;
   /// Self-observation tick (µs): > 0 creates the reserved system streams
   /// (sys.transitions, sys.baskets, sys.queries) and a MonitorReceptor that
   /// samples the metrics registry into them every tick. 0 (default) = no
@@ -366,8 +363,9 @@ class Engine {
   /// per-step calls/rows/time table.
   Result<std::string> ProfileReport(QueryId id) const;
 
-  /// Runtime trace toggle (no-op without a trace ring); see
-  /// EngineOptions::trace_enabled.
+  /// Pauses or resumes the trace ring (no-op without one). A paused ring
+  /// drops events at the record call and keeps what it captured; the
+  /// shell's `\trace on|off` calls this.
   void SetTraceEnabled(bool on) {
     if (trace_ != nullptr) trace_->SetEnabled(on);
   }

@@ -107,11 +107,11 @@ Result<std::shared_ptr<Factory>> Factory::Create(
     factory->inputs_.push_back(std::move(in));
   }
   // Registration-time specialization: the plan is fixed for the query's
-  // lifetime, so a PlanRunner compiles it into a fused pipeline once instead
-  // of paying the interpreter's tree walk on every firing; a window executor
-  // does the same for each plan it runs. The profile skeleton holds the
-  // steps of those plans, built while their shape is final, so toggling
-  // profiling later is a single flag flip.
+  // lifetime, so a PlanRunner compiles it into a specialized pipeline once
+  // instead of paying the interpreter's tree walk on every firing; a window
+  // executor does the same for each plan it runs. The profile skeleton
+  // holds the steps of those plans, built while their shape is final, so
+  // toggling profiling later is a single flag flip.
   factory->profile_ = std::make_unique<PipelineProfile>();
   if (windowed) {
     DC_ASSIGN_OR_RETURN(

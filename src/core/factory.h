@@ -53,9 +53,9 @@ struct FactoryOptions {
   /// instead of stamping result-production time.
   bool output_carries_ts = false;
   /// Attempt registration-time plan specialization (algebra/specialize.h).
-  /// When the plan compiles, Fire() drives the fused pipeline instead of the
-  /// tree interpreter; otherwise the interpreter runs and the fallback
-  /// reason is kept for \explain. Disable to force the interpreter.
+  /// When the plan compiles, Fire() drives the specialized pipeline instead
+  /// of the tree interpreter; otherwise the interpreter runs and the
+  /// fallback reason is kept for \explain. Disable to force the interpreter.
   bool specialize = true;
   /// Per-string byte estimate the state accounting (and the pass-4 gate
   /// below) prices string columns at; must match the analyzer's figure for

@@ -130,14 +130,6 @@ int64_t* Bat::AppendUninitializedInt64(size_t n) {
   return int64_data_.data() + old;
 }
 
-double* Bat::AppendUninitializedDouble(size_t n) {
-  DC_CHECK(type_ == DataType::kDouble);
-  DC_CHECK(validity_.empty());
-  size_t old = double_data_.size();
-  double_data_.resize(old + n);
-  return double_data_.data() + old;
-}
-
 void Bat::AppendBat(const Bat& other) {
   DC_CHECK(type_ == other.type_);
   // Track validity when either side already does; note an empty destination

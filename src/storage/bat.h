@@ -76,12 +76,10 @@ class Bat {
   /// Appends `n` copies of `v` (integer-backed BATs only) — the bulk
   /// timestamp-stamping path; a constant fill the compiler vectorises.
   void AppendConstantInt64(int64_t v, size_t n);
-  /// Appends `n` uninitialised values and returns the write pointer for
-  /// them. The fused value-compress kernels write qualifying values straight
-  /// into the column, then the caller Truncate()s down to the count the
-  /// kernel returned. Only for BATs holding no nulls (checked).
+  /// Appends `n` uninitialised values (integer-backed BATs holding no
+  /// nulls, checked) and returns the write pointer for them; the caller
+  /// fills all `n`.
   int64_t* AppendUninitializedInt64(size_t n);
-  double* AppendUninitializedDouble(size_t n);
 
   // --- Element access --------------------------------------------------
   bool IsNull(size_t pos) const;

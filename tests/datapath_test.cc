@@ -561,9 +561,9 @@ TEST(DatapathKernelTest, Avx2SelectMatchesScalar) {
 }
 
 // The interpreter runs Project(Filter(Scan)) and Aggregate over a filter node
-// by node (the fused kernels live in algebra/specialize.h only); these tests
-// keep their names from when it had fused paths of its own.
-class FusedPlanTest : public ::testing::Test {
+// by node: the filter takes the selected rows, and the next node runs over
+// them.
+class InterpretedPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(catalog_
@@ -596,7 +596,7 @@ class FusedPlanTest : public ::testing::Test {
   TablePtr input_;
 };
 
-TEST_F(FusedPlanTest, FusedProjectMatchesReference) {
+TEST_F(InterpretedPlanTest, ProjectOverFilterMatchesReference) {
   // Project(Filter(Scan)) with plain column refs: the projection gathers
   // from the filter node's output.
   auto got = Run("select b, a from t where a >= 10 and a <= 20");
@@ -609,7 +609,7 @@ TEST_F(FusedPlanTest, FusedProjectMatchesReference) {
   }
 }
 
-TEST_F(FusedPlanTest, FusedProjectCarriesNulls) {
+TEST_F(InterpretedPlanTest, ProjectOverFilterCarriesNulls) {
   auto got = Run("select b from t where a = 50");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   // Two rows with a == 50: the original (b = 350 % 13) and the null-b row.
@@ -618,7 +618,7 @@ TEST_F(FusedPlanTest, FusedProjectCarriesNulls) {
   EXPECT_TRUE((*got)->column(0)->IsNull(1));
 }
 
-TEST_F(FusedPlanTest, FusedAggregateMatchesReference) {
+TEST_F(InterpretedPlanTest, AggregateOverFilterMatchesReference) {
   auto got = Run(
       "select count(*), sum(b), min(a), max(a) from t "
       "where a >= 10 and a <= 20");
@@ -634,7 +634,7 @@ TEST_F(FusedPlanTest, FusedAggregateMatchesReference) {
   EXPECT_DOUBLE_EQ((*got)->column(3)->DoubleAt(0), 20.0);
 }
 
-TEST_F(FusedPlanTest, FusedCountStarSkipsNothing) {
+TEST_F(InterpretedPlanTest, CountStarOverFilterSkipsNothing) {
   // count(*) over a filter counts the rows it passes, nulls included.
   auto got = Run("select count(*), count(b) from t where a = 50");
   ASSERT_TRUE(got.ok()) << got.status().ToString();

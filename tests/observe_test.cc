@@ -511,13 +511,13 @@ TEST(TraceToggle, RingDropsEventsWhileDisabled) {
   EXPECT_NE(json.find("\"c\""), std::string::npos);
 }
 
-TEST(TraceToggle, EngineOptionAndRuntimeSwitch) {
+TEST(TraceToggle, RuntimeSwitch) {
   EngineOptions opts;
   opts.use_wall_clock = false;
   opts.trace_capacity = 256;
-  opts.trace_enabled = false;
   Engine engine(opts);
   if (engine.trace() == nullptr) GTEST_SKIP() << "built without tracing";
+  engine.SetTraceEnabled(false);
   ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
   auto q = engine.SubmitContinuousQuery(
       "sel", "select x from [select * from r] as s where s.x < 5");

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "algebra/operators.h"
-#include "common/random.h"
 
 namespace datacell {
 namespace {
@@ -193,36 +192,6 @@ TEST(AggregateTest, StringsNotAggregatable) {
   auto s = MakeStringBat({"x"});
   EXPECT_FALSE(AggregateAll(*s, nullptr).ok());
 }
-
-// Property: merging partials of a split equals the partial of the whole —
-// the decomposability the incremental window mode relies on (§3.1).
-class AggMergeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AggMergeTest, MergeEqualsWhole) {
-  int split = GetParam();
-  Rng rng(99);
-  std::vector<int64_t> data;
-  for (int i = 0; i < 100; ++i) data.push_back(rng.Uniform(-50, 50));
-  auto whole = MakeInt64Bat(data);
-  auto p_whole = AggregateAll(*whole, nullptr);
-  ASSERT_TRUE(p_whole.ok());
-
-  std::vector<int64_t> first(data.begin(), data.begin() + split);
-  std::vector<int64_t> second(data.begin() + split, data.end());
-  auto p1 = AggregateAll(*MakeInt64Bat(first), nullptr);
-  auto p2 = AggregateAll(*MakeInt64Bat(second), nullptr);
-  ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(p2.ok());
-  AggPartial merged = *p1;
-  merged.Merge(*p2);
-  EXPECT_EQ(merged.count, p_whole->count);
-  EXPECT_DOUBLE_EQ(merged.sum, p_whole->sum);
-  EXPECT_DOUBLE_EQ(merged.min, p_whole->min);
-  EXPECT_DOUBLE_EQ(merged.max, p_whole->max);
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, AggMergeTest,
-                         ::testing::Values(0, 1, 13, 50, 99, 100));
 
 TEST(SortTest, SingleKeyAscDesc) {
   auto t = std::make_shared<Table>("t", Schema({{"v", DataType::kInt64}}));

@@ -312,15 +312,25 @@ TEST_F(SpecializeEquivalenceTest, ScalarAggregatesNoFilter) {
   ExpectSameResults(1);
 }
 
-TEST_F(SpecializeEquivalenceTest, FusedFilterAggregate) {
+// 0.1 * i is inexact in double, so a sum over these values depends on the
+// order of its additions. Both backends must add in input row order: sum
+// and avg match the interpreter bit for bit.
+TEST_F(SpecializeEquivalenceTest, FilterAggregateInexactDoubles) {
+  double forward = 0.0, backward = 0.0;
+  for (int i = 0; i < 16; ++i) forward += i * 0.1;
+  for (int i = 15; i >= 0; --i) backward += i * 0.1;
+  ASSERT_NE(forward, backward) << "the data must make the additions round";
   s_.Setup("create basket r (x int, y double)");
-  s_.AddQuery("q", "select count(*), sum(y), min(y), max(y) "
-              "from [select * from r] as s where s.x < 6");
-  for (int i = 0; i < 12; ++i) {
-    Ingest("r", {Value::Int64(i), Value::Double(i * 0.25)});
+  s_.AddQuery("q", "select count(*), sum(y), avg(y), min(y), max(y) "
+              "from [select * from r] as s where s.x >= 0");
+  for (int i = 0; i < 16; ++i) {
+    Ingest("r", {Value::Int64(i), Value::Double(i * 0.1)});
   }
   s_.Drain();
   ExpectSameResults(1);
+  const differential::Report& report = Run();
+  ASSERT_EQ(report.rows(0, 0).size(), 1u);
+  EXPECT_EQ(report.rows(0, 0)[0][1], Value::Double(forward));
 }
 
 TEST_F(SpecializeEquivalenceTest, AggregateOverEmptyFire) {
@@ -685,98 +695,6 @@ TEST(SpecializeFallbackTest, GroupByDescriptionNamesKey) {
   std::string desc = (*info)->factory->PipelineDescription();
   EXPECT_NE(desc.find("aggregate: sum(qty) group by sym"), std::string::npos)
       << desc;
-}
-
-// --- kernel scalar vs AVX2 bit-equality ---------------------------------
-
-class KernelVariantTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kernel::HasAvx2()) {
-      GTEST_SKIP() << "AVX2 unavailable or disabled; scalar-only run";
-    }
-  }
-};
-
-TEST_F(KernelVariantTest, FilterValuesInt64Identical) {
-  std::vector<int64_t> data;
-  for (size_t i = 0; i < 1027; ++i) {
-    data.push_back(static_cast<int64_t>((i * 2654435761u) % 1000) - 500);
-  }
-  std::vector<int64_t> a(data.size()), b(data.size());
-  size_t ka = kernel::FilterValuesInt64Scalar(data.data(), -100, 250,
-                                              data.size(), a.data());
-  size_t kb = kernel::FilterValuesInt64Avx2(data.data(), -100, 250,
-                                            data.size(), b.data());
-  ASSERT_EQ(ka, kb);
-  for (size_t i = 0; i < ka; ++i) EXPECT_EQ(a[i], b[i]) << i;
-}
-
-TEST_F(KernelVariantTest, FilterValuesDoubleIdenticalWithNaN) {
-  std::vector<double> data;
-  for (size_t i = 0; i < 517; ++i) {
-    data.push_back(i % 11 == 0 ? std::numeric_limits<double>::quiet_NaN()
-                               : (static_cast<double>(i % 97) - 48) * 0.25);
-  }
-  std::vector<double> a(data.size()), b(data.size());
-  size_t ka = kernel::FilterValuesDoubleScalar(data.data(), -5.0, 5.0,
-                                               data.size(), a.data());
-  size_t kb = kernel::FilterValuesDoubleAvx2(data.data(), -5.0, 5.0,
-                                             data.size(), b.data());
-  ASSERT_EQ(ka, kb);
-  for (size_t i = 0; i < ka; ++i) {
-    EXPECT_EQ(a[i], b[i]) << i;  // NaN never passes, so == is safe
-  }
-}
-
-TEST_F(KernelVariantTest, FilterAggVariantsBitIdentical) {
-  constexpr size_t kN = 773;
-  std::vector<int64_t> fi(kN);
-  std::vector<double> fd(kN);
-  std::vector<int64_t> vi(kN);
-  std::vector<double> vd(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    fi[i] = static_cast<int64_t>((i * 48271) % 200) - 100;
-    fd[i] = static_cast<double>(fi[i]) * 0.25;
-    vi[i] = static_cast<int64_t>(i) - 300;
-    vd[i] = static_cast<double>(i) * 0.5 - 90.0;
-  }
-  kernel::FilterAggResult s, v;
-
-  s = {}; v = {};
-  kernel::FilterAggInt64Int64Scalar(fi.data(), -50, 50, vi.data(), kN, &s);
-  kernel::FilterAggInt64Int64Avx2(fi.data(), -50, 50, vi.data(), kN, &v);
-  EXPECT_EQ(s.count, v.count);
-  EXPECT_EQ(s.sum, v.sum);
-  EXPECT_EQ(s.min, v.min);
-  EXPECT_EQ(s.max, v.max);
-
-  s = {}; v = {};
-  kernel::FilterAggInt64DoubleScalar(fi.data(), -50, 50, vd.data(), kN, &s);
-  kernel::FilterAggInt64DoubleAvx2(fi.data(), -50, 50, vd.data(), kN, &v);
-  EXPECT_EQ(s.count, v.count);
-  EXPECT_EQ(s.sum, v.sum);
-  EXPECT_EQ(s.min, v.min);
-  EXPECT_EQ(s.max, v.max);
-
-  s = {}; v = {};
-  kernel::FilterAggDoubleInt64Scalar(fd.data(), -12.5, 12.5, vi.data(), kN,
-                                     &s);
-  kernel::FilterAggDoubleInt64Avx2(fd.data(), -12.5, 12.5, vi.data(), kN, &v);
-  EXPECT_EQ(s.count, v.count);
-  EXPECT_EQ(s.sum, v.sum);
-  EXPECT_EQ(s.min, v.min);
-  EXPECT_EQ(s.max, v.max);
-
-  s = {}; v = {};
-  kernel::FilterAggDoubleDoubleScalar(fd.data(), -12.5, 12.5, vd.data(), kN,
-                                      &s);
-  kernel::FilterAggDoubleDoubleAvx2(fd.data(), -12.5, 12.5, vd.data(), kN,
-                                    &v);
-  EXPECT_EQ(s.count, v.count);
-  EXPECT_EQ(s.sum, v.sum);
-  EXPECT_EQ(s.min, v.min);
-  EXPECT_EQ(s.max, v.max);
 }
 
 TEST(HashIndexTest, MatchesNaiveNestedLoop) {
