@@ -81,6 +81,7 @@ struct Gen {
       const size_t i = c.Pick(types.size());
       const std::string ref = rel + "." + Col(i);
       if (c.Pick(5) == 0) return ref + (c.Coin() ? " is null" : " is not null");
+      if (c.Pick(4) == 0) return ComputedPredicate(rel, types[i], ref);
       static const char* const kOps[] = {"<", "<=", ">", ">=", "=", "<>"};
       switch (types[i]) {
         case kBool:
@@ -101,6 +102,65 @@ struct Gen {
       p = "(" + p + (c.Coin() ? ") and (" : ") or (") + one() + ")";
     }
     return p;
+  }
+
+  /// A comparison over a computed expression of `ref` (of type `t`):
+  /// a scalar function, or arithmetic with the int key column.
+  std::string ComputedPredicate(const std::string& rel, Type t,
+                                const std::string& ref) {
+    const std::string k = std::to_string(c.Small());
+    switch (t) {
+      case kInt:
+      case kDouble:
+        switch (c.Pick(3)) {
+          case 0:
+            return "abs(" + ref + ") > " + k;
+          case 1:
+            return ref + " + " + rel + ".k >= " + k;
+          default:
+            return ref + " * 2 < " + k;
+        }
+      case kString:
+        return c.Coin() ? "upper(" + ref + ") = 'A'"
+                        : "length(" + ref + ") > 1";
+      case kBool:
+        return "case when " + ref + " then " + rel + ".k else 0 end > " + k;
+    }
+    return ref + " is null";
+  }
+
+  bool Has(Type t) const {
+    for (Type u : types) {
+      if (u == t) return true;
+    }
+    return false;
+  }
+
+  /// Scalar-function, CASE and column-op-column projections.
+  std::string Computed() {
+    const std::string i = ColumnOf(kInt);
+    const std::string d = ColumnOf(kDouble);
+    std::vector<std::string> exprs = {
+        "abs(" + i + ")",
+        "x.k + " + i,
+        "x.k * " + d,
+        i + " / x.k",
+        i + " % x.k",
+        d + " - " + i,
+        "floor(" + d + ")",
+        "round(" + d + " * 2)",
+        "case when " + Predicate() + " then " + d + " else " + i + " end",
+    };
+    if (Has(kString)) {
+      const std::string s = ColumnOf(kString);
+      exprs.push_back("upper(" + s + ")");
+      exprs.push_back("length(" + s + ")");
+    }
+    std::string out = "x.k";
+    for (size_t n = 1 + c.Pick(4), j = 0; j < n; ++j) {
+      out += ", " + exprs[c.Pick(exprs.size())] + " as e" + std::to_string(j);
+    }
+    return out;
   }
 
   /// A column of type `t`, else "x.k".
@@ -139,7 +199,7 @@ struct Gen {
     for (size_t i = 1; i < types.size(); ++i) {
       if (c.Coin()) cols += ", x." + Col(i);
     }
-    switch (c.Pick(10)) {
+    switch (c.Pick(11)) {
       case 0:
         return "select " + cols + src + where;
       case 1: {
@@ -170,6 +230,8 @@ struct Gen {
       case 8:
         return "select " + cols + " from [select * from " + from + " where " +
                Predicate(from) + "] as x";
+      case 9:
+        return "select " + Computed() + src + where;
       default:
         return "select " + cols + src + where + Window();
     }

@@ -16,7 +16,8 @@
 #   JOBS=N             parallel build jobs (default: nproc)
 #   BUILD_ROOT=dir     build directory (default: build-perf)
 #   THRESHOLD_PCT=N    max tolerated slowdown percent (default: 25)
-#   BENCH_FILTER=re    forwarded as --benchmark_filter (default: all)
+#   BENCH_FILTER=re    forwarded as --benchmark_filter (default: all); a
+#                      binary with no matching benchmark is skipped
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,7 +47,14 @@ for bench in datapath pipeline specialize observe shard; do
   if [ -n "${BENCH_FILTER}" ]; then
     args+=("--benchmark_filter=${BENCH_FILTER}")
   fi
+  rm -f "${out}"
   "${BUILD_ROOT}/bench/bench_${bench}" "${args[@]}"
+  # A binary none of whose benchmarks match BENCH_FILTER runs nothing and
+  # leaves its --json file empty: nothing to compare, not a regression.
+  if [ ! -s "${out}" ]; then
+    note "SKIP bench_${bench}: no benchmark matched the filter"
+    continue
+  fi
   python3 - "${baseline}" "${out}" "${THRESHOLD_PCT}" <<'EOF' || FAILED=1
 import json
 import sys

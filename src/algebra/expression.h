@@ -172,8 +172,7 @@ Result<std::vector<size_t>> EvaluatePredicate(const Expr& expr,
 /// value under predicate semantics — a null result counts as false, exactly
 /// as EvaluatePredicate would treat it per row. Returns nullopt when the
 /// expression references columns, is not boolean, or fails to evaluate.
-/// Used by the static analyzer (constant-predicate warning) and the plan
-/// specializer (always-true/false filter elimination); both must agree.
+/// Used by the static analyzer's constant-predicate warning (P023).
 std::optional<bool> TryFoldConstantPredicate(const Expr& expr);
 
 }  // namespace datacell

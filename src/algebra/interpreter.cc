@@ -27,22 +27,11 @@ Result<TablePtr> ExecScan(const PlanNode& n, const PlanBindings& bindings) {
   return t;
 }
 
-/// The selection vector of `n` (a filter node) over `in`: lowered kernel
-/// path when the predicate fits (rules shared with the plan specializer in
-/// lowering.h), generic evaluation otherwise.
-Result<std::vector<size_t>> FilterPositions(const PlanNode& n,
-                                            const Table& in) {
-  if (auto lowered = TryLowerSelect(*n.predicate(), in.schema())) {
-    return RunLoweredSelect(*lowered, in);
-  }
-  return EvaluatePredicate(*n.predicate(), in);
-}
-
 Result<TablePtr> ExecFilter(const PlanNode& n, const PlanBindings& bindings,
                             const ExecContext& ctx) {
   DC_ASSIGN_OR_RETURN(TablePtr in, Exec(*n.child(), bindings, ctx));
-  DC_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                      FilterPositions(n, *in));
+  std::vector<size_t> positions;
+  DC_RETURN_NOT_OK(SelectPositions(*n.predicate(), *in, &positions));
   if (positions.size() == in->num_rows()) return in;  // nothing filtered out
   return TablePtr(in->Take(positions));
 }

@@ -25,6 +25,11 @@ bool MatchLiteral(const Expr& e, Value* out) {
   return false;
 }
 
+namespace {
+
+/// Extracts (column, cmp-op, numeric-or-string literal) from `e`, accepting
+/// the literal on either side (the op is mirrored so the column reads as the
+/// left operand). Returns false when the shape does not match.
 bool MatchComparison(const Expr& e, const Schema& input, size_t* column,
                      BinaryOp* op, Value* literal) {
   if (e.kind() != ExprKind::kBinary) return false;
@@ -60,6 +65,11 @@ bool MatchComparison(const Expr& e, const Schema& input, size_t* column,
   return true;
 }
 
+/// Lowers one comparison into range bounds on `out`. Returns false when the
+/// column/literal type combination is not kernel-representable (double
+/// literal against an int column, a 64-bit int literal that does not
+/// round-trip through double against a double column, NaN, string ops other
+/// than equality).
 bool LowerComparison(const Schema& input, size_t column, BinaryOp op,
                      const Value& literal, LoweredSelect* out) {
   DataType col_type = input.field(column).type;
@@ -122,6 +132,7 @@ bool LowerComparison(const Schema& input, size_t column, BinaryOp op,
   return false;
 }
 
+/// Conjunction of two lowered ranges on the same column.
 void IntersectBounds(LoweredSelect* into, const LoweredSelect& other) {
   into->empty = into->empty || other.empty;
   if (other.ilo && (!into->ilo || *other.ilo > *into->ilo)) into->ilo = other.ilo;
@@ -129,6 +140,8 @@ void IntersectBounds(LoweredSelect* into, const LoweredSelect& other) {
   if (other.dlo && (!into->dlo || *other.dlo > *into->dlo)) into->dlo = other.dlo;
   if (other.dhi && (!into->dhi || *other.dhi < *into->dhi)) into->dhi = other.dhi;
 }
+
+}  // namespace
 
 std::optional<LoweredSelect> TryLowerSelect(const Expr& e,
                                             const Schema& input) {
@@ -152,15 +165,24 @@ std::optional<LoweredSelect> TryLowerSelect(const Expr& e,
   return std::nullopt;
 }
 
-std::vector<size_t> RunLoweredSelect(const LoweredSelect& sel,
-                                     const Table& input) {
-  if (sel.empty) return {};
-  const Bat& col = *input.column(sel.column);
-  if (sel.is_string) return SelectEqString(col, sel.str_value);
-  if (col.type() == DataType::kDouble) {
-    return SelectRangeDouble(col, sel.dlo, sel.dhi);
+Status SelectPositions(const Expr& e, const Table& input,
+                       std::vector<size_t>* out) {
+  auto lowered = TryLowerSelect(e, input.schema());
+  if (!lowered) {
+    DC_ASSIGN_OR_RETURN(*out, EvaluatePredicate(e, input));
+    return Status::OK();
   }
-  return SelectRangeInt64(col, sel.ilo, sel.ihi);
+  out->clear();
+  if (lowered->empty) return Status::OK();
+  const Bat& col = *input.column(lowered->column);
+  if (lowered->is_string) {
+    *out = SelectEqString(col, lowered->str_value);
+  } else if (col.type() == DataType::kDouble) {
+    SelectRangeDouble(col, lowered->dlo, lowered->dhi, out);
+  } else {
+    SelectRangeInt64(col, lowered->ilo, lowered->ihi, out);
+  }
+  return Status::OK();
 }
 
 }  // namespace datacell

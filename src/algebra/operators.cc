@@ -15,48 +15,62 @@ namespace {
 /// unconditionally and the cursor advances by the predicate result, so the
 /// inner loop carries no hard-to-predict branch.
 template <typename T>
-std::vector<size_t> SelectRangeImpl(const Bat& b, const T* data, size_t n,
-                                    T l, T h) {
-  std::vector<size_t> out(n);  // one exact allocation, no push_back growth
+void SelectRangeImpl(const Bat& b, const T* data, size_t n, T l, T h,
+                     std::vector<size_t>* out) {
+  out->resize(n);  // one exact size, no push_back growth
+  size_t* pos = out->data();
   size_t k = 0;
   if (!b.has_nulls()) {
     // Null-free columns hit the raw-buffer kernels, which pick the AVX2
     // variant at runtime when the CPU has it.
     if constexpr (std::is_same_v<T, int64_t>) {
-      k = kernel::SelectRangeInt64(data, l, h, 0, n, out.data());
+      k = kernel::SelectRangeInt64(data, l, h, 0, n, pos);
     } else {
-      k = kernel::SelectRangeDouble(data, l, h, 0, n, out.data());
+      k = kernel::SelectRangeDouble(data, l, h, 0, n, pos);
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      out[k] = i;
+      pos[k] = i;
       k += static_cast<size_t>(!b.IsNull(i) && data[i] >= l && data[i] <= h);
     }
   }
-  out.resize(k);
-  return out;
+  out->resize(k);
 }
 
 }  // namespace
 
-std::vector<size_t> SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
-                                     std::optional<int64_t> hi) {
+void SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
+                      std::optional<int64_t> hi, std::vector<size_t>* out) {
   DC_CHECK(IsIntegerBacked(b.type()));
   const auto& data = b.int64_data();
-  return SelectRangeImpl<int64_t>(
-      b, data.data(), data.size(),
-      lo.value_or(std::numeric_limits<int64_t>::min()),
-      hi.value_or(std::numeric_limits<int64_t>::max()));
+  SelectRangeImpl<int64_t>(b, data.data(), data.size(),
+                           lo.value_or(std::numeric_limits<int64_t>::min()),
+                           hi.value_or(std::numeric_limits<int64_t>::max()),
+                           out);
+}
+
+void SelectRangeDouble(const Bat& b, std::optional<double> lo,
+                       std::optional<double> hi, std::vector<size_t>* out) {
+  DC_CHECK(b.type() == DataType::kDouble);
+  const auto& data = b.double_data();
+  SelectRangeImpl<double>(b, data.data(), data.size(),
+                          lo.value_or(-std::numeric_limits<double>::infinity()),
+                          hi.value_or(std::numeric_limits<double>::infinity()),
+                          out);
+}
+
+std::vector<size_t> SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
+                                     std::optional<int64_t> hi) {
+  std::vector<size_t> out;
+  SelectRangeInt64(b, lo, hi, &out);
+  return out;
 }
 
 std::vector<size_t> SelectRangeDouble(const Bat& b, std::optional<double> lo,
                                       std::optional<double> hi) {
-  DC_CHECK(b.type() == DataType::kDouble);
-  const auto& data = b.double_data();
-  return SelectRangeImpl<double>(
-      b, data.data(), data.size(),
-      lo.value_or(-std::numeric_limits<double>::infinity()),
-      hi.value_or(std::numeric_limits<double>::infinity()));
+  std::vector<size_t> out;
+  SelectRangeDouble(b, lo, hi, &out);
+  return out;
 }
 
 std::vector<size_t> SelectEqString(const Bat& b, const std::string& v) {
@@ -70,22 +84,6 @@ std::vector<size_t> SelectEqString(const Bat& b, const std::string& v) {
   for (size_t i = 0; i < n; ++i) {
     if (!b.IsNull(i) && data[i] == v) out.push_back(i);
   }
-  return out;
-}
-
-std::vector<size_t> IntersectPositions(const std::vector<size_t>& a,
-                                       const std::vector<size_t>& b) {
-  std::vector<size_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<size_t> UnionPositions(const std::vector<size_t>& a,
-                                   const std::vector<size_t>& b) {
-  std::vector<size_t> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
   return out;
 }
 
@@ -160,7 +158,7 @@ Result<JoinResult> HashJoin(const Bat& left_key, const Bat& right_key) {
     build[key].push_back(i);
   }
   JoinResult out;
-  const size_t n = left_key.size();  // out-of-line: read once, not per row
+  const size_t n = left_key.size();
   for (size_t i = 0; i < n; ++i) {
     if (left_key.IsNull(i)) continue;
     key.clear();
@@ -271,7 +269,7 @@ Result<std::vector<AggPartial>> AggregateByGroup(const Bat& values,
     return Status::Internal("aggregate input cardinality mismatch");
   }
   std::vector<AggPartial> partials(grouping.num_groups);
-  const size_t n = values.size();  // out-of-line: read once, not per row
+  const size_t n = values.size();
   for (size_t i = 0; i < n; ++i) {
     if (values.IsNull(i)) continue;
     partials[grouping.group_ids[i]].AddValue(AggValueAt(values, i));
@@ -284,7 +282,7 @@ Result<AggPartial> AggregateAll(const Bat& values,
   DC_RETURN_NOT_OK(CheckAggregatable(values));
   AggPartial p;
   if (positions == nullptr) {
-    const size_t n = values.size();  // out-of-line: read once, not per row
+    const size_t n = values.size();
     for (size_t i = 0; i < n; ++i) {
       if (!values.IsNull(i)) p.AddValue(AggValueAt(values, i));
     }

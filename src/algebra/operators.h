@@ -26,15 +26,14 @@ std::vector<size_t> SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
                                      std::optional<int64_t> hi);
 std::vector<size_t> SelectRangeDouble(const Bat& b, std::optional<double> lo,
                                       std::optional<double> hi);
+/// The same selects into `out` (replaced; its capacity is reused).
+void SelectRangeInt64(const Bat& b, std::optional<int64_t> lo,
+                      std::optional<int64_t> hi, std::vector<size_t>* out);
+void SelectRangeDouble(const Bat& b, std::optional<double> lo,
+                       std::optional<double> hi, std::vector<size_t>* out);
 /// Positions where b[i] == v.
 std::vector<size_t> SelectEqString(const Bat& b, const std::string& v);
 
-/// Intersects two sorted position lists (conjunctive selections).
-std::vector<size_t> IntersectPositions(const std::vector<size_t>& a,
-                                       const std::vector<size_t>& b);
-/// Unions two sorted position lists (disjunctive selections).
-std::vector<size_t> UnionPositions(const std::vector<size_t>& a,
-                                   const std::vector<size_t>& b);
 /// Complement of a sorted position list against [0, n).
 std::vector<size_t> ComplementPositions(const std::vector<size_t>& a, size_t n);
 

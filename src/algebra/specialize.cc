@@ -1,14 +1,13 @@
 #include "algebra/specialize.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algebra/expression.h"
+#include "algebra/lowering.h"
 #include "algebra/operators.h"
 #include "common/check.h"
 
@@ -16,27 +15,16 @@ namespace datacell {
 
 namespace {
 
-// Lowered ranges keep absent bounds as nullopt; the kernels take concrete
-// sentinels. Substitutions match the operators.cc wrappers exactly so both
-// paths select the same positions.
-int64_t ILo(const LoweredSelect& s) {
-  return s.ilo.value_or(std::numeric_limits<int64_t>::min());
-}
-int64_t IHi(const LoweredSelect& s) {
-  return s.ihi.value_or(std::numeric_limits<int64_t>::max());
-}
-double DLo(const LoweredSelect& s) {
-  return s.dlo.value_or(-std::numeric_limits<double>::infinity());
-}
-double DHi(const LoweredSelect& s) {
-  return s.dhi.value_or(std::numeric_limits<double>::infinity());
-}
-
-bool NumericColumn(DataType t) {
-  return IsIntegerBacked(t) || t == DataType::kDouble;
-}
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Appends `src` at `rows` to `dst`, or all of `src` when `rows` is null.
+void Gather(const Bat& src, const std::vector<size_t>* rows, Bat* dst) {
+  if (rows != nullptr) {
+    dst->AppendPositions(src, *rows);
+  } else {
+    dst->AppendBat(src);
+  }
+}
 
 }  // namespace
 
@@ -52,13 +40,7 @@ class PipelineBuilder {
   SpecializeResult Build(const PlanNode& root);
 
  private:
-  using Pred = SpecializedPipeline::Pred;
-  using Proj = SpecializedPipeline::Proj;
   using Agg = SpecializedPipeline::Agg;
-
-  // Constant predicates fold at compile time; kNone means `out` holds a
-  // real compiled predicate.
-  enum class Fold { kNone, kTrue, kFalse };
 
   static SpecializeResult Fail(std::string reason) {
     SpecializeResult r;
@@ -66,206 +48,9 @@ class PipelineBuilder {
     return r;
   }
 
-  bool CompilePred(const Expr& e, const Schema& s, Pred* out, Fold* fold);
-  bool CompileProj(const Expr& e, DataType out_type, Proj* out);
-
   const std::string& stream_;
   const PlanBindings& statics_;
 };
-
-bool PipelineBuilder::CompilePred(const Expr& e, const Schema& s, Pred* out,
-                                  Fold* fold) {
-  *fold = Fold::kNone;
-  // Constant folding first: the same folding the analyzer warns about
-  // (P023), so a warned predicate and a specialized one always agree.
-  if (auto k = TryFoldConstantPredicate(e)) {
-    *fold = *k ? Fold::kTrue : Fold::kFalse;
-    return true;
-  }
-  if (auto lowered = TryLowerSelect(e, s)) {
-    out->kind = Pred::Kind::kLowered;
-    out->lowered = std::move(*lowered);
-    return true;
-  }
-  if (e.kind() == ExprKind::kBinary) {
-    BinaryOp op = e.binary_op();
-    if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-      Pred l, r;
-      Fold fl, fr;
-      if (!CompilePred(*e.left(), s, &l, &fl) ||
-          !CompilePred(*e.right(), s, &r, &fr)) {
-        return false;
-      }
-      // Under the evaluator's null-as-false semantics, a constant operand
-      // folds exactly like two-valued logic: false AND x == false even when
-      // x is null, true OR x == true likewise.
-      if (op == BinaryOp::kAnd) {
-        if (fl == Fold::kFalse || fr == Fold::kFalse) {
-          *fold = Fold::kFalse;
-          return true;
-        }
-        if (fl == Fold::kTrue && fr == Fold::kTrue) {
-          *fold = Fold::kTrue;
-          return true;
-        }
-        if (fl == Fold::kTrue) {
-          *out = std::move(r);
-          return true;
-        }
-        if (fr == Fold::kTrue) {
-          *out = std::move(l);
-          return true;
-        }
-        // Same-column numeric ranges conjoin into one kernel pass.
-        if (l.kind == Pred::Kind::kLowered && r.kind == Pred::Kind::kLowered &&
-            !l.lowered.is_string && !r.lowered.is_string &&
-            l.lowered.column == r.lowered.column) {
-          IntersectBounds(&l.lowered, r.lowered);
-          *out = std::move(l);
-          return true;
-        }
-      } else {
-        if (fl == Fold::kTrue || fr == Fold::kTrue) {
-          *fold = Fold::kTrue;
-          return true;
-        }
-        if (fl == Fold::kFalse && fr == Fold::kFalse) {
-          *fold = Fold::kFalse;
-          return true;
-        }
-        if (fl == Fold::kFalse) {
-          *out = std::move(r);
-          return true;
-        }
-        if (fr == Fold::kFalse) {
-          *out = std::move(l);
-          return true;
-        }
-      }
-      out->kind = op == BinaryOp::kAnd ? Pred::Kind::kAnd : Pred::Kind::kOr;
-      out->children.push_back(std::move(l));
-      out->children.push_back(std::move(r));
-      return true;
-    }
-    if (op == BinaryOp::kNe) {
-      // <> lowers through the equality kernel: complement of the eq
-      // positions, minus nulls (null <> v is false, but a null position is
-      // absent from the eq list and would otherwise survive complementing).
-      const Expr* col = nullptr;
-      Value lit;
-      if (e.left()->kind() == ExprKind::kColumnRef &&
-          MatchLiteral(*e.right(), &lit)) {
-        col = e.left().get();
-      } else if (e.right()->kind() == ExprKind::kColumnRef &&
-                 MatchLiteral(*e.left(), &lit)) {
-        col = e.right().get();
-      }
-      if (col == nullptr || lit.is_null()) return false;
-      if (col->column_index() >= s.num_fields()) return false;
-      LoweredSelect eq;
-      if (!LowerComparison(s, col->column_index(), BinaryOp::kEq, lit, &eq)) {
-        return false;
-      }
-      out->kind = Pred::Kind::kNotEqual;
-      out->lowered = std::move(eq);
-      return true;
-    }
-    if (op == BinaryOp::kLike) {
-      if (e.left()->kind() != ExprKind::kColumnRef ||
-          e.left()->type() != DataType::kString ||
-          e.right()->kind() != ExprKind::kLiteral ||
-          !e.right()->literal().is_string() ||
-          e.left()->column_index() >= s.num_fields()) {
-        return false;
-      }
-      out->kind = Pred::Kind::kLike;
-      out->column = e.left()->column_index();
-      out->pattern = e.right()->literal().string_value();
-      return true;
-    }
-    return false;
-  }
-  if (e.kind() == ExprKind::kUnary) {
-    UnaryOp op = e.unary_op();
-    if (op == UnaryOp::kNot) {
-      Pred c;
-      Fold fc;
-      if (!CompilePred(*e.operand(), s, &c, &fc)) return false;
-      if (fc == Fold::kTrue) {
-        *fold = Fold::kFalse;
-        return true;
-      }
-      if (fc == Fold::kFalse) {
-        *fold = Fold::kTrue;
-        return true;
-      }
-      out->kind = Pred::Kind::kNot;
-      out->children.push_back(std::move(c));
-      return true;
-    }
-    if (op == UnaryOp::kIsNull || op == UnaryOp::kIsNotNull) {
-      if (e.operand()->kind() != ExprKind::kColumnRef ||
-          e.operand()->column_index() >= s.num_fields()) {
-        return false;
-      }
-      out->kind = op == UnaryOp::kIsNull ? Pred::Kind::kIsNull
-                                         : Pred::Kind::kIsNotNull;
-      out->column = e.operand()->column_index();
-      return true;
-    }
-    return false;
-  }
-  if (e.kind() == ExprKind::kColumnRef && e.type() == DataType::kBool) {
-    if (e.column_index() >= s.num_fields()) return false;
-    out->kind = Pred::Kind::kBoolColumn;
-    out->column = e.column_index();
-    return true;
-  }
-  return false;
-}
-
-bool PipelineBuilder::CompileProj(const Expr& e, DataType out_type,
-                                  Proj* out) {
-  if (e.kind() == ExprKind::kColumnRef) {
-    out->kind = Proj::Kind::kColumn;
-    out->column = e.column_index();
-    return true;
-  }
-  if (e.kind() != ExprKind::kBinary) return false;
-  BinaryOp op = e.binary_op();
-  if (op != BinaryOp::kAdd && op != BinaryOp::kSub && op != BinaryOp::kMul &&
-      op != BinaryOp::kDiv && op != BinaryOp::kMod) {
-    return false;
-  }
-  const Expr* col = nullptr;
-  Value v;
-  bool literal_on_left = false;
-  if (e.left()->kind() == ExprKind::kColumnRef && MatchLiteral(*e.right(), &v)) {
-    col = e.left().get();
-  } else if (e.right()->kind() == ExprKind::kColumnRef &&
-             MatchLiteral(*e.left(), &v)) {
-    col = e.right().get();
-    literal_on_left = true;
-  } else {
-    return false;
-  }
-  // A null literal poisons every row to null; leave that to the
-  // interpreter rather than special-casing a degenerate projection.
-  if (!(v.is_int64() || v.is_double() || v.is_timestamp())) return false;
-  if (!NumericColumn(col->type())) return false;
-  if (out_type != DataType::kInt64 && out_type != DataType::kDouble) {
-    return false;
-  }
-  // The integer path reads Int64At on both operands.
-  if (out_type == DataType::kInt64 && v.is_double()) return false;
-  out->kind = Proj::Kind::kArith;
-  out->column = col->column_index();
-  out->op = op;
-  out->literal_on_left = literal_on_left;
-  out->literal = v;
-  out->out_type = out_type;
-  return true;
-}
 
 SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
   auto pipe = std::make_unique<SpecializedPipeline>();
@@ -370,65 +155,14 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     return Fail("unsupported operator: " + n->Describe());
   }
 
-  // Compile the filter stack bottom-up into one predicate tree. Each filter
-  // only drops rows, so a row survives the stack iff it satisfies every
-  // predicate — the conjunction evaluated on the source schema (all stacked
-  // filters share it) selects the same rows the sequential filters would.
-  std::optional<Pred> combined;
-  std::vector<std::string> filter_desc;
-  bool always_false = false;
+  // Stacked filters merge bottom-up into one conjunction. Each filter only
+  // drops rows, so a row survives the stack iff it satisfies every
+  // predicate, and all of them read the source schema.
   for (auto fit = filters.rbegin(); fit != filters.rend(); ++fit) {
-    const Expr& pe = *(*fit)->predicate();
-    Pred p;
-    Fold fold = Fold::kNone;
-    if (!CompilePred(pe, source, &p, &fold)) {
-      return Fail("predicate not specializable: " + pe.ToString());
-    }
-    if (fold == Fold::kTrue) {
-      filter_desc.push_back(pe.ToString() + "  [constant true: eliminated]");
-      continue;
-    }
-    if (fold == Fold::kFalse) {
-      always_false = true;
-      filter_desc.push_back(pe.ToString() +
-                            "  [constant false: selects nothing]");
-      continue;
-    }
-    filter_desc.push_back(pe.ToString());
-    if (!combined) {
-      combined.emplace(std::move(p));
-    } else if (combined->kind == Pred::Kind::kLowered &&
-               p.kind == Pred::Kind::kLowered && !combined->lowered.is_string &&
-               !p.lowered.is_string &&
-               combined->lowered.column == p.lowered.column) {
-      IntersectBounds(&combined->lowered, p.lowered);
-    } else {
-      Pred andp;
-      andp.kind = Pred::Kind::kAnd;
-      andp.children.push_back(std::move(*combined));
-      andp.children.push_back(std::move(p));
-      combined.emplace(std::move(andp));
-    }
+    const ExprPtr& p = (*fit)->predicate();
+    pipe->filter_ = pipe->filter_ ? Expr::And(pipe->filter_, p) : p;
   }
-  if (always_false) {
-    pipe->always_false_ = true;
-  } else {
-    pipe->filter_ = std::move(combined);
-  }
-
-  if (projectnode != nullptr) {
-    std::vector<Proj> projs;
-    const Schema& os = projectnode->output_schema();
-    for (size_t i = 0; i < projectnode->projections().size(); ++i) {
-      const Expr& e = *projectnode->projections()[i];
-      Proj pr;
-      if (!CompileProj(e, os.field(i).type, &pr)) {
-        return Fail("projection not specializable: " + e.ToString());
-      }
-      projs.push_back(std::move(pr));
-    }
-    pipe->project_.emplace(std::move(projs));
-  }
+  if (projectnode != nullptr) pipe->project_ = projectnode->projections();
 
   // Aggregate inputs and the group key resolve through the (column-ref-only)
   // pre-projection to source columns.
@@ -490,12 +224,11 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
          "[" + std::to_string(pipe->join_->build_key) +
          "] (index over the static side, rebuilt only when it grows)\n";
   }
-  for (const std::string& fd : filter_desc) {
-    d += "  " + std::to_string(step++) + ". filter: " + fd + "\n";
-  }
-  if (pipe->filter_ && pipe->filter_->kind == Pred::Kind::kLowered &&
-      !pipe->filter_->lowered.is_string) {
-    d += "       [kernel range select]\n";
+  if (pipe->filter_) {
+    d += "  " + std::to_string(step++) + ". filter: " +
+         pipe->filter_->ToString() + "\n";
+    auto lowered = TryLowerSelect(*pipe->filter_, source);
+    if (lowered && !lowered->is_string) d += "       [kernel range select]\n";
   }
   if (projectnode != nullptr) {
     std::string cols;
@@ -559,7 +292,7 @@ size_t SpecializedPipeline::StateBytes(int64_t string_bytes) const {
 
 void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
   if (join_) join_step_ = profile->AddStep("hash-join probe", 0);
-  if (filter_ || always_false_) filter_step_ = profile->AddStep("filter", 0);
+  if (filter_) filter_step_ = profile->AddStep("filter", 0);
   if (project_) project_step_ = profile->AddStep("project", 0);
   if (aggregates_) agg_step_ = profile->AddStep("aggregate", 0);
   if (!post_projects_.empty()) {
@@ -570,232 +303,25 @@ void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
   }
 }
 
-void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
-                                   std::vector<size_t>* out) const {
-  size_t n = in.num_rows();
-  out->clear();
-  switch (p.kind) {
-    case Pred::Kind::kLowered: {
-      const LoweredSelect& l = p.lowered;
-      if (l.empty) return;
-      const Bat& col = *in.column(l.column);
-      // Null-free numeric selects skip the generic wrapper's allocation and
-      // dispatch.
-      if (!l.is_string && !col.has_nulls()) {
-        out->resize(n);
-        size_t k;
-        if (col.type() == DataType::kDouble) {
-          k = kernel::SelectRangeDouble(col.double_data().data(), DLo(l),
-                                        DHi(l), 0, n, out->data());
-        } else {
-          k = kernel::SelectRangeInt64(col.int64_data().data(), ILo(l),
-                                       IHi(l), 0, n, out->data());
-        }
-        out->resize(k);
-        return;
-      }
-      *out = RunLoweredSelect(l, in);
-      return;
-    }
-    case Pred::Kind::kNotEqual: {
-      std::vector<size_t> eq = RunLoweredSelect(p.lowered, in);
-      std::vector<size_t> comp = ComplementPositions(eq, n);
-      const Bat& col = *in.column(p.lowered.column);
-      if (!col.has_nulls()) {
-        *out = std::move(comp);
-        return;
-      }
-      // null <> v is false, but nulls are absent from the eq positions and
-      // would otherwise survive the complement.
-      out->reserve(comp.size());
-      for (size_t pos : comp) {
-        if (!col.IsNull(pos)) out->push_back(pos);
-      }
-      return;
-    }
-    case Pred::Kind::kBoolColumn: {
-      const Bat& col = *in.column(p.column);
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.IsNull(i) && col.BoolAt(i)) out->push_back(i);
-      }
-      return;
-    }
-    case Pred::Kind::kIsNull: {
-      const Bat& col = *in.column(p.column);
-      if (!col.has_nulls()) return;
-      for (size_t i = 0; i < n; ++i) {
-        if (col.IsNull(i)) out->push_back(i);
-      }
-      return;
-    }
-    case Pred::Kind::kIsNotNull: {
-      const Bat& col = *in.column(p.column);
-      if (!col.has_nulls()) {
-        out->resize(n);
-        std::iota(out->begin(), out->end(), size_t{0});
-        return;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.IsNull(i)) out->push_back(i);
-      }
-      return;
-    }
-    case Pred::Kind::kLike: {
-      const Bat& col = *in.column(p.column);
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.IsNull(i) && LikeMatch(col.StringAt(i), p.pattern)) {
-          out->push_back(i);
-        }
-      }
-      return;
-    }
-    case Pred::Kind::kNot: {
-      // NOT over null-as-false evaluates true at nulls, so the plain
-      // complement (which keeps null positions) is exactly right.
-      std::vector<size_t> c;
-      EvalPred(p.children[0], in, &c);
-      *out = ComplementPositions(c, n);
-      return;
-    }
-    case Pred::Kind::kAnd:
-    case Pred::Kind::kOr: {
-      std::vector<size_t> a, b;
-      EvalPred(p.children[0], in, &a);
-      EvalPred(p.children[1], in, &b);
-      *out = p.kind == Pred::Kind::kAnd ? IntersectPositions(a, b)
-                                        : UnionPositions(a, b);
-      return;
-    }
-  }
-}
-
-Status SpecializedPipeline::RunProjection(const Proj& p, const Table& in,
-                                          const std::vector<size_t>* positions,
-                                          Bat* out) const {
-  const Bat& col = *in.column(p.column);
-  if (p.kind == Proj::Kind::kColumn) {
-    if (positions != nullptr) {
-      out->AppendPositions(col, *positions);
-    } else {
-      out->AppendBat(col);
-    }
-    return Status::OK();
-  }
-  // Column-op-literal arithmetic, replicating EvalArithmetic row for row
-  // (including null propagation and div/mod-by-zero -> null).
-  size_t n = positions != nullptr ? positions->size() : in.num_rows();
-  auto pos_at = [&](size_t i) {
-    return positions != nullptr ? (*positions)[i] : i;
-  };
-  if (p.out_type == DataType::kInt64) {
-    int64_t lv = p.literal.is_double()
-                     ? 0  // unreachable: compile rejects double literals here
-                     : p.literal.int64_value();
-    for (size_t i = 0; i < n; ++i) {
-      size_t pos = pos_at(i);
-      if (col.IsNull(pos)) {
-        out->AppendNull();
-        continue;
-      }
-      int64_t cv = col.Int64At(pos);
-      int64_t a = p.literal_on_left ? lv : cv;
-      int64_t b = p.literal_on_left ? cv : lv;
-      switch (p.op) {
-        case BinaryOp::kAdd:
-          out->AppendInt64(a + b);
-          break;
-        case BinaryOp::kSub:
-          out->AppendInt64(a - b);
-          break;
-        case BinaryOp::kMul:
-          out->AppendInt64(a * b);
-          break;
-        case BinaryOp::kDiv:
-          if (b == 0) {
-            out->AppendNull();
-          } else {
-            out->AppendInt64(a / b);
-          }
-          break;
-        case BinaryOp::kMod:
-          if (b == 0) {
-            out->AppendNull();
-          } else {
-            out->AppendInt64(a % b);
-          }
-          break;
-        default:
-          return Status::Internal("bad specialized arithmetic op");
-      }
-    }
-    return Status::OK();
-  }
-  // Double path: operands convert through double exactly like NumericAt.
-  double lv = p.literal.is_double() ? p.literal.double_value()
-                                    : static_cast<double>(
-                                          p.literal.int64_value());
-  bool col_is_double = col.type() == DataType::kDouble;
-  for (size_t i = 0; i < n; ++i) {
-    size_t pos = pos_at(i);
-    if (col.IsNull(pos)) {
-      out->AppendNull();
-      continue;
-    }
-    double cv = col_is_double ? col.DoubleAt(pos)
-                              : static_cast<double>(col.Int64At(pos));
-    double a = p.literal_on_left ? lv : cv;
-    double b = p.literal_on_left ? cv : lv;
-    switch (p.op) {
-      case BinaryOp::kAdd:
-        out->AppendDouble(a + b);
-        break;
-      case BinaryOp::kSub:
-        out->AppendDouble(a - b);
-        break;
-      case BinaryOp::kMul:
-        out->AppendDouble(a * b);
-        break;
-      case BinaryOp::kDiv:
-        if (b == 0.0) {
-          out->AppendNull();
-        } else {
-          out->AppendDouble(a / b);
-        }
-        break;
-      case BinaryOp::kMod:
-        if (b == 0.0) {
-          out->AppendNull();
-        } else {
-          out->AppendDouble(std::fmod(a, b));
-        }
-        break;
-      default:
-        return Status::Internal("bad specialized arithmetic op");
-    }
+Status SpecializedPipeline::Select(const Table& in, PipelineProfile* prof) {
+  if (!filter_) return Status::OK();
+  int64_t t0 = prof != nullptr ? ProfileNowNs() : 0;
+  DC_RETURN_NOT_OK(SelectPositions(*filter_, in, &sel_));
+  if (prof != nullptr) {
+    prof->RecordStep(filter_step_, static_cast<int64_t>(in.num_rows()),
+                     static_cast<int64_t>(sel_.size()), ProfileNowNs() - t0);
   }
   return Status::OK();
 }
 
 Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
                                                    const ExecContext& ctx) {
-  size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;
-  int64_t t_start = prof != nullptr ? ProfileNowNs() : 0;
-  int64_t filter_ns = 0;
-  // The aggregates read every row, or the filter's positions (none when
-  // the filter folded to false).
-  const std::vector<size_t>* positions = nullptr;
-  if (filter_ || always_false_) {
-    sel_.clear();
-    if (filter_) EvalPred(*filter_, in, &sel_);
-    positions = &sel_;
-    if (prof != nullptr) {
-      filter_ns = ProfileNowNs() - t_start;
-      prof->RecordStep(filter_step_, static_cast<int64_t>(n),
-                       static_cast<int64_t>(sel_.size()), filter_ns);
-    }
-  }
-  size_t agg_in = positions != nullptr ? positions->size() : n;
+  DC_RETURN_NOT_OK(Select(in, prof));
+  // The aggregates read every row, or the filter's positions.
+  const std::vector<size_t>* positions = filter_ ? &sel_ : nullptr;
+  int64_t t0 = prof != nullptr ? ProfileNowNs() : 0;
+  size_t agg_in = positions != nullptr ? positions->size() : in.num_rows();
   auto out = std::make_shared<Table>("", agg_schema_);
   Row row;
   row.reserve(aggregates_->size());
@@ -810,7 +336,7 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
   }
   if (prof != nullptr) {
     prof->RecordStep(agg_step_, static_cast<int64_t>(agg_in), 1,
-                     ProfileNowNs() - t_start - filter_ns);
+                     ProfileNowNs() - t0);
   }
   DC_RETURN_NOT_OK(out->AppendRow(row));
   return RunPostProjections(std::move(out), prof);
@@ -925,22 +451,11 @@ Status SpecializedPipeline::AccumulateGroups(const Agg& g, const Table& in,
 
 Result<TablePtr> SpecializedPipeline::RunGroupAggregate(
     const Table& in, const ExecContext& ctx) {
-  size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;
-  // The filter's selection vector, when there is one, drives the row order;
-  // a constant-false filter leaves nothing to group.
-  const std::vector<size_t>* rows = nullptr;
-  if (always_false_ || filter_) {
-    int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-    sel_.clear();
-    if (filter_) EvalPred(*filter_, in, &sel_);
-    rows = &sel_;
-    if (prof != nullptr) {
-      prof->RecordStep(filter_step_, static_cast<int64_t>(n),
-                       static_cast<int64_t>(sel_.size()), ProfileNowNs() - ft0);
-    }
-  }
-  size_t nrows = rows != nullptr ? rows->size() : n;
+  DC_RETURN_NOT_OK(Select(in, prof));
+  // The filter's selection vector, when there is one, drives the row order.
+  const std::vector<size_t>* rows = filter_ ? &sel_ : nullptr;
+  size_t nrows = rows != nullptr ? rows->size() : in.num_rows();
   int64_t at0 = prof != nullptr ? ProfileNowNs() : 0;
   const Bat& key = *in.column(group_->column);
   group_ids_.resize(nrows);
@@ -968,60 +483,36 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
                                                 const ExecContext& ctx) {
   if (group_) return RunGroupAggregate(in, ctx);
   if (aggregates_) return RunAggregate(in, ctx);
-  size_t n = in.num_rows();
   PipelineProfile* prof = ctx.profile;
+  DC_RETURN_NOT_OK(Select(in, prof));
+  const std::vector<size_t>* rows = filter_ ? &sel_ : nullptr;
+  const auto nrows =
+      static_cast<int64_t>(rows != nullptr ? rows->size() : in.num_rows());
+  int64_t t0 = prof != nullptr ? ProfileNowNs() : 0;
   auto out = std::make_shared<Table>("", output_schema_);
-  if (always_false_) {
-    if (prof != nullptr) {
-      prof->RecordStep(filter_step_, static_cast<int64_t>(n), 0, 0);
-    }
-    return out;
-  }
-  if (!filter_) {
-    int64_t t0 = prof != nullptr ? ProfileNowNs() : 0;
-    if (project_) {
-      for (size_t i = 0; i < project_->size(); ++i) {
-        DC_RETURN_NOT_OK(
-            RunProjection((*project_)[i], in, nullptr, out->column(i).get()));
-      }
-    } else {
-      for (size_t c = 0; c < in.num_columns(); ++c) {
-        out->column(c)->AppendBat(*in.column(c));
-      }
-    }
-    if (prof != nullptr) {
-      prof->RecordStep(project_step_, static_cast<int64_t>(n),
-                       static_cast<int64_t>(n), ProfileNowNs() - t0);
-    }
-    return out;
-  }
-  const Pred& f = *filter_;
-  if (f.kind == Pred::Kind::kLowered && f.lowered.empty) {
-    if (prof != nullptr) {
-      prof->RecordStep(filter_step_, static_cast<int64_t>(n), 0, 0);
-    }
-    return out;
-  }
-  int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-  EvalPred(f, in, &sel_);
-  if (prof != nullptr) {
-    prof->RecordStep(filter_step_, static_cast<int64_t>(n),
-                     static_cast<int64_t>(sel_.size()), ProfileNowNs() - ft0);
-  }
-  int64_t pt0 = prof != nullptr ? ProfileNowNs() : 0;
   if (project_) {
+    // A column reference is gathered through the positions; any other
+    // projection evaluates over the selected rows, as the interpreter's
+    // Filter then Project does.
+    std::unique_ptr<Table> selected;
     for (size_t i = 0; i < project_->size(); ++i) {
-      DC_RETURN_NOT_OK(
-          RunProjection((*project_)[i], in, &sel_, out->column(i).get()));
+      const Expr& e = *(*project_)[i];
+      if (e.kind() == ExprKind::kColumnRef) {
+        Gather(*in.column(e.column_index()), rows, out->column(i).get());
+        continue;
+      }
+      if (rows != nullptr && selected == nullptr) selected = in.Take(*rows);
+      DC_ASSIGN_OR_RETURN(BatPtr col,
+                          EvaluateExpr(e, rows != nullptr ? *selected : in));
+      out->column(i)->AppendBat(*col);
     }
   } else {
     for (size_t c = 0; c < in.num_columns(); ++c) {
-      out->column(c)->AppendPositions(*in.column(c), sel_);
+      Gather(*in.column(c), rows, out->column(c).get());
     }
   }
   if (prof != nullptr) {
-    prof->RecordStep(project_step_, static_cast<int64_t>(sel_.size()),
-                     static_cast<int64_t>(sel_.size()), ProfileNowNs() - pt0);
+    prof->RecordStep(project_step_, nrows, nrows, ProfileNowNs() - t0);
   }
   return out;
 }

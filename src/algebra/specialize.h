@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "algebra/kernels.h"
-#include "algebra/lowering.h"
 #include "algebra/plan.h"
 #include "algebra/profile.h"
 
@@ -19,11 +18,11 @@ namespace datacell {
 ///
 /// A continuous query's plan is fixed for the query's whole lifetime, so the
 /// per-firing work of the tree interpreter — walking PlanNode children,
-/// re-matching predicates against the lowering rules, type-switching inside
-/// every operator, copying the binding map — is pure overhead on the hot
-/// path. SpecializePlan() does all of that once at SubmitContinuousQuery
-/// time and emits a SpecializedPipeline: a flat chain of pre-bound,
-/// type-resolved steps the factory drives directly with each drained batch.
+/// copying the binding map, rebuilding a join's hash table and a GROUP BY's
+/// hash map — is pure overhead on the hot path. SpecializePlan() does that
+/// once at SubmitContinuousQuery time and emits a SpecializedPipeline: a
+/// flat chain of pre-bound steps the factory drives directly with each
+/// drained batch.
 ///
 /// The supported shape is the canonical continuous-query chain the SQL
 /// planner emits (each stage optional):
@@ -31,14 +30,19 @@ namespace datacell {
 ///   [Project... -> Aggregate [GROUP BY one int key]] -> [Project] ->
 ///       [Filter...] -> (Scan(stream) | HashJoin(Scan(stream), Scan(static)))
 ///
-/// plus these per-stage forms:
-///   - filters: kernel-lowerable comparisons (lowering.h), <>, LIKE,
-///     IS [NOT] NULL, bool columns, and AND/OR/NOT combinations thereof;
-///     constant predicates are folded away (always-true) or pinned to an
-///     empty selection (always-false — the analyzer warns separately);
-///   - projections: column references and column-op-literal arithmetic;
-///     projections over the aggregate's output (one row per group) take
-///     any expression and run through the expression evaluator;
+/// Registration keeps only the work that pays off across firings: the
+/// resolved chain, the join's hash index and the GROUP BY table. Every
+/// per-row expression runs through the interpreter's one evaluator:
+///   - filters: stacked Filter nodes merge into one AND, which each firing
+///     selects through SelectPositions (lowering.h), the function the
+///     interpreter's Filter node calls: the lowered select kernel when the
+///     predicate fits, EvaluatePredicate otherwise. A constant predicate is
+///     evaluated like any other (the analyzer warns about it separately);
+///   - projections: a column reference is gathered once through the
+///     filter's positions; any other expression is EvaluateExpr over the
+///     selected rows, which is the interpreter's Filter then Project.
+///     Projections over the aggregate's output (one row per group) run
+///     through EvaluateExpr too;
 ///   - aggregates: count(*)/count/sum/min/max/avg over column references,
 ///     either scalar or grouped by exactly one integer-backed (int or
 ///     timestamp) column; a grouped stage assigns group ids through a
@@ -47,13 +51,12 @@ namespace datacell {
 ///   - join: stream on the probe side, integer-backed keys; the hash index
 ///     over the static side is built once and probed per firing.
 ///
-/// Anything else (multi-column or string/double/bool group keys, HAVING,
-/// sort/distinct/limit/union, computed predicates the rules above
-/// can't express, ...) falls back to the interpreter with a human-readable
-/// reason, surfaced per query via the shell's \explain and counted by the
-/// engine's metrics. Each step runs the same bulk kernel the interpreter
-/// uses (a select yields positions; projection and aggregation work on
-/// them), so results are identical to the interpreter's, bit for bit.
+/// Anything else (multi-column or string/double/bool group keys, computed
+/// aggregate inputs or group keys, HAVING, sort/distinct/limit/union, ...)
+/// falls back to the interpreter with a human-readable reason, surfaced per
+/// query via the shell's \explain and counted by the engine's metrics. Each
+/// step runs the same bulk kernel or evaluator the interpreter uses, so
+/// results are identical to the interpreter's, bit for bit.
 class SpecializedPipeline {
  public:
   /// Executes the compiled chain over one drained input batch. Not
@@ -79,40 +82,6 @@ class SpecializedPipeline {
 
  private:
   friend class PipelineBuilder;
-
-  /// Compiled filter predicate: a tree over position-set leaves. Constant
-  /// subtrees are folded at compile time, so kTrue/kFalse only ever appear
-  /// as the root (tracked by always_false_ / absence of the filter).
-  struct Pred {
-    enum class Kind {
-      kLowered,    // range / string-eq via the shared lowering rules
-      kNotEqual,   // <> over a lowerable equality: complement minus nulls
-      kBoolColumn, // a bool column used directly as the predicate
-      kIsNull,
-      kIsNotNull,
-      kLike,       // string column LIKE literal pattern
-      kNot,        // plain complement (null operand evaluates true)
-      kAnd,
-      kOr,
-    };
-    Kind kind = Kind::kLowered;
-    LoweredSelect lowered;    // kLowered / kNotEqual
-    size_t column = 0;        // kBoolColumn / kIsNull / kIsNotNull / kLike
-    std::string pattern;      // kLike
-    std::vector<Pred> children;
-  };
-
-  /// Compiled projection: a column gather or column-op-literal arithmetic
-  /// with the operand order and output type pre-resolved.
-  struct Proj {
-    enum class Kind { kColumn, kArith };
-    Kind kind = Kind::kColumn;
-    size_t column = 0;
-    BinaryOp op = BinaryOp::kAdd;
-    bool literal_on_left = false;
-    Value literal;
-    DataType out_type = DataType::kInt64;
-  };
 
   /// Compiled scalar aggregate.
   struct Agg {
@@ -142,8 +111,8 @@ class SpecializedPipeline {
     kernel::Int64GroupTable table;
   };
 
-  void EvalPred(const Pred& p, const Table& in,
-                std::vector<size_t>* out) const;
+  /// The filter step: selects into sel_; does nothing without a filter.
+  Status Select(const Table& in, PipelineProfile* prof);
   Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx);
   Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx);
   Result<TablePtr> RunGroupAggregate(const Table& in, const ExecContext& ctx);
@@ -152,14 +121,11 @@ class SpecializedPipeline {
                           Bat* out);
   Result<TablePtr> RunPostProjections(TablePtr agg_out,
                                       PipelineProfile* prof) const;
-  Status RunProjection(const Proj& p, const Table& in,
-                       const std::vector<size_t>* positions, Bat* out) const;
 
   size_t input_arity_ = 0;
   std::optional<Join> join_;
-  std::optional<Pred> filter_;
-  bool always_false_ = false;  // filter folded to constant false
-  std::optional<std::vector<Proj>> project_;
+  ExprPtr filter_;  // the stacked filters' conjunction; null without one
+  std::optional<std::vector<ExprPtr>> project_;
   std::optional<std::vector<Agg>> aggregates_;
   std::optional<GroupKey> group_;  // set for a grouped aggregate
   // Projections applied to the aggregate output, innermost first (the

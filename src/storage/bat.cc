@@ -8,21 +8,6 @@ namespace datacell {
 
 Bat::Bat(DataType type, Oid hseqbase) : type_(type), hseqbase_(hseqbase) {}
 
-size_t Bat::size() const {
-  switch (type_) {
-    case DataType::kInt64:
-    case DataType::kTimestamp:
-      return int64_data_.size();
-    case DataType::kDouble:
-      return double_data_.size();
-    case DataType::kBool:
-      return bool_data_.size();
-    case DataType::kString:
-      return string_data_.size();
-  }
-  return 0;
-}
-
 void Bat::EnsureValidity() {
   if (validity_.empty()) validity_.assign(size(), 1);
 }

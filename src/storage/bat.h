@@ -35,7 +35,15 @@ class Bat {
   Bat& operator=(Bat&&) = default;
 
   DataType type() const { return type_; }
-  size_t size() const;
+  // Inline, since loops test `i < bat.size()` per row; branches rather
+  // than a switch, whose jump table made bench_specialize's selection
+  // rows 6-9% slower than the out-of-line call.
+  size_t size() const {
+    if (type_ == DataType::kDouble) return double_data_.size();
+    if (type_ == DataType::kString) return string_data_.size();
+    if (type_ == DataType::kBool) return bool_data_.size();
+    return int64_data_.size();  // int64 and timestamp
+  }
   bool empty() const { return size() == 0; }
   /// Oid of the value at position 0; position i has oid `hseqbase() + i`.
   Oid hseqbase() const { return hseqbase_; }

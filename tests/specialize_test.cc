@@ -255,6 +255,42 @@ TEST_F(SpecializeEquivalenceTest, BoolColumnFilter) {
   ExpectSameResults(2);
 }
 
+// Predicates over computed expressions select through the interpreter's
+// EvaluatePredicate, so they specialize like any other filter.
+TEST_F(SpecializeEquivalenceTest, PredicateOverScalarFunction) {
+  s_.Setup("create basket r (x int)");
+  s_.AddQuery("q", "select x from [select * from r] as s where abs(s.x) > 2");
+  for (int i = -5; i <= 5; ++i) Ingest("r", {Value::Int64(i)});
+  Ingest("r", {Value::Null()});
+  s_.Drain();
+  ExpectSameResults(6);
+}
+
+TEST_F(SpecializeEquivalenceTest, PredicateOverColumnArithmetic) {
+  s_.Setup("create basket r (x int, y double)");
+  s_.AddQuery("q",
+              "select x, y from [select * from r] as s where s.x + s.y > 3");
+  for (int i = 0; i < 8; ++i) {
+    Ingest("r", {Value::Int64(i), Value::Double(i * 0.5 - 1.0)});
+  }
+  Ingest("r", {Value::Null(), Value::Double(9.0)});
+  Ingest("r", {Value::Int64(9), Value::Null()});
+  s_.Drain();
+  ExpectSameResults(4);
+}
+
+TEST_F(SpecializeEquivalenceTest, PredicateOverStringFunction) {
+  s_.Setup("create basket r (name varchar, x int)");
+  s_.AddQuery("q", "select name, x from [select * from r] as s "
+              "where upper(s.name) = 'A'");
+  Ingest("r", {Value::String("a"), Value::Int64(1)});
+  Ingest("r", {Value::String("A"), Value::Int64(2)});
+  Ingest("r", {Value::String("ab"), Value::Int64(3)});
+  Ingest("r", {Value::Null(), Value::Int64(4)});
+  s_.Drain();
+  ExpectSameResults(2);
+}
+
 // --- constant folding ----------------------------------------------------
 
 TEST_F(SpecializeEquivalenceTest, ConstantTruePredicate) {
@@ -269,6 +305,16 @@ TEST_F(SpecializeEquivalenceTest, ConstantFalsePredicate) {
   s_.Setup("create basket r (x int)");
   s_.AddQuery("q", "select x from [select * from r] as s where 1 > 2");
   for (int i = 0; i < 5; ++i) Ingest("r", {Value::Int64(i)});
+  s_.Drain();
+  ExpectSameResults();
+  EXPECT_EQ(Run().total_rows(), 0u);
+}
+
+TEST_F(SpecializeEquivalenceTest, ConstantFalseConjunct) {
+  s_.Setup("create basket r (x int)");
+  s_.AddQuery("q", "select x from [select * from r] as s "
+              "where abs(s.x) >= 0 and 1 > 2");
+  for (int i = -2; i < 3; ++i) Ingest("r", {Value::Int64(i)});
   s_.Drain();
   ExpectSameResults();
   EXPECT_EQ(Run().total_rows(), 0u);
@@ -296,6 +342,35 @@ TEST_F(SpecializeEquivalenceTest, DivisionAndModuloByZero) {
   Ingest("r", {Value::Int64(-3), Value::Double(-1.25)});
   s_.Drain();
   ExpectSameResults(2);
+}
+
+TEST_F(SpecializeEquivalenceTest, ScalarFunctionAndCaseProjections) {
+  s_.Setup("create basket r (x int, y double, name varchar)");
+  s_.AddQuery("q", "select abs(s.x), floor(s.y), upper(s.name), length(s.name), "
+              "case when s.x > 2 then s.y when s.x < 0 then 0.5 else -1.0 end "
+              "from [select * from r] as s where s.x > -3");
+  for (int i = -4; i < 6; ++i) {
+    Ingest("r", {Value::Int64(i), Value::Double(i * 0.75),
+                 Value::String(i % 2 == 0 ? "ab" : "Cd")});
+  }
+  Ingest("r", {Value::Int64(4), Value::Null(), Value::Null()});
+  s_.Drain();
+  ExpectSameResults(9);
+}
+
+TEST_F(SpecializeEquivalenceTest, ColumnOpColumnArithmetic) {
+  s_.Setup("create basket r (x int, z int, y double)");
+  s_.AddQuery("q", "select s.x + s.z, s.x - s.z, s.x * s.z, s.x / s.z, "
+              "s.x % s.z, s.x * s.y, s.y / s.x from [select * from r] as s");
+  for (int i = -3; i < 5; ++i) {
+    // z cycles through zero, so division and modulo by zero yield null.
+    Ingest("r", {Value::Int64(i * 7), Value::Int64(i % 3),
+                 Value::Double(i * 0.25)});
+  }
+  Ingest("r", {Value::Null(), Value::Int64(2), Value::Double(1.0)});
+  Ingest("r", {Value::Int64(5), Value::Null(), Value::Null()});
+  s_.Drain();
+  ExpectSameResults(10);
 }
 
 // --- aggregates ----------------------------------------------------------
