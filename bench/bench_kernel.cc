@@ -59,8 +59,12 @@ void BM_GroupByAggregate(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto g = GroupBy(*t, {0});
-    auto partials = AggregateByGroup(*t->column(1), *g);
-    benchmark::DoNotOptimize(partials);
+    Bat sums(DataType::kDouble);
+    Status st = AggregateByGroup(*t->column(1), AggFunc::kSum,
+                                 g->group_ids.data(), nullptr, n,
+                                 g->num_groups, &sums);
+    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(sums);
   }
   bench::ReportTuplesPerSecond(state,
                                static_cast<int64_t>(state.iterations()) *

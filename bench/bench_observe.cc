@@ -23,7 +23,7 @@ namespace {
 
 constexpr size_t kBatch = 4096;
 
-/// The shared workload: one specialized selection query, columnar ingest of
+/// The shared workload: one selection query, columnar ingest of
 /// kBatch tuples per iteration, deterministic drain.
 void RunSelectionPipeline(benchmark::State& state, const EngineOptions& opts) {
   Engine engine(opts);

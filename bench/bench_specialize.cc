@@ -1,10 +1,12 @@
-// Experiment E15: registration-time plan specialization vs the tuple
-// interpreter, same query and data, second argument selects the backend
-// (1 = specialized pipeline, 0 = interpreter). Both run the same bulk
-// kernels per step (a select yields positions, the next step reads them);
-// the specialized pipeline binds and type-resolves those steps once at
-// registration instead of walking the plan tree per firing. The gap between
-// the /1 and /0 rows is what specialization buys at each batch size.
+// Experiment E15: plan state kept across firings vs a fresh PlanState per
+// firing, same query and data, second argument selects the mode (1 = kept
+// state, 0 = fresh state; EngineOptions::fresh_plan_state). Both run the
+// same interpreter and kernels: a filter hands its parent a candidate list,
+// a join over a static table probes an int64 hash index, and a single
+// integer GROUP BY runs on an int64 group table. Kept state builds the
+// index once and reuses the group table and the node tree; fresh state
+// rebuilds all three per firing. The gap between the /1 and /0 rows is what
+// keeping state buys at each batch size.
 
 #include <benchmark/benchmark.h>
 
@@ -14,17 +16,17 @@
 namespace datacell {
 namespace {
 
-EngineOptions BackendOptions(bool specialize) {
+EngineOptions StateOptions(bool kept) {
   EngineOptions opts = bench::BenchEngineOptions();
-  opts.specialize_plans = specialize;
+  opts.fresh_plan_state = !kept;
   return opts;
 }
 
-/// Filter + project: a range select into a position list, then a gather
-/// of the projected column, on both backends.
+/// Filter + project: a range select into a candidate list, then a gather
+/// of the projected column.
 void BM_SpecializeSelection(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  Engine engine(BackendOptions(state.range(1) != 0));
+  Engine engine(StateOptions(state.range(1) != 0));
   if (!engine.ExecuteSql("create basket r (x int)").ok()) return;
   auto q = engine.SubmitContinuousQuery(
       "sel", "select x from [select * from r] as s where s.x < 500000");
@@ -45,11 +47,11 @@ BENCHMARK(BM_SpecializeSelection)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Filter + scalar aggregate: a range select into a position list, then
-/// one aggregate pass per spec over those positions, on both backends.
+/// Filter + scalar aggregate: a range select into a candidate list, then
+/// one aggregate pass per spec over those positions.
 void BM_SpecializeFilterAggregate(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  Engine engine(BackendOptions(state.range(1) != 0));
+  Engine engine(StateOptions(state.range(1) != 0));
   if (!engine.ExecuteSql("create basket r (k int, v int)").ok()) return;
   auto q = engine.SubmitContinuousQuery(
       "agg",
@@ -71,11 +73,10 @@ BENCHMARK(BM_SpecializeFilterAggregate)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Stream ⋈ static table: the registration-built hash index vs the
-/// interpreter's per-firing hash join build.
+/// Stream ⋈ static table: the kept hash index vs one built per firing.
 void BM_SpecializeJoin(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  Engine engine(BackendOptions(state.range(1) != 0));
+  Engine engine(StateOptions(state.range(1) != 0));
   if (!engine.ExecuteSql("create basket r (x int)").ok()) return;
   if (!engine.ExecuteSql("create table dim (k int, w int)").ok()) return;
   // 4096 dimension rows covering the low key range: ~matching half the
@@ -107,11 +108,11 @@ BENCHMARK(BM_SpecializeJoin)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Conjunctive filter stack: both predicates merge into one kernel range at
-/// registration vs two interpreted filter passes.
+/// Conjunctive filter: both comparisons lower into one kernel range, once
+/// per plan state.
 void BM_SpecializeConjunction(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  Engine engine(BackendOptions(state.range(1) != 0));
+  Engine engine(StateOptions(state.range(1) != 0));
   if (!engine.ExecuteSql("create basket r (x int)").ok()) return;
   auto q = engine.SubmitContinuousQuery(
       "band",
@@ -134,13 +135,13 @@ BENCHMARK(BM_SpecializeConjunction)
     ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Keyed aggregation (the end-to-end benchmark's `vol` shape): the reused
-/// int64 group table with typed per-group accumulators vs the interpreter's
-/// per-firing string-keyed GroupBy and Value-boxed results. Keys are
-/// Zipf(0.8) over 1,000 values, so a batch holds a few hundred groups.
+/// Keyed aggregation (the end-to-end benchmark's `vol` shape): the kept
+/// int64 group table vs one allocated per firing, both with typed
+/// per-group accumulators. Keys are Zipf(0.8) over 1,000 values, so a batch
+/// holds a few hundred groups.
 void BM_SpecializeGroupBy(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  Engine engine(BackendOptions(state.range(1) != 0));
+  Engine engine(StateOptions(state.range(1) != 0));
   if (!engine.ExecuteSql("create basket r (k int, v int, s int)").ok()) return;
   auto q = engine.SubmitContinuousQuery(
       "vol",

@@ -147,9 +147,9 @@ class Shell {
           "                         results print as they arrive\n"
           "  other \\ commands end at the end of their line:\n"
           "  \\explain <sql>         show the MAL plan of a query\n"
-          "  \\explain <id|name>     show a registered query's execution\n"
-          "                         pipeline (specialized steps or\n"
-          "                         interpreter fallback reason) and plan\n"
+          "  \\explain <id|name>     show a registered query's plan node\n"
+          "                         tree (what each node keeps across\n"
+          "                         firings) and its MAL plan\n"
           "  \\analyze               static analysis of the registered net "
           "(dataflow lints;\n"
           "                         with --shards also the query placements)\n"
@@ -408,9 +408,9 @@ class Shell {
       while (!arg.empty() && (arg.back() == ';' || arg.back() == ' ')) {
         arg.pop_back();
       }
-      // A registered query id or name explains the *chosen* execution
-      // pipeline (specialized step list, or interpreter + fallback reason);
-      // anything else is compiled ad hoc and shown as its MAL plan.
+      // A registered query id or name explains its plan node tree, with
+      // what each node keeps across firings, then its MAL plan; anything
+      // else is compiled ad hoc and shown as its MAL plan.
       if (sharded_ != nullptr) {
         for (size_t id = 0; id < sharded_->num_queries(); ++id) {
           auto p = sharded_->GetPlacement(id);

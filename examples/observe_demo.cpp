@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   opts.profile_queries = true;
   Engine engine(opts);
 
-  // A small representative workload: a specialized selection over a stream,
+  // A small representative workload: a selection over a stream,
   // drained deterministically so the sys.* streams and the profiler have
   // real data by the time the endpoint comes up.
   if (!engine.ExecuteSql("create basket readings (x int, label string)")

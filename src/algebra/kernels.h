@@ -44,11 +44,11 @@ size_t SelectRangeDoubleAvx2(const double* data, double l, double h,
 size_t SelectRangeDouble(const double* data, double l, double h, size_t begin,
                          size_t end, size_t* out);
 
-// --- Specialized hash-join probe ---------------------------------------
+// --- Int64 hash-join index ----------------------------------------------
 
-/// Open-addressing hash index over an int64 key column, built once at query
-/// registration from the static (build) side of a stream⋈table join and
-/// probed per firing. Matches the generic HashJoin operator's output
+/// Open-addressing hash index over an int64 key column: the HashJoin node
+/// keeps one over a static build side across firings, rebuilds it when the
+/// table grows, and probes it per firing. Matches the generic HashJoin operator's output
 /// contract: probe rows in input order, and for each probe row the matching
 /// build positions in ascending order; null keys (marked invalid in the
 /// optional validity mask, 1 = valid) neither build nor probe.
@@ -101,11 +101,11 @@ class Int64HashIndex {
   std::vector<uint32_t> positions_;
 };
 
-// --- Specialized hash grouping -----------------------------------------
+// --- Int64 hash grouping -------------------------------------------------
 
-/// Open-addressing group table over one int64 key column: the specialized
-/// GROUP BY's replacement for the interpreter's per-firing string-keyed map.
-/// The pipeline owns one and reuses it across firings:
+/// Open-addressing group table over one int64 key column: the Aggregate
+/// node's replacement for GroupBy's string-keyed map when it groups by one
+/// integer-backed column. The node keeps one across firings:
 ///   - slots carry a generation stamp, so each Group() call starts from an
 ///     empty table in O(1), without clearing the slot array;
 ///   - capacity is a power of two with linear probing, doubled only when the

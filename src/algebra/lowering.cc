@@ -74,6 +74,7 @@ bool LowerComparison(const Schema& input, size_t column, BinaryOp op,
                      const Value& literal, LoweredSelect* out) {
   DataType col_type = input.field(column).type;
   out->column = column;
+  out->type = col_type;
   if (col_type == DataType::kString) {
     if (op != BinaryOp::kEq || !literal.is_string()) return false;
     out->is_string = true;
@@ -165,10 +166,10 @@ std::optional<LoweredSelect> TryLowerSelect(const Expr& e,
   return std::nullopt;
 }
 
-Status SelectPositions(const Expr& e, const Table& input,
-                       std::vector<size_t>* out) {
-  auto lowered = TryLowerSelect(e, input.schema());
-  if (!lowered) {
+Status SelectPositions(const Expr& e, const LoweredSelect* lowered,
+                       const Table& input, std::vector<size_t>* out) {
+  if (lowered == nullptr ||
+      input.column(lowered->column)->type() != lowered->type) {
     DC_ASSIGN_OR_RETURN(*out, EvaluatePredicate(e, input));
     return Status::OK();
   }

@@ -13,15 +13,16 @@
 namespace datacell {
 
 /// Predicate lowering and the one filter entry point. The interpreter's
-/// Filter node and the specialized pipeline's filter step both select
-/// through SelectPositions, so which predicates map onto the select kernels,
-/// and with which bounds, is decided here once.
+/// Filter node lowers its predicate once, when its plan state is built, and
+/// selects through SelectPositions on every run, so which predicates map
+/// onto the select kernels, and with which bounds, is decided here once.
 
-/// A filter predicate lowered onto one column: an inclusive range over an
-/// int64/timestamp or double column, or string equality. `empty` marks a
-/// statically unsatisfiable predicate (e.g. `x < INT64_MIN`).
+/// A filter predicate lowered onto one column of type `type`: an inclusive
+/// range over an int64/timestamp or double column, or string equality.
+/// `empty` marks a statically unsatisfiable predicate (e.g. `x < INT64_MIN`).
 struct LoweredSelect {
   size_t column = 0;
+  DataType type = DataType::kInt64;
   bool empty = false;
   bool is_string = false;
   std::string str_value;
@@ -42,10 +43,11 @@ std::optional<LoweredSelect> TryLowerSelect(const Expr& e, const Schema& input);
 /// The ascending positions of the rows of `input` where predicate `e` is
 /// true, into `out` (replaced; its capacity is reused, so a lowered select
 /// over a null-free numeric column allocates nothing once `out` has grown).
-/// Runs the lowered select kernel when TryLowerSelect matches, and
-/// EvaluatePredicate otherwise.
-Status SelectPositions(const Expr& e, const Table& input,
-                       std::vector<size_t>* out);
+/// `lowered` is `e` as TryLowerSelect lowered it, or null when it did not:
+/// its select kernel runs when the column still has the type it was lowered
+/// for, and EvaluatePredicate otherwise.
+Status SelectPositions(const Expr& e, const LoweredSelect* lowered,
+                       const Table& input, std::vector<size_t>* out);
 
 }  // namespace datacell
 

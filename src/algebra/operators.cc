@@ -262,19 +262,84 @@ inline double AggValueAt(const Bat& b, size_t i) {
 
 }  // namespace
 
-Result<std::vector<AggPartial>> AggregateByGroup(const Bat& values,
-                                                 const Grouping& grouping) {
+Status AggregateByGroup(const Bat& values, AggFunc func,
+                        const uint32_t* group_ids, const size_t* rows,
+                        size_t n, size_t num_groups, Bat* out) {
   DC_RETURN_NOT_OK(CheckAggregatable(values));
-  if (values.size() != grouping.group_ids.size()) {
-    return Status::Internal("aggregate input cardinality mismatch");
+  const uint8_t* valid = values.validity_data();
+  // Visits the aggregated rows in order, skipping null values.
+  auto each = [&](auto update) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t p = rows != nullptr ? rows[k] : k;
+      if (valid != nullptr && valid[p] == 0) continue;
+      update(group_ids[k], p);
+    }
+  };
+  std::vector<int64_t> count(num_groups, 0);
+  if (func == AggFunc::kCount) {
+    each([&](uint32_t g, size_t) { ++count[g]; });
+    std::copy(count.begin(), count.end(),
+              out->AppendUninitializedInt64(num_groups));
+    return Status::OK();
   }
-  std::vector<AggPartial> partials(grouping.num_groups);
-  const size_t n = values.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (values.IsNull(i)) continue;
-    partials[grouping.group_ids[i]].AddValue(AggValueAt(values, i));
+  // One typed accumulator per group, updated as AggPartial::AddValue
+  // updates the matching field.
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> acc(num_groups, func == AggFunc::kMin   ? kInf
+                                      : func == AggFunc::kMax ? -kInf
+                                                              : 0.0);
+  auto fold = [&](auto value_at) {
+    switch (func) {
+      case AggFunc::kMin:
+        each([&](uint32_t g, size_t p) {
+          const double v = value_at(p);
+          ++count[g];
+          if (v < acc[g]) acc[g] = v;
+        });
+        break;
+      case AggFunc::kMax:
+        each([&](uint32_t g, size_t p) {
+          const double v = value_at(p);
+          ++count[g];
+          if (v > acc[g]) acc[g] = v;
+        });
+        break;
+      default:  // sum, avg
+        each([&](uint32_t g, size_t p) {
+          ++count[g];
+          acc[g] += value_at(p);
+        });
+        break;
+    }
+  };
+  switch (values.type()) {
+    case DataType::kDouble: {
+      const double* d = values.double_data().data();
+      fold([d](size_t p) { return d[p]; });
+      break;
+    }
+    case DataType::kBool: {
+      const uint8_t* d = values.bool_data().data();
+      fold([d](size_t p) { return d[p] != 0 ? 1.0 : 0.0; });
+      break;
+    }
+    default: {
+      const int64_t* d = values.int64_data().data();
+      fold([d](size_t p) { return static_cast<double>(d[p]); });
+      break;
+    }
   }
-  return partials;
+  // Finalized as AggPartial::Finalize does.
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (count[g] == 0) {
+      out->AppendNull();
+    } else {
+      out->AppendDouble(func == AggFunc::kAvg
+                            ? acc[g] / static_cast<double>(count[g])
+                            : acc[g]);
+    }
+  }
+  return Status::OK();
 }
 
 Result<AggPartial> AggregateAll(const Bat& values,

@@ -53,7 +53,7 @@ Result<JoinResult> HashJoin(const Bat& left_key, const Bat& right_key);
 /// Assigns each row a dense group id by the combined value of `key_columns`
 /// (hash grouping). `representatives[g]` is the first row of group g.
 struct Grouping {
-  std::vector<size_t> group_ids;        // size = num input rows
+  std::vector<uint32_t> group_ids;      // size = num input rows
   std::vector<size_t> representatives;  // size = num groups
   size_t num_groups = 0;
 };
@@ -86,11 +86,16 @@ struct AggPartial {
   Value Finalize(AggFunc f) const;
 };
 
-/// Aggregates `values` grouped by `grouping`; `values` may be any numeric
-/// BAT (count also accepts strings). Returns one partial per group,
-/// accumulated in input row order.
-Result<std::vector<AggPartial>> AggregateByGroup(const Bat& values,
-                                                 const Grouping& grouping);
+/// Appends `func` over `values` per group to `out`, one value per group:
+/// count as int64, the others as double, null for a group without non-null
+/// input. Aggregated row k reads values[rows[k]] (values[k] when `rows` is
+/// null) and belongs to group group_ids[k] < num_groups. Each group
+/// accumulates its non-null values in row order with AggPartial's
+/// operations, so results match AggregateAll's bit for bit. `values` may be
+/// any numeric or bool BAT.
+Status AggregateByGroup(const Bat& values, AggFunc func,
+                        const uint32_t* group_ids, const size_t* rows,
+                        size_t n, size_t num_groups, Bat* out);
 /// Aggregate over all rows (single group), optionally restricted to
 /// `positions` (pass nullptr for all).
 Result<AggPartial> AggregateAll(const Bat& values,

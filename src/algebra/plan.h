@@ -3,7 +3,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/expression.h"
@@ -132,24 +134,77 @@ Result<PlanPtr> MakeUnion(PlanPtr left, PlanPtr right);
 /// Input relations bound at execution time (baskets or tables).
 using PlanBindings = std::map<std::string, TablePtr>;
 
+class PipelineProfile;
+
 /// Per-run state threaded from the factory into plan execution.
 struct ExecContext {
   /// Per-step pipeline profiler (algebra/profile.h). Null — the default —
   /// disables profiling: executors pay one pointer test per step. The
   /// factory points this at its profile while profiling is on.
-  class PipelineProfile* profile = nullptr;
+  PipelineProfile* profile = nullptr;
 };
 
-/// Executes `plan` against `bindings`; returns a fresh result table. Pure:
-/// never mutates the inputs (consumption is the *factory's* job, per the
-/// paper's separation between plan execution and basket management).
-/// `ctx` carries the optional step profiler. Filter predicates of the form
-/// `column <cmp> literal` (and conjunctions of two such on one column) are
-/// lowered to the Select* kernels, which skips the generic expression
-/// evaluator.
-Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings,
-                             const ExecContext& ctx);
+/// Executes `plan` against `bindings` with a fresh PlanState; returns the
+/// result table. Pure: never mutates the inputs (consumption is the
+/// *factory's* job, per the paper's separation between plan execution and
+/// basket management). One-time SELECTs run here; continuous queries run
+/// the same interpreter through a PlanRunner.
 Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings);
+
+/// The interpreter's execution state for one plan: one node per PlanNode,
+/// each keeping what pays across runs (interpreter.cc).
+class PlanState;
+
+/// One plan fixed for a query's lifetime, run per firing by the
+/// interpreter. The PlanState built at construction resolves every scan,
+/// lowers every filter predicate once and keeps, between runs:
+///   - a filter's candidate list: the positions it selected, handed to its
+///     parent instead of a copied table. A Project gathers column refs
+///     through it; an Aggregate aggregates through it;
+///   - a HashJoin's kernel::Int64HashIndex, when its build side is a scan of
+///     a static binding on one integer-backed key: built on first use and
+///     rebuilt whenever the table's row count moves (catalog tables are
+///     append-only). Every other join runs HashJoin per call;
+///   - a single integer-backed GROUP BY's kernel::Int64GroupTable; other
+///     keys run GroupBy per call.
+/// Factories and window executors run every plan through one.
+class PlanRunner {
+ public:
+  /// `stream_relations` are the bind names of the plan's stream inputs, in
+  /// the order Run() receives their slices; `static_bindings` resolves the
+  /// scans of catalog tables. With `fresh_state` every Run() starts from a
+  /// new PlanState, which keeps nothing from the previous run (the
+  /// reference the differential harness compares kept state against).
+  PlanRunner(PlanPtr plan, std::vector<std::string> stream_relations,
+             PlanBindings static_bindings, bool fresh_state);
+  ~PlanRunner();
+
+  /// Runs the plan over one slice per stream input. Not thread-safe: the
+  /// factory's exactly-once Fire() serialises calls.
+  Result<TablePtr> Run(std::span<const TablePtr> inputs,
+                       const ExecContext& ctx);
+
+  /// The node tree with what each node keeps, for \explain.
+  std::string Describe() const;
+  /// Bytes of the state kept between runs: each kept join's build table
+  /// (strings priced at `string_bytes`) and hash index, and each kept group
+  /// table's slots — what the pass-4 analyzer bounds.
+  size_t StateBytes(int64_t string_bytes) const;
+  /// Adds one step per plan node to `profile` (preorder, indented by
+  /// depth); Run() then records each node's own rows and time there. Call
+  /// once, before the first profiled Run().
+  void RegisterProfileSteps(PipelineProfile* profile);
+
+ private:
+  PlanPtr plan_;
+  std::vector<std::string> stream_relations_;
+  PlanBindings static_bindings_;
+  bool fresh_state_;
+  std::unique_ptr<PlanState> state_;
+  // Node labels and depths in preorder, fixed at construction.
+  std::vector<std::pair<std::string, int>> labels_;
+  size_t first_step_;  // profile step of the root; kNoStep before Register
+};
 
 /// Renders `plan` as the equivalent MAL program, e.g.
 ///   X_0 := basket.bind("R");

@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "algebra/plan.h"
-
 namespace datacell {
 
 size_t PipelineProfile::AddStep(std::string label, int depth) {
@@ -15,24 +13,12 @@ size_t PipelineProfile::AddStep(std::string label, int depth) {
   return steps_.size() - 1;
 }
 
-void PipelineProfile::MapNode(const PlanNode* node, size_t step) {
-  node_steps_[node] = step;
-}
-
-size_t PipelineProfile::StepForNode(const PlanNode* node) const {
-  auto it = node_steps_.find(node);
-  return it == node_steps_.end() ? kNoStep : it->second;
-}
-
 void PipelineProfile::RecordStep(size_t step, int64_t rows_in,
                                  int64_t rows_out, int64_t time_ns) {
   if (step >= steps_.size()) return;
   Step& s = steps_[step];
   s.calls.fetch_add(1, std::memory_order_relaxed);
-  if (rows_in != kRowsUnknown) {
-    s.rows_in.fetch_add(rows_in, std::memory_order_relaxed);
-    s.rows_in_measured.store(true, std::memory_order_relaxed);
-  }
+  s.rows_in.fetch_add(rows_in, std::memory_order_relaxed);
   s.rows_out.fetch_add(rows_out, std::memory_order_relaxed);
   s.time_ns.fetch_add(time_ns, std::memory_order_relaxed);
 }
@@ -40,22 +26,6 @@ void PipelineProfile::RecordStep(size_t step, int64_t rows_in,
 void PipelineProfile::RecordFire(int64_t time_ns) {
   fires_.fetch_add(1, std::memory_order_relaxed);
   fire_time_ns_.fetch_add(time_ns, std::memory_order_relaxed);
-}
-
-namespace {
-
-void AddPlanSteps(const PlanNode& n, int depth, PipelineProfile* out) {
-  size_t step = out->AddStep(n.Describe(), depth);
-  out->MapNode(&n, step);
-  for (const PlanPtr& c : n.children()) {
-    AddPlanSteps(*c, depth + 1, out);
-  }
-}
-
-}  // namespace
-
-void PipelineProfile::FromPlan(const PlanNode& root, PipelineProfile* out) {
-  AddPlanSteps(root, 0, out);
 }
 
 PipelineProfile::Snapshot PipelineProfile::Snap() const {
@@ -68,9 +38,7 @@ PipelineProfile::Snapshot PipelineProfile::Snap() const {
     out.label = s.label;
     out.depth = s.depth;
     out.calls = s.calls.load(std::memory_order_relaxed);
-    out.rows_in = s.rows_in_measured.load(std::memory_order_relaxed)
-                      ? s.rows_in.load(std::memory_order_relaxed)
-                      : kRowsUnknown;
+    out.rows_in = s.rows_in.load(std::memory_order_relaxed);
     out.rows_out = s.rows_out.load(std::memory_order_relaxed);
     out.time_ns = s.time_ns.load(std::memory_order_relaxed);
     snap.steps.push_back(std::move(out));
@@ -80,29 +48,6 @@ PipelineProfile::Snapshot PipelineProfile::Snap() const {
 
 std::string PipelineProfile::Render() const {
   Snapshot snap = Snap();
-  // Derive unmeasured rows_in from the immediate children (the steps that
-  // directly follow at depth + 1, before the next step at <= this depth).
-  // Preorder step lists — both builders emit that order — make this the
-  // plan-tree child relation. Leaves pass their own output through (a scan
-  // "reads" what it returns).
-  std::vector<int64_t> rows_in(snap.steps.size(), 0);
-  for (size_t i = 0; i < snap.steps.size(); ++i) {
-    if (snap.steps[i].rows_in != kRowsUnknown) {
-      rows_in[i] = snap.steps[i].rows_in;
-      continue;
-    }
-    int64_t sum = 0;
-    bool any_child = false;
-    for (size_t j = i + 1; j < snap.steps.size(); ++j) {
-      if (snap.steps[j].depth <= snap.steps[i].depth) break;
-      if (snap.steps[j].depth == snap.steps[i].depth + 1) {
-        any_child = true;
-        sum += snap.steps[j].rows_out;
-      }
-    }
-    rows_in[i] = any_child ? sum : snap.steps[i].rows_out;
-  }
-
   char line[256];
   std::string out;
   double total_ms = static_cast<double>(snap.fire_time_ns) / 1e6;
@@ -138,7 +83,7 @@ std::string PipelineProfile::Render() const {
     std::snprintf(line, sizeof(line),
                   "  %10" PRId64 " %12" PRId64 " %12" PRId64
                   " %12s %6.1f%%  %s\n",
-                  s.calls, rows_in[i], s.rows_out, time_buf, pct,
+                  s.calls, s.rows_in, s.rows_out, time_buf, pct,
                   label.c_str());
     out += line;
   }

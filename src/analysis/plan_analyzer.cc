@@ -246,7 +246,7 @@ void CheckPredicate(const Expr& pred, const Schema& input,
   }
   // A predicate that folds to a constant is almost always a mistake: an
   // always-false one silently selects (or consumes) nothing, an always-true
-  // one is dead weight. The plan specializer folds these the same way, so
+  // one is dead weight. The engine runs it like any other predicate, so
   // warn here rather than letting the query quietly do nothing.
   if (auto folded = TryFoldConstantPredicate(pred)) {
     report->Add(DiagCode::kConstantPredicate, Severity::kWarning,

@@ -143,10 +143,10 @@ struct Walker {
   /// Key-space bound shared by group-by and distinct: every key column must
   /// carry a cardinality hint; the bound is the product of the hints times
   /// the per-key bytes, plus the per-key hash-table entry. A group-by prices
-  /// that table exactly as the specialized stage sizes its
-  /// kernel::Int64GroupTable (pow2 slot arrays dominate small key spaces, so
-  /// a flat per-entry constant would undershoot there), so the live
-  /// accounting stays comparable. Falls back to window-bounded inside
+  /// that table exactly as the Aggregate node sizes the
+  /// kernel::Int64GroupTable it keeps for one integer-backed key (pow2 slot
+  /// arrays dominate small key spaces, so a flat per-entry constant would
+  /// undershoot there), so the live accounting stays comparable. Falls back to window-bounded inside
   /// windowed queries, else unbounded (S003).
   StateBound KeyedBound(const PlanNode& node, const PlanNode& below,
                         const std::vector<size_t>& key_columns,

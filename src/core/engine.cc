@@ -698,14 +698,13 @@ Result<QueryId> Engine::SubmitCompiledQuery(const std::string& name,
   foptions.exclusive_private_inputs =
       strategy == ProcessingStrategy::kSeparateBaskets;
   foptions.output_carries_ts = output_carries_ts;
-  foptions.specialize = options_.specialize_plans;
+  foptions.fresh_plan_state = options_.fresh_plan_state;
   foptions.state_string_bytes = options_.state_string_bytes;
   DC_ASSIGN_OR_RETURN(
       FactoryPtr factory,
       Factory::Create("factory_" + ToLower(name), std::move(query),
                       std::move(input_baskets), output,
                       std::move(static_bindings), clock_, foptions));
-  if (factory->is_specialized()) ++specialized_queries_;
   factory->SetProfiling(profile_queries_);
 
   for (const ChainLink& link : chain_links) {
@@ -879,6 +878,11 @@ Status Engine::ExecuteInsert(const sql::InsertStmt& stmt) {
     return IngestBatch(stmt.table, rows);
   }
   DC_ASSIGN_OR_RETURN(TablePtr table, catalog_.Get(stmt.table));
+  if (scheduler_.running()) {
+    return Status::FailedPrecondition(
+        "stop the scheduler before inserting into table '" + stmt.table +
+        "'");
+  }
   DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
                       sql::BindInsertRows(stmt, table->schema()));
   for (const Row& row : rows) DC_RETURN_NOT_OK(table->AppendRow(row));
@@ -968,9 +972,6 @@ void Engine::CollectMetrics(MetricsSnapshotData& out) const {
   out.Add(series::kSchedulerIdleWaits, {}, scheduler_.idle_waits());
   out.Add(series::kSchedulerWakesNotified, {}, scheduler_.wakes_notified());
   out.Add(series::kSchedulerWakesTimeout, {}, scheduler_.wakes_timeout());
-  if (specialized_queries_ > 0) {
-    out.Add(series::kSpecializedQueries, {}, specialized_queries_);
-  }
   for (const auto& receptor : receptors_) {
     out.Add(series::kReceptorMalformed, {receptor->name()},
             receptor->malformed_lines());

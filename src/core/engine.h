@@ -57,11 +57,12 @@ struct EngineOptions {
   /// then sheds by `drop_policy` instead of growing without bound (§1).
   size_t max_basket_tuples = 0;
   Basket::DropPolicy drop_policy = Basket::DropPolicy::kDropOldest;
-  /// Compile each submitted plan into a flat, type-specialized pipeline at
-  /// registration (algebra/specialize.h); plans outside the supported shape
-  /// fall back to the tree interpreter per query. Off forces the
-  /// interpreter everywhere (the equivalence tests' reference engine).
-  bool specialize_plans = true;
+  /// Run every continuous query's plan from a new PlanState per firing
+  /// instead of keeping each node's state (filter candidate lists, kept join
+  /// indexes and group tables; PlanRunner in algebra/plan.h) across
+  /// firings. Selects no other executor: results are the same either way,
+  /// which the differential harness's reference (fresh) checks.
+  bool fresh_plan_state = false;
   /// Event tracing (common/trace.h): capacity of the bounded trace ring in
   /// events; 0 (the default) disables tracing — no ring is allocated and
   /// the instrumented hot paths pay at most a null-pointer check. Takes
@@ -154,6 +155,12 @@ class Engine {
   /// table otherwise. Continuous SELECTs (basket expression in FROM) are
   /// rejected here — submit them with SubmitContinuousQuery. Every SQL entry
   /// point, the sharded frontend's fan-out included, dispatches here.
+  ///
+  /// INSERT into a catalog table requires the scheduler to be stopped
+  /// (FailedPrecondition otherwise): it appends to the shared Table in
+  /// place, while a running factory that joins the table reads the same
+  /// column vectors for its kept index and its gather. INSERT into a basket
+  /// is ingest and is accepted while the scheduler runs.
   Result<TablePtr> Execute(const sql::Statement& stmt);
   /// Parses one statement and executes it.
   Result<TablePtr> ExecuteSql(const std::string& sql);
@@ -495,7 +502,6 @@ class Engine {
   std::vector<std::shared_ptr<SharedFilterTransition>> shared_filters_;
   // Atomic: receptors and application threads ingest concurrently.
   std::atomic<int64_t> tuples_ingested_{0};
-  int64_t specialized_queries_ = 0;  // registrations, never decremented
   // Observability: collects every series from its owner at snapshot time.
   MetricsRegistry metrics_;
   std::unique_ptr<TraceRing> trace_;

@@ -32,7 +32,6 @@ inline constexpr MetricSeries
     kSchedulerWakesTimeout{"datacell_scheduler_wakes_timeout_total", C, {},
                            "wakes_timeout"},
     kIngestedTuples{"datacell_ingested_tuples_total", C, {}, "ingested"},
-    kSpecializedQueries{"datacell_specialized_queries", C, {}, nullptr},
     kPartitionableQueries{"datacell_partitionable_queries", G, {}, nullptr},
     kShardableQueries{"datacell_shardable_queries", G, {}, nullptr},
     kReceptorMalformed{"datacell_receptor_malformed_total", C, {"receptor"},
@@ -70,8 +69,8 @@ inline constexpr MetricSeries
 inline constexpr const MetricSeries* kAll[] = {
     &kSchedulerSweeps,     &kSchedulerFirings,     &kSchedulerErrors,
     &kSchedulerIdleWaits,  &kSchedulerWakesNotified, &kSchedulerWakesTimeout,
-    &kIngestedTuples,      &kSpecializedQueries,
-    &kPartitionableQueries, &kShardableQueries,    &kReceptorMalformed,
+    &kIngestedTuples,      &kPartitionableQueries, &kShardableQueries,
+    &kReceptorMalformed,
     &kTransitionFires,     &kTransitionFireLatency, &kTransitionTuples,
     &kQueryE2eLatency,     &kQueryStateBound,      &kQueryState,
     &kQueryStateHighWater, &kWindowLateDropped,   &kProfileFires,         &kProfileFireTime,

@@ -106,18 +106,18 @@ Result<std::shared_ptr<Factory>> Factory::Create(
     }
     factory->inputs_.push_back(std::move(in));
   }
-  // Registration-time specialization: the plan is fixed for the query's
-  // lifetime, so a PlanRunner compiles it into a specialized pipeline once
-  // instead of paying the interpreter's tree walk on every firing; a window
-  // executor does the same for each plan it runs. The profile skeleton
-  // holds the steps of those plans, built while their shape is final, so
-  // toggling profiling later is a single flag flip.
+  // The plan is fixed for the query's lifetime, so a PlanRunner builds its
+  // execution state once, at registration, and keeps it across firings; a
+  // window executor does the same for each plan it runs. The profile
+  // skeleton holds the steps of those plans, built while their shape is
+  // final, so toggling profiling later is a single flag flip.
   factory->profile_ = std::make_unique<PipelineProfile>();
   if (windowed) {
     DC_ASSIGN_OR_RETURN(
         factory->window_,
         WindowExecutor::Create(factory->query_, options.window_mode,
-                               std::move(static_bindings), options.specialize));
+                               std::move(static_bindings),
+                               options.fresh_plan_state));
     factory->window_->RegisterProfileSteps(factory->profile_.get());
   } else {
     std::vector<std::string> relations;
@@ -126,10 +126,10 @@ Result<std::shared_ptr<Factory>> Factory::Create(
     }
     factory->runner_ = std::make_unique<PlanRunner>(
         factory->query_.plan, std::move(relations), std::move(static_bindings),
-        options.specialize);
+        options.fresh_plan_state);
     factory->runner_->RegisterProfileSteps(factory->profile_.get());
   }
-  // Seed the state accounting: a specialized join's build index exists from
+  // Seed the state accounting: a kept join's build side counts from
   // registration, before any tuple flows.
   factory->UpdateStateAccounting();
   return factory;
@@ -144,11 +144,6 @@ void Factory::UpdateStateAccounting() {
   if (bytes > hw) {
     state_high_water_.store(bytes, std::memory_order_relaxed);
   }
-}
-
-std::string Factory::specialize_fallback() const {
-  if (window_ == nullptr) return runner_->fallback_reason();
-  return options_.specialize ? "windowed query" : "specialization disabled";
 }
 
 std::string Factory::PipelineDescription() const {

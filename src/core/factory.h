@@ -6,7 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "algebra/specialize.h"
+#include "algebra/plan.h"
+#include "algebra/profile.h"
 #include "common/clock.h"
 #include "core/basket.h"
 #include "core/transition.h"
@@ -52,11 +53,11 @@ struct FactoryOptions {
   /// it as its implicit timestamp — arrival times flow through unchanged —
   /// instead of stamping result-production time.
   bool output_carries_ts = false;
-  /// Attempt registration-time plan specialization (algebra/specialize.h).
-  /// When the plan compiles, Fire() drives the specialized pipeline instead
-  /// of the tree interpreter; otherwise the interpreter runs and the
-  /// fallback reason is kept for \explain. Disable to force the interpreter.
-  bool specialize = true;
+  /// Start every firing from a new PlanState (PlanRunner in
+  /// algebra/plan.h) instead of keeping each node's state across firings.
+  /// Selects no other executor: the differential harness's reference sets it
+  /// to check kept state against fresh state.
+  bool fresh_plan_state = false;
   /// Per-string byte estimate the state accounting (and the pass-4 gate
   /// below) prices string columns at; must match the analyzer's figure for
   /// static bound and measured occupancy to be comparable.
@@ -148,14 +149,8 @@ class Factory final : public Transition {
   const WindowExecutor* window() const { return window_.get(); }
   /// The MAL rendering of the wrapped plan (explain output).
   std::string ExplainPlan() const;
-  /// True when Fire() runs a specialized pipeline over the query plan.
-  bool is_specialized() const {
-    return runner_ != nullptr && runner_->specialized();
-  }
-  /// Why the query plan is not specialized (empty when it is).
-  std::string specialize_fallback() const;
-  /// The execution pipeline \explain prints: the runner's, or the window
-  /// executor's (its mode and the plans it runs).
+  /// The execution pipeline \explain prints: the runner's node tree, or the
+  /// window executor's (its mode and the plans it runs).
   std::string PipelineDescription() const;
 
   /// Toggles per-step profiling for this factory's firings. The profile's

@@ -72,7 +72,8 @@ class ShardedEngine {
   /// on every shard, so one a shard rejects lands on none. INSERT into
   /// streams routes through the router; one-time SELECTs gather (baskets
   /// bind the concatenated per-shard snapshots). Continuous SELECTs are
-  /// rejected here.
+  /// rejected here. INSERT into a static table replicates to every shard
+  /// and, as on one Engine, requires the shards to be stopped.
   Result<TablePtr> Execute(const sql::Statement& stmt);
   /// Parses one statement and executes it.
   Result<TablePtr> ExecuteSql(const std::string& sql);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algebra/aggregate_split.h"
-#include "algebra/specialize.h"
 #include "common/check.h"
 
 namespace datacell {
@@ -33,9 +32,9 @@ std::string Block(const PlanRunner& runner) {
 class ReEvalWindowExecutor final : public WindowExecutor {
  public:
   ReEvalWindowExecutor(const sql::CompiledQuery& query,
-                       PlanBindings static_bindings, bool specialize)
+                       PlanBindings static_bindings, bool fresh_plan_state)
       : runner_(query.plan, {query.inputs[0].bind_name},
-                std::move(static_bindings), specialize),
+                std::move(static_bindings), fresh_plan_state),
         window_(query.window),
         output_schema_(query.output_schema),
         buffer_(std::make_shared<Table>("__window_buffer",
@@ -132,11 +131,11 @@ class IncrementalWindowExecutor final : public WindowExecutor {
  public:
   static Result<std::unique_ptr<WindowExecutor>> Make(
       const sql::CompiledQuery& query, AggregateSplit split,
-      PlanBindings static_bindings, bool specialize) {
+      PlanBindings static_bindings, bool fresh_plan_state) {
     std::unique_ptr<IncrementalWindowExecutor> exec(
         new IncrementalWindowExecutor(query, std::move(split),
                                       std::move(static_bindings),
-                                      specialize));
+                                      fresh_plan_state));
     // The summary of no tuples, bound when a window has no partial rows: a
     // scalar aggregate still emits its one row (count 0).
     auto none = std::make_shared<Table>("", exec->input_schema_);
@@ -210,10 +209,10 @@ class IncrementalWindowExecutor final : public WindowExecutor {
 
   IncrementalWindowExecutor(const sql::CompiledQuery& query,
                             AggregateSplit split, PlanBindings static_bindings,
-                            bool specialize)
+                            bool fresh_plan_state)
       : partial_(split.partial, {query.inputs[0].bind_name},
-                 std::move(static_bindings), specialize),
-        merge_(split.merge, {kPartialsBinding}, {}, specialize),
+                 std::move(static_bindings), fresh_plan_state),
+        merge_(split.merge, {kPartialsBinding}, {}, fresh_plan_state),
         window_(query.window),
         input_schema_(query.inputs[0].basket_schema),
         partial_schema_(split.partial->output_schema()),
@@ -318,7 +317,7 @@ class IncrementalWindowExecutor final : public WindowExecutor {
 
 Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
     const sql::CompiledQuery& query, WindowMode mode,
-    PlanBindings static_bindings, bool specialize) {
+    PlanBindings static_bindings, bool fresh_plan_state) {
   if (query.window.kind == sql::WindowSpec::Kind::kNone) {
     return Status::InvalidArgument("query has no window clause");
   }
@@ -351,19 +350,19 @@ Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
           "aggregate");
     }
     return IncrementalWindowExecutor::Make(query, std::move(*split),
-                                           static_bindings, specialize);
+                                           static_bindings, fresh_plan_state);
   };
   switch (mode) {
     case WindowMode::kReEvaluation:
       return std::unique_ptr<WindowExecutor>(new ReEvalWindowExecutor(
-          query, std::move(static_bindings), specialize));
+          query, std::move(static_bindings), fresh_plan_state));
     case WindowMode::kIncremental:
       return try_incremental();
     case WindowMode::kAuto: {
       auto inc = try_incremental();
       if (inc.ok()) return inc;
       return std::unique_ptr<WindowExecutor>(new ReEvalWindowExecutor(
-          query, std::move(static_bindings), specialize));
+          query, std::move(static_bindings), fresh_plan_state));
     }
   }
   return Status::Internal("bad window mode");

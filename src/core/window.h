@@ -35,7 +35,7 @@ enum class WindowMode {
 /// Windows are realised purely by scheduling and plan re-binding over the
 /// unchanged relational kernel — the paper's constraint of not adding
 /// special window operators. Every plan an executor runs goes through a
-/// PlanRunner, so it is specialized exactly when a factory's plan would be.
+/// PlanRunner, which keeps its state across firings as a factory's does.
 class WindowExecutor {
  public:
   virtual ~WindowExecutor() = default;
@@ -71,10 +71,10 @@ class WindowExecutor {
   /// Builds an executor for `query` (which must be windowed and have exactly
   /// one stream input). `static_bindings` supplies non-stream relations the
   /// plan joins against. kAuto picks incremental when the plan qualifies.
-  /// `specialize` is the factory's option of that name.
+  /// `fresh_plan_state` is FactoryOptions::fresh_plan_state.
   static Result<std::unique_ptr<WindowExecutor>> Create(
       const sql::CompiledQuery& query, WindowMode mode,
-      PlanBindings static_bindings, bool specialize = true);
+      PlanBindings static_bindings, bool fresh_plan_state = false);
 
  protected:
   std::atomic<int64_t> late_dropped_{0};

@@ -97,12 +97,6 @@ std::string ObservabilityServer::QueriesJson() const {
     }
     const FactoryPtr& f = info.factory;
     if (f != nullptr) {
-      out += ",\"specialized\":";
-      out += f->is_specialized() ? "true" : "false";
-      if (!f->is_specialized()) {
-        out += ",\"fallback_reason\":";
-        AppendJsonString(out, f->specialize_fallback());
-      }
       out += ",\"window_mode\":";
       AppendJsonString(out, f->window_mode_name());
       out += ",\"results_emitted\":" + std::to_string(f->results_emitted());

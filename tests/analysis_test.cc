@@ -1571,8 +1571,7 @@ TEST(StateOracleTest, HintedGroupByRespectsHintDomain) {
   EXPECT_TRUE(res->sound) << res->detail;
 }
 
-// An integer-keyed group-by runs on the specialized stage, whose group table
-// is metered: the oracle compares a real, non-zero measurement with the
+// An integer-keyed group-by keeps an int64 group table, which is metered: the oracle compares a real, non-zero measurement with the
 // bound priced by the same Int64GroupTable::EstimatedBytes sizing.
 TEST(StateOracleTest, HintedIntGroupByTableMeteredUnderBound) {
   Engine engine(Deterministic());

@@ -17,6 +17,7 @@
 #include "adapters/channel.h"
 #include "adapters/sink.h"
 #include "core/engine.h"
+#include "core/shard.h"
 
 namespace datacell {
 namespace {
@@ -392,6 +393,84 @@ TEST(ConcurrencyStress, MetricsScrapeWhilePipelineRuns) {
                 ->count,
             static_cast<uint64_t>(kTotal));
   EXPECT_EQ(engine.scheduler().error_count(), 0);
+}
+
+// INSERT into a catalog table would append to the column vectors a running
+// factory's kept join index and gather read on a worker thread, so it is
+// refused until Stop(). Basket inserts are ingest and keep flowing; the
+// table insert lands once the scheduler is stopped, and the next firing
+// joins against the grown table.
+TEST(ConcurrencyStress, TableInsertRequiresStoppedScheduler) {
+  constexpr int kRows = 2000;
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ExecuteScript("create table t (k int, w int);"
+                                 "insert into t values (1, 10);"
+                                 "create basket s (x int);")
+                  .ok());
+  auto q = engine.SubmitContinuousQuery(
+      "j", "select s.x, t.w from [select * from s] as s join t on s.x = t.k");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto sink = std::make_shared<CountingSink>();
+  ASSERT_TRUE(engine.Subscribe(*q, sink).ok());
+
+  ASSERT_TRUE(engine.Start(2).ok());
+  std::thread producer([&engine] {
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(engine.Ingest("s", {Value::Int64(1 + i % 2)}).ok());
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    Status st = engine.ExecuteSql("insert into t values (2, 20)").status();
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  }
+  EXPECT_TRUE(engine.ExecuteSql("insert into s values (1)").ok());
+  producer.join();
+  ASSERT_TRUE(WaitFor([&] { return sink->rows() >= kRows / 2 + 1; },
+                      milliseconds(10000)))
+      << "rows=" << sink->rows();
+  engine.Stop();
+  EXPECT_EQ(sink->rows(), kRows / 2 + 1);  // only key 1 is in t
+
+  ASSERT_TRUE(engine.ExecuteSql("insert into t values (2, 20)").ok());
+  ASSERT_TRUE(engine.Ingest("s", {Value::Int64(2)}).ok());
+  engine.Drain();
+  EXPECT_EQ(sink->rows(), kRows / 2 + 2);
+  EXPECT_EQ(engine.scheduler().error_count(), 0);
+}
+
+// The same on a ShardedEngine: a static table replicates to every shard,
+// and each running shard refuses the insert.
+TEST(ConcurrencyStress, ShardedTableInsertRequiresStoppedShards) {
+  constexpr int kRows = 1000;
+  ShardedEngine se(ShardedEngineOptions{2, EngineOptions{}});
+  ASSERT_TRUE(se.ExecuteScript("create table t (k int, w int);"
+                               "insert into t values (1, 10);"
+                               "create basket s (x int) partition by x;")
+                  .ok());
+  auto q = se.SubmitContinuousQuery(
+      "j", "select s.x, t.w from [select * from s] as s join t on s.x = t.k");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto sink = std::make_shared<CountingSink>();
+  ASSERT_TRUE(se.Subscribe(*q, sink).ok());
+
+  ASSERT_TRUE(se.Start().ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < kRows; ++i) rows.push_back({Value::Int64(1 + i % 2)});
+  ASSERT_TRUE(se.IngestBatch("s", rows).ok());
+  Status st = se.ExecuteSql("insert into t values (2, 20)").status();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  ASSERT_TRUE(WaitFor([&] { return sink->rows() >= kRows / 2; },
+                      milliseconds(10000)))
+      << "rows=" << sink->rows();
+  se.Stop();
+  se.Drain();
+  EXPECT_EQ(sink->rows(), kRows / 2);
+
+  ASSERT_TRUE(se.ExecuteSql("insert into t values (2, 20)").ok());
+  ASSERT_TRUE(se.IngestBatch("s", {{Value::Int64(2)}}).ok());
+  se.Drain();
+  EXPECT_EQ(sink->rows(), kRows / 2 + 1);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ class Runner {
   Status Setup(std::string* rejected) {
     EngineOptions o = s_.options;
     o.use_wall_clock = false;
-    o.specialize_plans = c_.specialize;
+    o.fresh_plan_state = c_.fresh_state;
     o.window_mode = c_.window_mode;
     o.default_strategy = c_.strategy;
     if (c_.shards > 0) {
@@ -191,7 +191,13 @@ class Runner {
   Status Play(const DrainFn& on_drain) {
     size_t drain = 0;
     for (const Scenario::Step& step : s_.steps) {
-      if (!step.stream.empty()) {
+      if (!step.sql.empty()) {
+        Status st = Visit(
+            [&](auto& e) { return e.ExecuteSql(step.sql).status(); });
+        if (!st.ok()) {
+          return Status(st.code(), step.sql + ": " + st.message());
+        }
+      } else if (!step.stream.empty()) {
         Status st = Ingest(step);
         if (!st.ok()) {
           return Status(st.code(),
@@ -321,15 +327,20 @@ std::vector<Config> Configs(const Scenario& scenario,
                  " aggregates, sorts, limits or deduplicates per firing";
     }
   }
+  if (no_start.empty() &&
+      std::any_of(scenario.steps.begin(), scenario.steps.end(),
+                  [](const Scenario::Step& s) { return !s.sql.empty(); })) {
+    no_start = "the scenario runs SQL between drains";
+  }
   using PS = ProcessingStrategy;
   const EngineOptions defaults;
   std::vector<Config> out = {
       {.name = "reference"},
       {.name = "default",
-       .specialize = defaults.specialize_plans,
+       .fresh_state = defaults.fresh_plan_state,
        .window_mode = defaults.window_mode,
        .strategy = defaults.default_strategy},
-      {.name = "specialized", .specialize = true},
+      {.name = "kept", .fresh_state = false},
       {.name = "incremental", .window_mode = WindowMode::kAuto},
       {.name = "shared", .strategy = PS::kSharedBaskets}};
   if (no_chain.empty()) {
@@ -348,7 +359,7 @@ std::vector<Config> Configs(const Scenario& scenario,
     skipped->push_back("start(2): " + no_start);
   }
   out.push_back({.name = "corner",
-                 .specialize = true,
+                 .fresh_state = false,
                  .window_mode = WindowMode::kAuto,
                  .strategy = no_chain.empty() ? PS::kChained
                                               : PS::kSharedBaskets,
@@ -387,9 +398,8 @@ std::string Compare(const Config& c, const std::vector<std::vector<Row>>& ref,
 }
 
 size_t Scenario::num_drains() const {
-  return static_cast<size_t>(
-      std::count_if(steps.begin(), steps.end(),
-                    [](const Step& s) { return s.stream.empty(); }));
+  return static_cast<size_t>(std::count_if(
+      steps.begin(), steps.end(), [](const Step& s) { return s.is_drain(); }));
 }
 
 bool Report::Ran(const std::string& config) const {
@@ -451,7 +461,7 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
 }
 
 Report Run(Scenario s) {
-  if (s.steps.empty() || !s.steps.back().stream.empty()) s.Drain();
+  if (s.steps.empty() || !s.steps.back().is_drain()) s.Drain();
   const size_t num_queries = s.queries.size();
   Report report;
   report.reference.assign(num_queries,

@@ -2,17 +2,19 @@
 #define DATACELL_TESTS_DIFFERENTIAL_H_
 
 // The differential harness: a Scenario (DDL, continuous queries, ingest
-// batches, drains) runs under every execution configuration and each run is
-// compared with a plain reference run. Baskets are multisets (PAPER.md §1):
-// every configuration must deliver the same rows for the same input.
+// batches, SQL statements, drains) runs under every execution configuration
+// and each run is compared with a plain reference run. Baskets are
+// multisets (PAPER.md §1): every configuration must deliver the same rows
+// for the same input.
 //
-// The reference is one Engine on the tuple interpreter with re-evaluated
-// windows and separate baskets, fed by IngestBatch and stepped by Drain().
-// One variant per axis value follows, then the engine's default
-// configuration (EngineOptions{}: specialized, kAuto windows, shared
-// baskets) and a corner with every axis off its reference value:
+// The reference is one Engine that runs each plan from a fresh PlanState per
+// firing, with re-evaluated windows and separate baskets, fed by IngestBatch
+// and stepped by Drain(). One variant per axis value follows, then the
+// engine's default configuration (EngineOptions{}: kept state, kAuto
+// windows, shared baskets) and a corner with every axis off its reference
+// value:
 //
-//   backend    interpreter | specialized
+//   state      fresh per firing | kept
 //   windows    re-evaluation | incremental (WindowMode::kAuto)
 //   strategy   separate | shared | chained
 //   topology   one Engine | ShardedEngine with 1, 2 or 4 shards
@@ -45,7 +47,7 @@ enum class IngestPath { kRows, kColumns, kText };
 
 struct Config {
   std::string name;
-  bool specialize = false;
+  bool fresh_state = true;  // EngineOptions::fresh_plan_state
   WindowMode window_mode = WindowMode::kReEvaluation;
   ProcessingStrategy strategy = ProcessingStrategy::kSeparateBaskets;
   size_t shards = 0;  // 0 = one Engine, else a ShardedEngine of N shards
@@ -63,14 +65,17 @@ struct Instance {
 };
 
 struct Scenario {
-  /// An ingest batch, after which every clock advances 1000 µs, or a drain
-  /// when `stream` is empty.
+  /// An ingest batch, after which every clock advances 1000 µs; one SQL
+  /// statement when `sql` is set; else a drain.
   struct Step {
     std::string stream;
     std::vector<Row> rows;
+    std::string sql;
+
+    bool is_drain() const { return stream.empty() && sql.empty(); }
   };
 
-  /// Template for every engine; the harness sets the clock, backend,
+  /// Template for every engine; the harness sets the clock, plan state,
   /// window mode and default strategy per configuration.
   EngineOptions options;
   std::string setup;  // script run before the queries register
@@ -87,8 +92,10 @@ struct Scenario {
   }
   /// String values must not hold '\n', which frames text lines.
   void Ingest(const std::string& stream, std::vector<Row> rows) {
-    steps.push_back({stream, std::move(rows)});
+    steps.push_back({stream, std::move(rows), {}});
   }
+  /// Runs `sql` (e.g. an INSERT into a table a query joins) between drains.
+  void Execute(const std::string& sql) { steps.push_back({{}, {}, sql}); }
   void Drain() { steps.push_back({}); }
   size_t num_drains() const;
 };
@@ -121,6 +128,8 @@ struct Report {
 ///     the one before it did not keep) or a query reads two streams;
 ///   - Start(2), when a query without a window aggregates, sorts, limits
 ///     or deduplicates: its rows depend on how arrivals split into firings;
+///     or when the scenario runs SQL between drains, which needs the
+///     scheduler stopped;
 ///   - a ShardedEngine that rejects a query for its routing
 ///     (FailedPrecondition).
 /// The corner then takes shared baskets, or Drain(). Any other rejection,

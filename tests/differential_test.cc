@@ -17,8 +17,8 @@ using differential::Report;
 using differential::Scenario;
 
 const char* const kEveryConfig[] = {
-    "reference", "default",  "specialized", "incremental", "shared",
-    "chained",   "shards=1", "shards=2",    "shards=4",    "columns",
+    "reference", "default",  "kept",     "incremental", "shared",
+    "chained",   "shards=1", "shards=2", "shards=4",    "columns",
     "text",      "start(2)", "corner"};
 
 std::vector<Row> Readings(int n) {
@@ -116,9 +116,9 @@ TEST(DifferentialTest, QueryOverQueryOutputUnderEveryStrategy) {
   EXPECT_EQ(r.rows(1, 0).size(), 2u);
 }
 
-// One large batch takes the same single path as a small one: the
-// specialized grouped aggregate over 150K rows is bit-identical to the
-// interpreter's.
+// One large batch takes the same single path as a small one: the grouped
+// aggregate over 150K rows on the kept group table is bit-identical to the
+// fresh-state reference's.
 TEST(DifferentialTest, GroupByOverOneLargeBatch) {
   Scenario s;
   s.Setup("create basket r (k int, x int, y double)");
@@ -135,7 +135,7 @@ TEST(DifferentialTest, GroupByOverOneLargeBatch) {
   s.Drain();
   Report r = differential::Run(s);
   ASSERT_TRUE(r.ok()) << r.ToString();
-  EXPECT_TRUE(r.Ran("specialized"));
+  EXPECT_TRUE(r.Ran("kept"));
   EXPECT_TRUE(r.Ran("default"));
   EXPECT_EQ(r.rows(0, 0).size(), 97u);
 }
@@ -161,7 +161,7 @@ TEST(DifferentialTest, CompareReportsEveryDivergence) {
   const Row drifted = {Value::Int64(1), Value::Double(1.0 + 1e-9)};
   const Row rounded = {Value::Int64(1), Value::Double(std::nextafter(1.0, 2))};
   const std::vector<std::vector<Row>> ref = {{a, b}};
-  const Config lockstep{.name = "specialized", .specialize = true};
+  const Config lockstep{.name = "kept", .fresh_state = false};
   const Config sharded{.name = "shards=2", .shards = 2};
   for (const Config* cfg : {&lockstep, &sharded}) {
     EXPECT_EQ(Compare(*cfg, ref, {}, 0, {a, b}), "") << cfg->name;

@@ -1,11 +1,14 @@
-// Specialized-vs-interpreted equivalence: every query shape the
-// registration-time specializer (algebra/specialize.h) claims runs as a
-// differential scenario (differential.h) — the reference interpreter and
-// every other execution configuration, the specialized engine among them,
-// over identical input — and the delivered rows must match value-for-value
-// (nulls and NaN compared structurally). The same binary is registered a
-// second time in ctest with DATACELL_DISABLE_AVX2=1, so every assertion here
-// is also verified against the forced-scalar kernel variants.
+// Kept-vs-fresh plan state: every query shape whose plan nodes keep state
+// across firings (PlanRunner in algebra/plan.h: filter candidate lists,
+// kept join indexes and group tables) runs as a differential scenario
+// (differential.h). The reference starts every firing from a fresh
+// PlanState; every other execution configuration, the kept-state engine
+// among them, runs over identical input, and the delivered rows must match
+// value for value (nulls and NaN compared structurally). The same binary is
+// registered a second time in ctest with DATACELL_DISABLE_AVX2=1, so every
+// assertion here is also verified against the forced-scalar kernel
+// variants. The SpecializeEquivalenceTest and SpecializeFallbackTest suite
+// names are kept so the test ids stay stable.
 
 #include <gtest/gtest.h>
 
@@ -24,27 +27,20 @@
 namespace datacell {
 namespace {
 
-EngineOptions Deterministic(bool specialize) {
+EngineOptions Deterministic(bool fresh_plan_state = false) {
   EngineOptions opts;
   opts.use_wall_clock = false;
-  opts.specialize_plans = specialize;
+  opts.fresh_plan_state = fresh_plan_state;
   return opts;
 }
 
 /// Builds a differential::Scenario around one continuous query "q" and runs
 /// it on every execution configuration (differential.h) when the test ends:
-/// each must deliver the reference interpreter's rows.
+/// each must deliver the fresh-state reference's rows.
 class SpecializeEquivalenceTest : public ::testing::Test {
  protected:
   void Ingest(const std::string& stream, Row row) {
     s_.Ingest(stream, {std::move(row)});
-  }
-
-  /// The shape under test must specialize unless the test names the
-  /// fallback it expects — a silent interpreter fallback would make the
-  /// equivalence assertion vacuous.
-  void ExpectFallback(const std::string& reason_substring) {
-    fallback_ = reason_substring;
   }
 
   /// The drains since the previous call deliver at least `at_least` rows.
@@ -55,18 +51,6 @@ class SpecializeEquivalenceTest : public ::testing::Test {
   const differential::Report& Run() {
     ran_ = true;
     s_.inspect = [this](const differential::Instance& inst, size_t drain) {
-      if (inst.engine != nullptr && inst.config.specialize) {
-        const Factory& f = *(*inst.engine->GetQuery(inst.queries[0]))->factory;
-        if (fallback_.empty()) {
-          EXPECT_TRUE(f.is_specialized())
-              << "expected specialization, fell back: "
-              << f.specialize_fallback();
-        } else {
-          EXPECT_FALSE(f.is_specialized());
-          EXPECT_NE(f.specialize_fallback().find(fallback_), std::string::npos)
-              << "fallback reason was: " << f.specialize_fallback();
-        }
-      }
       if (inspect_) inspect_(inst, drain);
     };
     report_ = differential::Run(s_);
@@ -87,7 +71,6 @@ class SpecializeEquivalenceTest : public ::testing::Test {
   }
 
   differential::Scenario s_;
-  std::string fallback_;  // empty: the query must specialize
   std::vector<std::pair<size_t, size_t>> marks_;  // (drains, at least)
   std::function<void(const differential::Instance&, size_t)> inspect_;
   differential::Report report_;
@@ -255,8 +238,8 @@ TEST_F(SpecializeEquivalenceTest, BoolColumnFilter) {
   ExpectSameResults(2);
 }
 
-// Predicates over computed expressions select through the interpreter's
-// EvaluatePredicate, so they specialize like any other filter.
+// Predicates over computed expressions are not lowered: the Filter node
+// selects through EvaluatePredicate.
 TEST_F(SpecializeEquivalenceTest, PredicateOverScalarFunction) {
   s_.Setup("create basket r (x int)");
   s_.AddQuery("q", "select x from [select * from r] as s where abs(s.x) > 2");
@@ -388,8 +371,8 @@ TEST_F(SpecializeEquivalenceTest, ScalarAggregatesNoFilter) {
 }
 
 // 0.1 * i is inexact in double, so a sum over these values depends on the
-// order of its additions. Both backends must add in input row order: sum
-// and avg match the interpreter bit for bit.
+// order of its additions. Kept and fresh state both add in input row order:
+// sum and avg match bit for bit.
 TEST_F(SpecializeEquivalenceTest, FilterAggregateInexactDoubles) {
   double forward = 0.0, backward = 0.0;
   for (int i = 0; i < 16; ++i) forward += i * 0.1;
@@ -473,16 +456,15 @@ TEST_F(SpecializeEquivalenceTest, JoinThenFilterThenAggregate) {
   ExpectSameResults(1);
 }
 
-// --- fallback reasons ----------------------------------------------------
+// --- shapes without a kept group table ------------------------------------
 
 TEST_F(SpecializeEquivalenceTest, WindowedQueryFallsBack) {
   s_.Setup("create basket r (x int)");
   s_.AddQuery("q", "select sum(x) from [select * from r] as s window size 4");
-  ExpectFallback("windowed");
   for (int i = 0; i < 8; ++i) Ingest("r", {Value::Int64(i)});
   s_.Drain();
-  // The factory's own plan falls back, but the window's partial and merge
-  // plans are specialized in the specialized configs only: still equivalent.
+  // The window's partial and merge plans keep their state in the kept
+  // configs only: still equivalent.
   ExpectSameResults(1);
 }
 
@@ -491,7 +473,6 @@ TEST_F(SpecializeEquivalenceTest, GroupByMultiColumnKeyFallsBack) {
   s_.AddQuery(
       "q",
       "select x, y, count(*) from [select * from r] as s group by x, y");
-  ExpectFallback("GROUP BY on 2 columns");
   for (int i = 0; i < 6; ++i) {
     Ingest("r", {Value::Int64(i % 2), Value::Int64(i % 3)});
   }
@@ -504,7 +485,6 @@ TEST_F(SpecializeEquivalenceTest, GroupByStringKeyFallsBack) {
   s_.AddQuery(
       "q",
       "select name, sum(x) from [select * from r] as s group by name");
-  ExpectFallback("GROUP BY key of type string");
   for (int i = 0; i < 6; ++i) {
     Ingest("r",
                  {Value::String(i % 2 == 0 ? "a" : "b"), Value::Int64(i)});
@@ -518,7 +498,6 @@ TEST_F(SpecializeEquivalenceTest, GroupByBoolKeyFallsBack) {
   s_.AddQuery(
       "q",
       "select flag, count(*) from [select * from r] as s group by flag");
-  ExpectFallback("GROUP BY key of type bool");
   for (int i = 0; i < 6; ++i) {
     Ingest("r", {Value::Bool(i % 3 == 0), Value::Int64(i)});
   }
@@ -611,7 +590,7 @@ TEST_F(SpecializeEquivalenceTest, GroupByKeysOutgrowPreviousFiring) {
   s_.Drain();
   size_t small = 0;
   inspect_ = [&small](const differential::Instance& inst, size_t drain) {
-    if (inst.config.name != "specialized") return;
+    if (inst.config.name != "kept") return;
     size_t high_water = (*inst.engine->GetQuery(inst.queries[0]))
                             ->factory->state_bytes_high_water();
     if (drain == 0) {
@@ -704,60 +683,101 @@ TEST_F(SpecializeEquivalenceTest, GroupByPostProjectionReordersAndComputes) {
   ExpectSameResults(3);
 }
 
+// --- state kept across firings ---------------------------------------------
+
+using ExecutorEquivalenceTest = SpecializeEquivalenceTest;
+
+// The kept join index covers the build side's rows at the firing that built
+// it; an INSERT between drains grows the table, so the next firing must
+// rebuild the index, as the fresh-state reference builds a new one.
+TEST_F(ExecutorEquivalenceTest, JoinBuildSideGrowsMidRun) {
+  s_.Setup("create table t (k int, w int)");
+  s_.Setup("insert into t values (1, 10), (2, 20)");
+  s_.Setup("create basket r (x int)");
+  s_.AddQuery("q", "select s.x, t.w from [select * from r] as s "
+              "join t on s.x = t.k");
+  auto probe = [this](int n) {
+    std::vector<Row> rows;
+    for (int i = 1; i <= n; ++i) rows.push_back({Value::Int64(i)});
+    s_.Ingest("r", rows);
+    s_.Drain();
+  };
+  probe(4);  // keys 1 and 2 match
+  ExpectSameResults(2);
+  s_.Execute("insert into t values (3, 30), (1, 11)");
+  probe(4);  // key 1 twice, 2, 3
+  ExpectSameResults(4);
+  s_.Execute("insert into t values (4, 40)");
+  probe(4);
+  ExpectSameResults(5);
+}
+
+// A query over two streams keeps its group table too; the stream-stream
+// join runs HashJoin per firing.
+TEST_F(ExecutorEquivalenceTest, TwoStreamGroupByKeepsGroupTable) {
+  s_.Setup("create basket a (k int, v int)");
+  s_.Setup("create basket b (k int, w double)");
+  s_.AddQuery("q", "select x.k, count(*), sum(y.w), max(x.v) from "
+              "[select * from a] as x join [select * from b] as y "
+              "on x.k = y.k group by x.k");
+  for (int batch = 0; batch < 3; ++batch) {
+    std::vector<Row> left, right;
+    for (int i = 0; i < 8 + 40 * batch; ++i) {
+      left.push_back({Value::Int64(i % (3 + 20 * batch)), Value::Int64(i)});
+      right.push_back({i % 7 == 3 ? Value::Null() : Value::Int64(i % 5),
+                       Value::Double(i * 0.1)});
+    }
+    s_.Ingest("a", left);
+    s_.Ingest("b", right);
+    s_.Drain();
+  }
+  ExpectSameResults(3);
+  inspect_ = [](const differential::Instance& inst, size_t) {
+    if (inst.config.name != "kept") return;
+    const Factory& f = *(*inst.engine->GetQuery(inst.queries[0]))->factory;
+    EXPECT_NE(f.PipelineDescription().find("[int64 group table kept]"),
+              std::string::npos)
+        << f.PipelineDescription();
+    EXPECT_GT(f.state_bytes(), 0u);
+  };
+}
+
+// fresh_plan_state turns state keeping off: every firing starts from a new
+// PlanState, and \explain says which of the two a query runs with.
 TEST(SpecializeFallbackTest, DisabledByOption) {
-  EngineOptions opts = Deterministic(false);
-  Engine engine(opts);
-  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
-  auto q = engine.SubmitContinuousQuery(
-      "q", "select x from [select * from r] as s where s.x < 5");
-  ASSERT_TRUE(q.ok());
-  auto info = engine.GetQuery(*q);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE((*info)->factory->is_specialized());
-  EXPECT_EQ((*info)->factory->specialize_fallback(),
-            "specialization disabled");
-  EXPECT_NE((*info)->factory->PipelineDescription().find("interpreter"),
-            std::string::npos);
+  for (bool fresh : {false, true}) {
+    Engine engine(Deterministic(fresh));
+    ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+    auto q = engine.SubmitContinuousQuery(
+        "q", "select x from [select * from r] as s where s.x < 5");
+    ASSERT_TRUE(q.ok());
+    auto info = engine.GetQuery(*q);
+    ASSERT_TRUE(info.ok());
+    const std::string desc = (*info)->factory->PipelineDescription();
+    EXPECT_EQ(desc.rfind(fresh ? "plan, fresh state per firing:"
+                               : "plan, state kept across firings:",
+                         0),
+              0u)
+        << desc;
+  }
 }
 
 TEST(SpecializeFallbackTest, PipelineDescriptionListsSteps) {
-  Engine engine(Deterministic(true));
+  Engine engine(Deterministic());
   ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
   auto q = engine.SubmitContinuousQuery(
       "q", "select x from [select * from r] as s where s.x < 5");
   ASSERT_TRUE(q.ok());
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE((*info)->factory->is_specialized());
   std::string desc = (*info)->factory->PipelineDescription();
-  EXPECT_NE(desc.find("specialized pipeline"), std::string::npos);
-  EXPECT_NE(desc.find("filter"), std::string::npos);
-}
-
-TEST(SpecializeMetricsTest, SpecializedQueriesCounter) {
-  Engine engine(Deterministic(true));
-  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int, name varchar)").ok());
-  auto q1 = engine.SubmitContinuousQuery(
-      "a", "select x from [select * from r] as s where s.x < 5");
-  ASSERT_TRUE(q1.ok());
-  auto q2 = engine.SubmitContinuousQuery(
-      "b", "select name, count(*) from [select * from r] as s group by name");
-  ASSERT_TRUE(q2.ok());  // string key falls back -> not counted
-  MetricsSnapshotData snap = engine.MetricsSnapshot();
-  const CounterSnapshot* c = snap.FindCounter("datacell_specialized_queries");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value, 1);
-  auto q3 = engine.SubmitContinuousQuery(
-      "c", "select x, count(*) from [select * from r] as s group by x");
-  ASSERT_TRUE(q3.ok());  // int key specializes -> counted
-  snap = engine.MetricsSnapshot();
-  c = snap.FindCounter("datacell_specialized_queries");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value, 2);
+  EXPECT_NE(desc.find("Filter((x < 5)) [kernel range select]"),
+            std::string::npos)
+      << desc;
 }
 
 TEST(SpecializeFallbackTest, GroupByDescriptionNamesKey) {
-  Engine engine(Deterministic(true));
+  Engine engine(Deterministic());
   ASSERT_TRUE(engine.ExecuteSql("create basket r (sym int, qty int)").ok());
   auto q = engine.SubmitContinuousQuery(
       "vol",
@@ -766,10 +786,37 @@ TEST(SpecializeFallbackTest, GroupByDescriptionNamesKey) {
   ASSERT_TRUE(q.ok());
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE((*info)->factory->is_specialized());
   std::string desc = (*info)->factory->PipelineDescription();
-  EXPECT_NE(desc.find("aggregate: sum(qty) group by sym"), std::string::npos)
+  EXPECT_NE(desc.find("Aggregate(groups=[sym], aggs=[sum(__agg_arg0)]) "
+                      "[int64 group table kept]"),
+            std::string::npos)
       << desc;
+}
+
+// \explain <query> prints the plan's node tree with what each node keeps.
+TEST(ExplainTest, NodeTreeText) {
+  Engine engine(Deterministic());
+  ASSERT_TRUE(engine.ExecuteScript("create table t (k int, w int);\n"
+                                   "create basket r (x int, name varchar);")
+                  .ok());
+  auto q = engine.SubmitContinuousQuery(
+      "q",
+      "select t.w, count(*) from [select * from r] as s join t "
+      "on s.x = t.k where s.x < 5 group by t.w");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto info = engine.GetQuery(*q);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ((*info)->factory->PipelineDescription(),
+            "plan, state kept across firings:\n"
+            "  Project(w as w, count(*) as count(*))\n"
+            "    Aggregate(groups=[w], aggs=[count(*)]) "
+            "[int64 group table kept]\n"
+            "      Project(w as w) [pass-through]\n"
+            "        Filter((x < 5)) [kernel range select]\n"
+            "          hash-join probe(left.x = right.k) "
+            "[index kept, rebuilt when the build side grows]\n"
+            "            Scan(__cq_in0_r) [stream]\n"
+            "            Scan(t) [static]\n");
 }
 
 TEST(HashIndexTest, MatchesNaiveNestedLoop) {

@@ -450,7 +450,7 @@ TEST(EngineMetrics, MalformedReceptorLinesReachRegistry) {
 // --- exposition goldens -----------------------------------------------------
 
 /// A small engine covering every owner of a series: a receptor that saw one
-/// malformed line, a specialized query, a `select *` query (so the e2e
+/// malformed line, a filtering query, a `select *` query (so the e2e
 /// histogram exists), a separate-strategy query (a private replica) and the
 /// scheduler counters after one Drain(). Simulated clock, no profiling.
 void BuildGoldenEngine(Engine& engine, Channel& wire) {
@@ -511,8 +511,6 @@ datacell_scheduler_sweeps_total 2
 datacell_scheduler_wakes_notified_total 0
 # TYPE datacell_scheduler_wakes_timeout_total counter
 datacell_scheduler_wakes_timeout_total 0
-# TYPE datacell_specialized_queries counter
-datacell_specialized_queries 3
 # TYPE datacell_transition_fires_total counter
 datacell_transition_fires_total{transition="emitter_all",kind="emitter"} 1
 datacell_transition_fires_total{transition="emitter_hot",kind="emitter"} 1

@@ -1,7 +1,7 @@
 // Self-observation tests: the monitor receptor and its sys.* telemetry
 // streams (including the dogfood case — a continuous query over sys.baskets
-// acting as an alert stream), the per-step pipeline profiler for both
-// specialized and interpreted queries, the runtime trace toggle, the
+// acting as an alert stream), the per-step pipeline profiler over each
+// plan's nodes, the runtime trace toggle, the
 // Prometheus prefix filter, and the HTTP observability endpoint (including
 // byte-identical /metrics scrapes against a running scheduler).
 
@@ -284,7 +284,9 @@ EngineOptions Profiled() {
   return opts;
 }
 
-TEST(Profiler, SpecializedPipelineSteps) {
+// Every plan node is a step that records its own rows and time, its
+// children's excluded, so the steps add up to no more than the fire time.
+TEST(Profiler, PlanNodeSteps) {
   Engine engine(Profiled());
   ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
   auto q = engine.SubmitContinuousQuery(
@@ -292,7 +294,6 @@ TEST(Profiler, SpecializedPipelineSteps) {
   ASSERT_TRUE(q.ok());
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE((*info)->factory->is_specialized());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(engine.Ingest("r", {Value::Int64(i)}).ok());
   }
@@ -300,36 +301,41 @@ TEST(Profiler, SpecializedPipelineSteps) {
 
   auto report = engine.ProfileReport(*q);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_NE(report->find("specialized pipeline"), std::string::npos)
+  EXPECT_NE(report->find("state kept across firings"), std::string::npos)
       << *report;
-  EXPECT_NE(report->find("filter"), std::string::npos) << *report;
+  EXPECT_NE(report->find("[kernel range select]"), std::string::npos)
+      << *report;
   EXPECT_NE(report->find("% fire"), std::string::npos) << *report;
 
   PipelineProfile::Snapshot snap = (*info)->factory->profile().Snap();
   EXPECT_GE(snap.fires, 1);
   EXPECT_GT(snap.fire_time_ns, 0);
-  bool saw_filter = false;
+  ASSERT_EQ(snap.steps.size(), 3u) << *report;  // Project, Filter, Scan
+  int64_t step_time = 0;
   for (const PipelineProfile::StepSnapshot& s : snap.steps) {
-    if (s.label.find("filter") == std::string::npos) continue;
-    saw_filter = true;
-    EXPECT_GE(s.calls, 1);
-    EXPECT_EQ(s.rows_in, 10);
-    EXPECT_EQ(s.rows_out, 5);  // x in [0,10) with x < 5
+    EXPECT_EQ(s.calls, snap.fires) << s.label;
+    step_time += s.time_ns;
   }
-  EXPECT_TRUE(saw_filter);
+  EXPECT_LE(step_time, snap.fire_time_ns);
+  const PipelineProfile::StepSnapshot& filter = snap.steps[1];
+  EXPECT_EQ(filter.label.rfind("Filter(", 0), 0u) << filter.label;
+  EXPECT_EQ(filter.rows_in, 10);
+  EXPECT_EQ(filter.rows_out, 5);  // x in [0,10) with x < 5
+  EXPECT_EQ(snap.steps[0].rows_in, 5);
+  EXPECT_EQ(snap.steps[2].rows_out, 10);
 }
 
 TEST(Profiler, InterpreterFallbackSteps) {
   Engine engine(Profiled());
   ASSERT_TRUE(engine.ExecuteSql("create basket r (name varchar)").ok());
-  // GROUP BY on a string key falls back to the tuple interpreter; the
-  // profiler must still attribute per-plan-node rows and time.
+  // GROUP BY on a string key runs GroupBy per firing, with no kept group
+  // table; the profiler still attributes per-plan-node rows and time.
   auto q = engine.SubmitContinuousQuery(
       "grp",
       "select name, count(*) from [select * from r] as s group by name");
   ASSERT_TRUE(q.ok());
-  // An interpreted plan with a filter: the filter runs as its own plan node,
-  // so its step records its calls and output rows.
+  // A plan with a filter: the filter runs as its own plan node, so its step
+  // records its calls and output rows.
   auto fq = engine.SubmitContinuousQuery(
       "grp_a",
       "select name, count(*) from [select * from r] as s "
@@ -337,10 +343,8 @@ TEST(Profiler, InterpreterFallbackSteps) {
   ASSERT_TRUE(fq.ok()) << fq.status().ToString();
   auto info = engine.GetQuery(*q);
   ASSERT_TRUE(info.ok());
-  ASSERT_FALSE((*info)->factory->is_specialized());
   auto finfo = engine.GetQuery(*fq);
   ASSERT_TRUE(finfo.ok());
-  ASSERT_FALSE((*finfo)->factory->is_specialized());
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
         engine.Ingest("r", {Value::String(i % 2 == 0 ? "a" : "b")}).ok());
@@ -349,7 +353,8 @@ TEST(Profiler, InterpreterFallbackSteps) {
 
   auto report = engine.ProfileReport(*q);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_NE(report->find("interpreter"), std::string::npos) << *report;
+  EXPECT_NE(report->find("Aggregate("), std::string::npos) << *report;
+  EXPECT_EQ(report->find("group table kept"), std::string::npos) << *report;
   PipelineProfile::Snapshot snap = (*info)->factory->profile().Snap();
   EXPECT_GE(snap.fires, 1);
   bool saw_called_step = false;
@@ -443,12 +448,13 @@ TEST(Profiler, WindowedQuerySteps) {
       ASSERT_TRUE(info.ok());
       const Factory& f = *(*info)->factory;
       std::string desc = f.PipelineDescription();
-      EXPECT_EQ(desc.find("fallback: windowed"), std::string::npos) << desc;
       if (mode == WindowMode::kIncremental) {
-        EXPECT_NE(desc.find("partial: specialized pipeline"),
+        EXPECT_NE(desc.find("partial: plan, state kept across firings"),
                   std::string::npos)
             << desc;
       }
+      EXPECT_NE(desc.find("[int64 group table kept]"), std::string::npos)
+          << desc;
       PipelineProfile::Snapshot snap = f.profile().Snap();
       EXPECT_GE(snap.fires, 1);
       ASSERT_FALSE(snap.steps.empty());
@@ -669,7 +675,9 @@ TEST(HttpEndpoint, RoutesAndErrors) {
   EXPECT_NE(queries.find("application/json"), std::string::npos);
   EXPECT_NE(BodyOf(queries).find("\"name\":\"sel\""), std::string::npos)
       << queries;
-  EXPECT_NE(BodyOf(queries).find("\"specialized\":true"), std::string::npos);
+  EXPECT_NE(BodyOf(queries).find("\"window_mode\":\"none\""),
+            std::string::npos)
+      << queries;
 
   std::string trace = HttpGet(server.port(), "/trace");
   EXPECT_NE(trace.find("200 OK"), std::string::npos);

@@ -100,7 +100,7 @@ TEST(GroupByTest, DenseIdsAndRepresentatives) {
   auto g = GroupBy(*t, {0});
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_groups, 3u);
-  EXPECT_EQ(g->group_ids, (std::vector<size_t>{0, 1, 0, 2, 1, 0}));
+  EXPECT_EQ(g->group_ids, (std::vector<uint32_t>{0, 1, 0, 2, 1, 0}));
   EXPECT_EQ(g->representatives, (std::vector<size_t>{0, 1, 3}));
 }
 
@@ -177,12 +177,15 @@ TEST(AggregateTest, ByGroup) {
   auto t = GroupTable();
   auto g = GroupBy(*t, {0});
   ASSERT_TRUE(g.ok());
-  auto partials = AggregateByGroup(*t->column(1), *g);
-  ASSERT_TRUE(partials.ok());
-  ASSERT_EQ(partials->size(), 3u);
-  EXPECT_EQ((*partials)[0].Finalize(AggFunc::kSum), Value::Double(10));  // a
-  EXPECT_EQ((*partials)[1].Finalize(AggFunc::kSum), Value::Double(7));   // b
-  EXPECT_EQ((*partials)[2].Finalize(AggFunc::kSum), Value::Double(4));   // c
+  Bat sums(DataType::kDouble);
+  ASSERT_TRUE(AggregateByGroup(*t->column(1), AggFunc::kSum,
+                               g->group_ids.data(), nullptr, t->num_rows(),
+                               g->num_groups, &sums)
+                  .ok());
+  ASSERT_EQ(sums.size(), 3u);
+  EXPECT_EQ(sums.GetValue(0), Value::Double(10));  // a
+  EXPECT_EQ(sums.GetValue(1), Value::Double(7));   // b
+  EXPECT_EQ(sums.GetValue(2), Value::Double(4));   // c
 }
 
 TEST(AggregateTest, StringsNotAggregatable) {

@@ -283,17 +283,30 @@ TEST_P(AggConsistencyTest, GroupPartialsSumToGlobal) {
   }
   EXPECT_EQ(id_sum, t->num_rows());
 
-  auto partials = AggregateByGroup(*t->column(1), *grouping);
-  ASSERT_TRUE(partials.ok());
+  // Per-group count, sum, min and max, one column each.
+  const AggFunc funcs[] = {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
+                           AggFunc::kMax};
+  std::vector<Bat> per_group;
+  for (AggFunc f : funcs) {
+    per_group.emplace_back(f == AggFunc::kCount ? DataType::kInt64
+                                                : DataType::kDouble);
+    ASSERT_TRUE(AggregateByGroup(*t->column(1), f,
+                                 grouping->group_ids.data(), nullptr,
+                                 t->num_rows(), grouping->num_groups,
+                                 &per_group.back())
+                    .ok());
+  }
   auto global = AggregateAll(*t->column(1), nullptr);
   ASSERT_TRUE(global.ok());
-  // Fold the group partials; min/max compare as AggPartial::AddValue does.
+  // Fold the groups; min/max compare as AggPartial::AddValue does, and a
+  // group without non-null values contributes nothing.
   AggPartial merged;
-  for (const AggPartial& p : *partials) {
-    merged.count += p.count;
-    merged.sum += p.sum;
-    if (p.min < merged.min) merged.min = p.min;
-    if (p.max > merged.max) merged.max = p.max;
+  for (size_t g = 0; g < grouping->num_groups; ++g) {
+    merged.count += per_group[0].Int64At(g);
+    if (per_group[1].IsNull(g)) continue;
+    merged.sum += per_group[1].DoubleAt(g);
+    merged.min = std::min(merged.min, per_group[2].DoubleAt(g));
+    merged.max = std::max(merged.max, per_group[3].DoubleAt(g));
   }
   EXPECT_EQ(merged.count, global->count);
   EXPECT_DOUBLE_EQ(merged.sum, global->sum);

@@ -317,7 +317,7 @@ enum class Shape : uint8_t {
   kOrdered,    // group by k order by k
   kHaving,     // a filter above the aggregate
   kTopN,       // order by + limit
-  kStringKey,  // group by a string key: the partial runs on the interpreter
+  kStringKey,  // group by a string key: no kept group table
   kUnordered,  // no order by: both modes emit groups in first-appearance order
 };
 
@@ -375,9 +375,9 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
     s.Ingest("r", std::move(rows));
     s.Drain();
   }
-  // The incremental configurations, interpreted and specialized (the
-  // engine's default), must really run the basic-window model, in lockstep
-  // with the re-evaluating reference.
+  // The incremental configurations, with fresh and with kept plan state
+  // (the engine's default), must really run the basic-window model, in
+  // lockstep with the re-evaluating reference.
   std::map<std::string, std::string> mode, describe;  // by config
   s.inspect = [&](const differential::Instance& inst, size_t) {
     if (inst.config.name != "incremental" && inst.config.name != "default") {
@@ -391,11 +391,10 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   EXPECT_TRUE(r.ok()) << r.ToString();
   EXPECT_EQ(mode["incremental"], "incremental");
   EXPECT_EQ(mode["default"], "incremental");
-  if (p.shape == Shape::kStringKey) {
-    EXPECT_NE(describe["default"].find("partial: interpreter"),
-              std::string::npos)
-        << describe["default"];
-  }
+  // A string key groups through GroupBy on every run: no kept group table.
+  EXPECT_EQ(describe["default"].find("group table kept") == std::string::npos,
+            p.shape == Shape::kStringKey)
+      << describe["default"];
   EXPECT_GT(r.total_rows(), 0u);
 }
 
